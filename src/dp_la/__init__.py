@@ -53,6 +53,7 @@ from .pipelines import (
     input_perturb,
     objective_perturb_train,
     pate_predict,
+    pate_teachers,
     pate_train,
     run_pipeline,
 )

@@ -27,8 +27,6 @@ __all__ = [
     "four_way_split",
     "synth_generate",
     "write_raw_csv",
-    "dataset_to_csv",
-    "dataset_from_csv",
 ]
 
 
@@ -361,29 +359,3 @@ def write_raw_csv(raw: RawTable, schema: TabularSchema, path: str | Path) -> Non
                     row.append(raw.target[r])
             writer.writerow(row)
 
-
-def dataset_to_csv(dataset: Dataset, path: str | Path) -> None:
-    """Emit the preprocessed matrix (features + 'label' column) losslessly."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.feature_names) + ["label"])
-        for r in range(dataset.n_rows):
-            writer.writerow([repr(float(v)) for v in dataset.features[r]] + [str(int(dataset.labels[r]))])
-
-
-def dataset_from_csv(path: str | Path) -> Dataset:
-    """Re-ingest a matrix written by :func:`dataset_to_csv`."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[-1] != "label":
-        raise ValueError(f"{path}: expected trailing 'label' column, got '{header[-1]}'")
-    features = np.asarray([[float(c) for c in row[:-1]] for row in rows], dtype=float)
-    labels = np.asarray([int(row[-1]) for row in rows], dtype=int)
-    return Dataset(
-        features=features,
-        labels=labels,
-        feature_names=tuple(header[:-1]),
-        normalization_bounds={},
-    )

@@ -1,6 +1,15 @@
 """Sweep orchestration: configuration, deterministic (method, epsilon, seed)
 grid execution, per-cell privacy audits, and report emission.
 
+Work is done once at the level of the grid it depends on. Per seed, a
+:class:`SeedContext` holds the four-way split, the non-private baseline's
+accuracy, the shadow-trained attack with its threshold and, when prediction
+perturbation is swept, the PATE teachers (keyed by method and seed, never by
+epsilon). Each (method, epsilon) cell of that seed then runs only its own DP
+fit, its vote and audit noise, and the membership-inference attack. In
+``summary.json`` the context's wall time is under ``timings.per_seed`` and
+each cell's own time under ``timings.per_cell``.
+
 Every cell derives its own random substream from the master seed and its grid
 coordinates, so results are identical regardless of execution order or worker
 count, and editing one cell's coordinates never disturbs another cell.
@@ -10,28 +19,41 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import audit as audit_mod
-from .data import Dataset, TabularSchema, four_way_split, load_csv, preprocess, synth_generate
+from .data import (
+    Dataset,
+    FourWaySplit,
+    TabularSchema,
+    four_way_split,
+    load_csv,
+    preprocess,
+    synth_generate,
+)
 from .mechanisms import PrivacyBudget, RngState
 from .model import TrainConfig, accuracy, predict, train
-from .pipelines import DpMethod, private_proba_fn, run_pipeline
+from .pipelines import DpMethod, TeacherEnsemble, pate_teachers, private_proba_fn, run_pipeline
 
 __all__ = [
     "SynthSpec",
     "ExperimentConfig",
     "SweepCell",
     "CellResult",
+    "SeedContext",
+    "SeedTiming",
     "SweepResults",
     "load_config",
     "load_experiment_dataset",
+    "build_seed_context",
+    "run_cell",
     "run_sweep",
     "summarize",
     "emit_report",
@@ -134,18 +156,36 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
 
 
+_CONFIG_KEYS = frozenset({
+    "data", "methods", "epsilons", "delta", "seeds", "num_teachers", "train",
+    "inner_train_fraction", "master_seed", "output_dir", "threads",
+})
+_DATA_KEYS = frozenset({"synth", "path", "schema"})
+
+
+def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config JSON document."""
+    """Parse and validate a config JSON document; an unknown key at any level
+    is an error, so a typo never silently falls back to a default."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
     data = doc.get("data", {})
+    _reject_unknown_keys(data, _DATA_KEYS, "data")
     synth = None
     data_path = schema_path = None
     if "synth" in data:
+        _reject_unknown_keys(data["synth"], {f.name for f in fields(SynthSpec)}, "data.synth")
         synth = SynthSpec(**data["synth"])
     if "path" in data:
         data_path = data["path"]
         schema_path = data.get("schema")
     train_doc = doc.get("train", {})
+    _reject_unknown_keys(train_doc, {f.name for f in fields(TrainConfig)}, "train")
     kwargs = dict(
         data_path=data_path,
         schema_path=schema_path,
@@ -188,9 +228,18 @@ class CellResult:
 
 
 @dataclass(frozen=True)
+class SeedTiming:
+    """Wall time of one seed's shared context (see :class:`SeedContext`)."""
+
+    seed: int
+    wall_time_seconds: float
+
+
+@dataclass(frozen=True)
 class SweepResults:
     rows: tuple[CellResult, ...]
     config_fingerprint: str
+    seed_timings: tuple[SeedTiming, ...] = ()
 
 
 def enumerate_cells(config: ExperimentConfig) -> list[SweepCell]:
@@ -223,9 +272,82 @@ def _split_seed(master_seed: int, seed: int) -> int:
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little") >> 1
 
 
-def run_cell(config: ExperimentConfig, dataset: Dataset, cell: SweepCell) -> CellResult:
-    """One grid cell: split, baseline, DP pipeline, shadow attack, metrics.
+def _pipeline_rng(master: RngState, method: DpMethod, seed_index: int) -> RngState:
+    """The DP pipeline's stream of one (method, seed); epsilon is not in the key."""
+    return master.substream("pipeline", method.value, "seed", seed_index)
 
+
+@dataclass(frozen=True)
+class SeedContext:
+    """What every cell of one seed shares, computed once per seed.
+
+    ``teachers`` is the PATE ensemble, None when it was not asked for, or the
+    exception that building it raised: only prediction-perturbation cells
+    need it, so only they fail with it.
+    """
+
+    split: FourWaySplit
+    train_cfg: TrainConfig
+    acc_nonprivate: float
+    attack: audit_mod.AttackModel
+    teachers: TeacherEnsemble | Exception | None
+
+    def ensemble(self) -> TeacherEnsemble | None:
+        if isinstance(self.teachers, Exception):
+            raise self.teachers
+        return self.teachers
+
+
+def build_seed_context(
+    config: ExperimentConfig, dataset: Dataset, seed_index: int, with_teachers: bool
+) -> SeedContext:
+    """The split, the non-private baseline's accuracy, the shadow-trained
+    attack and (``with_teachers``) the PATE teachers of one seed.
+
+    The split is keyed by (master seed, seed); the teachers by the
+    prediction-perturbation pipeline stream of (master seed, method, seed),
+    the same stream that run_cell draws the cell's votes from.
+    """
+    seed = config.seeds[seed_index]
+    split = four_way_split(dataset, _split_seed(config.master_seed, seed),
+                           config.inner_train_fraction)
+    train_cfg = replace(config.train, seed=seed)
+
+    baseline = train(dataset.features[split.victim_train],
+                     dataset.labels[split.victim_train], train_cfg)
+    acc_nonprivate = accuracy(
+        predict(baseline, dataset.features[split.victim_test]),
+        dataset.labels[split.victim_test],
+    )
+    shadow = train(dataset.features[split.attack_train],
+                   dataset.labels[split.attack_train], train_cfg)
+    attack = audit_mod.train_attack(shadow, dataset, split, train_cfg)
+
+    teachers: TeacherEnsemble | Exception | None = None
+    if with_teachers:
+        rng = _pipeline_rng(RngState(config.master_seed), DpMethod.PREDICTION_PERTURBATION,
+                            seed_index)
+        try:
+            teachers = pate_teachers(dataset, split, train_cfg, rng, config.num_teachers)
+        except Exception as exc:  # fails the prediction-perturbation cells only
+            teachers = exc
+    return SeedContext(split, train_cfg, acc_nonprivate, attack, teachers)
+
+
+def _failed_status(exc: Exception) -> str:
+    return f"failed:{type(exc).__name__}:{exc}"
+
+
+def run_cell(
+    config: ExperimentConfig,
+    dataset: Dataset,
+    cell: SweepCell,
+    context: SeedContext | None = None,
+) -> CellResult:
+    """One grid cell: DP pipeline, shadow attack on its release, metrics.
+
+    ``context`` is the cell's seed context from :func:`build_seed_context`;
+    without it the cell builds its own, and its wall time includes that work.
     The split and the pipeline's noise draws are keyed by (master seed,
     method, seed) only, so cells along the epsilon axis of one seed share
     their underlying randomness and differ purely in the noise scale (common
@@ -234,43 +356,33 @@ def run_cell(config: ExperimentConfig, dataset: Dataset, cell: SweepCell) -> Cel
     """
     start = time.perf_counter()
     try:
+        if context is None:
+            context = build_seed_context(config, dataset, cell.seed_index,
+                                         cell.method is DpMethod.PREDICTION_PERTURBATION)
         master = RngState(config.master_seed)
-        pipeline_rng = master.substream("pipeline", cell.method.value, "seed", cell.seed_index)
+        pipeline_rng = _pipeline_rng(master, cell.method, cell.seed_index)
         audit_rng = master.substream(
             "audit", cell.method.value, cell.eps_index, cell.seed_index
         )
-        split = four_way_split(dataset, _split_seed(config.master_seed, cell.seed),
-                               config.inner_train_fraction)
-        train_cfg = replace(config.train, seed=cell.seed)
-
-        baseline = train(dataset.features[split.victim_train],
-                         dataset.labels[split.victim_train], train_cfg)
-        acc_nonprivate = accuracy(
-            predict(baseline, dataset.features[split.victim_test]),
-            dataset.labels[split.victim_test],
-        )
-
+        split = context.split
         delta = config.delta if cell.method is DpMethod.INPUT_PERTURBATION else 0.0
         budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
+        ensemble = context.ensemble() if cell.method is DpMethod.PREDICTION_PERTURBATION else None
         result = run_pipeline(
-            cell.method, dataset, split, budget, train_cfg,
-            pipeline_rng, num_teachers=config.num_teachers,
+            cell.method, dataset, split, budget, context.train_cfg,
+            pipeline_rng, ensemble=ensemble,
         )
         acc_private = accuracy(result.private_test_predictions,
                                dataset.labels[split.victim_test])
-
-        shadow = train(dataset.features[split.attack_train],
-                       dataset.labels[split.attack_train], train_cfg)
-        attack = audit_mod.train_attack(shadow, dataset, split, train_cfg)
         outcome = audit_mod.run_mia(
-            attack,
+            context.attack,
             private_proba_fn(result.artifact, audit_rng),
             dataset,
             split,
         )
         report = audit_mod.build_report(
             acc_private=acc_private,
-            acc_nonprivate=acc_nonprivate,
+            acc_nonprivate=context.acc_nonprivate,
             outcome=outcome,
             method=cell.method,
             epsilon=cell.epsilon,
@@ -278,22 +390,50 @@ def run_cell(config: ExperimentConfig, dataset: Dataset, cell: SweepCell) -> Cel
         )
         return CellResult(cell, report, time.perf_counter() - start, "ok")
     except Exception as exc:  # cell failures are contained, not fatal
-        return CellResult(cell, None, time.perf_counter() - start,
-                          f"failed:{type(exc).__name__}:{exc}")
+        return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))
+
+
+def _run_seed(
+    config: ExperimentConfig, dataset: Dataset, seed_index: int, cells: list[SweepCell]
+) -> tuple[list[CellResult], SeedTiming]:
+    """Build one seed's context, then run that seed's cells on it. If the
+    context cannot be built, every cell of the seed fails with its error."""
+    start = time.perf_counter()
+    try:
+        context = build_seed_context(config, dataset, seed_index,
+                                     DpMethod.PREDICTION_PERTURBATION in config.methods)
+    except Exception as exc:  # contained like a cell failure
+        context, status = None, _failed_status(exc)
+    timing = SeedTiming(config.seeds[seed_index], time.perf_counter() - start)
+    if context is None:
+        return [CellResult(cell, None, 0.0, status) for cell in cells], timing
+    return [run_cell(config, dataset, cell, context) for cell in cells], timing
 
 
 def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResults:
-    """Execute the full grid; results come back in cell order regardless of
+    """Execute the full grid, one seed group at a time (``threads`` > 1 runs
+    seed groups concurrently); rows come back in cell order regardless of
     scheduling."""
     if dataset is None:
         dataset = load_experiment_dataset(config)
     cells = enumerate_cells(config)
+
+    def seed_group(seed_index: int) -> tuple[list[CellResult], SeedTiming]:
+        return _run_seed(config, dataset, seed_index,
+                         [c for c in cells if c.seed_index == seed_index])
+
+    seed_indices = range(len(config.seeds))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda c: run_cell(config, dataset, c), cells))
+            groups = list(pool.map(seed_group, seed_indices))
     else:
-        rows = [run_cell(config, dataset, c) for c in cells]
-    return SweepResults(rows=tuple(rows), config_fingerprint=config.fingerprint())
+        groups = [seed_group(si) for si in seed_indices]
+    by_cell = {row.cell: row for rows, _ in groups for row in rows}
+    return SweepResults(
+        rows=tuple(by_cell[c] for c in cells),
+        config_fingerprint=config.fingerprint(),
+        seed_timings=tuple(timing for _, timing in groups),
+    )
 
 
 def summarize(results: SweepResults) -> dict:
@@ -397,7 +537,9 @@ def emit_report(
 ) -> list[Path]:
     """Write results.csv, summary.json and the three figure-series CSVs.
 
-    Refuses to overwrite existing outputs unless ``force`` is set.
+    Refuses to overwrite existing outputs unless ``force`` is set. Each file
+    is written to a temporary name in ``output_dir`` and then renamed onto its
+    own, so no output is ever left half-written.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -420,7 +562,12 @@ def emit_report(
         "platform": platform.platform(),
     }
     summary_doc["timings"] = {
-        "total_wall_time_seconds": sum(r.wall_time_seconds for r in results.rows),
+        "total_wall_time_seconds": sum(t.wall_time_seconds for t in results.seed_timings)
+        + sum(r.wall_time_seconds for r in results.rows),
+        "per_seed": [
+            {"seed": t.seed, "wall_time_seconds": round(t.wall_time_seconds, 6)}
+            for t in results.seed_timings
+        ],
         "per_cell": [
             {
                 "method": r.cell.method.value,
@@ -433,12 +580,21 @@ def emit_report(
         ],
     }
 
+    targets["summary.json"] = json.dumps(summary_doc, indent=2) + "\n"
     written = []
     for name, content in targets.items():
         path = out / name
-        path.write_text(content, encoding="utf-8")
+        _write_atomic(path, content)
         written.append(path)
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n", encoding="utf-8")
-    written.append(summary_path)
     return written
+
+
+def _write_atomic(path: Path, content: str) -> None:
+    """Write ``content`` to a temporary file beside ``path``, then rename it
+    onto ``path``; the temporary file never outlives the call."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

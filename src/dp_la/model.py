@@ -12,9 +12,7 @@ objective is non-increasing and the result is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +23,6 @@ __all__ = [
     "predict_proba",
     "predict",
     "accuracy",
-    "save_model",
-    "load_model",
 ]
 
 
@@ -172,26 +168,3 @@ def accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise ValueError("cannot score empty prediction vectors")
     return float(np.mean(predicted == actual))
 
-
-def save_model(model: LogisticModel, path: str | Path) -> None:
-    """Persist a model as JSON for reproducibility audits."""
-    doc = {
-        "weights": [float(v) for v in model.weights],
-        "bias": float(model.bias),
-        "lambda": model.config.lam,
-        "epochs": model.config.epochs,
-        "seed": model.config.seed,
-        "final_objective": float(model.final_objective),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> LogisticModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    config = TrainConfig(lam=doc["lambda"], epochs=doc["epochs"], seed=doc["seed"])
-    return LogisticModel(
-        weights=np.asarray(doc["weights"], dtype=float),
-        bias=float(doc["bias"]),
-        config=config,
-        final_objective=float(doc.get("final_objective", 0.0)),
-    )

@@ -39,6 +39,7 @@ __all__ = [
     "input_perturb",
     "objective_perturb_train",
     "pate_train",
+    "pate_teachers",
     "pate_predict",
     "pate_vote_fraction",
     "run_pipeline",
@@ -219,6 +220,27 @@ def pate_train(
     )
 
 
+def pate_teachers(
+    dataset: Dataset,
+    split: FourWaySplit,
+    config: TrainConfig,
+    rng: RngState,
+    num_teachers: int = 10,
+) -> TeacherEnsemble:
+    """The prediction-perturbation ensemble that run_pipeline releases: teachers
+    on the victim-train rows, sharded by the pipeline stream's "pate-train"
+    substream. It depends on neither the budget nor the query rows, so one
+    ensemble serves every epsilon of a (method, seed) pair.
+    """
+    return pate_train(
+        dataset.features[split.victim_train],
+        dataset.labels[split.victim_train],
+        num_teachers,
+        config,
+        rng.substream("pate-train"),
+    )
+
+
 def _teacher_votes(ensemble: TeacherEnsemble, features: np.ndarray) -> np.ndarray:
     """Per-row count of teachers voting class 1."""
     if not ensemble.teachers:
@@ -275,10 +297,12 @@ def run_pipeline(
     budget: PrivacyBudget,
     config: TrainConfig,
     rng: RngState,
-    num_teachers: int = 10,
+    ensemble: TeacherEnsemble | None = None,
 ) -> PipelineResult:
     """Run one DP configuration end to end on the victim half.
 
+    Prediction perturbation releases noisy votes of ``ensemble``, built by
+    :func:`pate_teachers` from the same ``rng``; the other methods ignore it.
     Always returns predictions on both victim_train (needed by the audit) and
     victim_test (needed for utility scoring).
     """
@@ -320,7 +344,8 @@ def run_pipeline(
     if method is DpMethod.PREDICTION_PERTURBATION:
         if budget.delta != 0.0:
             raise ValueError("prediction perturbation uses Laplace noise; delta must be 0")
-        ensemble = pate_train(X_train, y_train, num_teachers, config, rng.substream("pate-train"))
+        if ensemble is None:
+            raise ValueError("prediction perturbation needs a teacher ensemble (see pate_teachers)")
         vote_rng = rng.substream("pate-votes")
         train_pred = pate_predict(ensemble, X_train, budget, vote_rng)
         test_pred = pate_predict(ensemble, X_test, budget, vote_rng)
@@ -332,7 +357,7 @@ def run_pipeline(
             noise_kind=NoiseKind.LAPLACE,
             metadata={
                 "seed": config.seed,
-                "num_teachers": num_teachers,
+                "num_teachers": ensemble.num_teachers,
                 "queries_answered": n_queries,
                 "composed_epsilon": budget.epsilon * n_queries,
             },

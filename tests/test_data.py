@@ -5,8 +5,6 @@ from dp_la.data import (
     ColumnKind,
     Dataset,
     TabularSchema,
-    dataset_from_csv,
-    dataset_to_csv,
     four_way_split,
     load_csv,
     preprocess,
@@ -206,13 +204,3 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             synth_generate(**args)
 
-
-def test_dataset_csv_round_trip(tmp_path):
-    raw, schema = synth_generate(150, 4, 2, 1.0, seed=3)
-    ds = preprocess(raw, schema)
-    path = tmp_path / "matrix.csv"
-    dataset_to_csv(ds, path)
-    back = dataset_from_csv(path)
-    np.testing.assert_allclose(back.features, ds.features, atol=1e-12, rtol=0)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.feature_names == ds.feature_names

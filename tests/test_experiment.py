@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from dp_la import cli
+from dp_la import cli, model, pipelines
 from dp_la.audit import AuditReport
 from dp_la.experiment import (
     CellResult,
     ExperimentConfig,
+    SeedTiming,
     SweepCell,
     SweepResults,
     SynthSpec,
@@ -15,6 +16,7 @@ from dp_la.experiment import (
     enumerate_cells,
     load_config,
     load_experiment_dataset,
+    run_cell,
     run_sweep,
     summarize,
 )
@@ -97,6 +99,26 @@ class TestConfig:
         assert cfg.train.lam == 0.01 and cfg.train.epochs == 10
         assert cfg.synth.n == 400
 
+    def test_load_config_accepts_every_key_it_reads(self, tmp_path):
+        path = write_config(tmp_path, delta=1e-6, num_teachers=4, inner_train_fraction=0.5,
+                            master_seed=3, output_dir="o", threads=2,
+                            train={"lam": 0.01, "epochs": 10, "learning_rate": 0.25, "seed": 1})
+        cfg = load_config(path)
+        assert (cfg.master_seed, cfg.output_dir, cfg.threads) == (3, "o", 2)
+
+    @pytest.mark.parametrize("overrides, where", [
+        (dict(epsilon=[1.0], master_sead=1), "config: epsilon, master_sead"),
+        (dict(data={"synth": {"n": 400}, "schema_path": "s.json"}), "data: schema_path"),
+        (dict(data={"synth": {"n": 400, "seperation": 2.0}}), "data.synth: seperation"),
+        (dict(train={"epoch": 5}), "train: epoch"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, overrides, where):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}$"):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert f"config error: unknown key(s) in {where}" in capsys.readouterr().err
+
 
 class TestCells:
     def test_enumeration_order(self):
@@ -148,6 +170,50 @@ class TestRunSweep:
         a = emit_report(results, summarize(results), tmp_path / "a")
         b = emit_report(threaded, summarize(threaded), tmp_path / "b")
         assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
+
+    def test_each_distinct_model_is_fitted_once(self, monkeypatch):
+        calls = []
+        original = model._fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_fit", counting_fit)
+        monkeypatch.setattr(pipelines, "_fit", counting_fit)
+        cfg = ExperimentConfig(**SMALL)
+        results = run_sweep(cfg)
+        assert all(r.status == "ok" for r in results.rows)
+        seeds, epsilons = len(cfg.seeds), len(cfg.epsilons)
+        # per seed: baseline, shadow, attack and the teachers; per (seed, epsilon):
+        # one input- and one objective-perturbation fit
+        assert len(calls) == seeds * (3 + cfg.num_teachers) + seeds * epsilons * 2
+
+    def test_sweep_rows_match_standalone_cells(self, small_results):
+        cfg, results = small_results
+        dataset = load_experiment_dataset(cfg)
+        for row in results.rows:
+            alone = run_cell(cfg, dataset, row.cell)
+            assert alone.status == row.status == "ok"
+            assert row.report == alone.report
+
+    def test_teacher_failure_fails_only_prediction_perturbation(self):
+        cfg = ExperimentConfig(**{**SMALL, "num_teachers": 26})  # 100 victim-train rows
+        results = run_sweep(cfg)
+        for row in results.rows:
+            if row.cell.method is DpMethod.PREDICTION_PERTURBATION:
+                assert row.report is None
+                assert row.status == ("failed:ValueError:num_teachers=26 leaves shards "
+                                      "below 4 rows for n=100")
+            else:
+                assert row.status == "ok"
+
+    def test_seed_context_failure_fails_every_cell_of_the_seed(self):
+        cfg = ExperimentConfig(**{**SMALL, "inner_train_fraction": 1.0 - 1e-9})
+        results = run_sweep(cfg)
+        assert {r.status for r in results.rows} == {
+            "failed:ValueError:dataset too small: part 'victim_test' lacks a row of each class"}
+        assert [t.seed for t in results.seed_timings] == list(cfg.seeds)
 
     def test_seed_isolation(self, small_results):
         cfg, results = small_results
@@ -237,6 +303,28 @@ class TestEmitReport:
         assert doc["config_fingerprint"] == "test"
         assert doc["groups"][0]["n_ok"] == 2
         assert "environment" in doc and "timings" in doc
+
+    def test_timings_add_per_seed_to_per_cell(self, tmp_path):
+        results = fabricated_results({1: 0.1, 2: 0.2})
+        results = SweepResults(results.rows, results.config_fingerprint,
+                               (SeedTiming(1, 0.25), SeedTiming(2, 0.5)))
+        emit_report(results, summarize(results), tmp_path)
+        timings = json.loads((tmp_path / "summary.json").read_text())["timings"]
+        assert timings["per_seed"] == [{"seed": 1, "wall_time_seconds": 0.25},
+                                       {"seed": 2, "wall_time_seconds": 0.5}]
+        assert timings["total_wall_time_seconds"] == 0.75
+
+    def test_sweep_reports_one_timing_per_seed(self, small_results):
+        cfg, results = small_results
+        assert [t.seed for t in results.seed_timings] == list(cfg.seeds)
+        assert all(t.wall_time_seconds > 0 for t in results.seed_timings)
+
+    def test_no_temporary_file_left_behind(self, tmp_path):
+        results = fabricated_results({1: 0.1})
+        written = emit_report(results, summarize(results), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+        emit_report(results, summarize(results), tmp_path, force=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
 
 
 class TestCli:

@@ -9,10 +9,8 @@ from dp_la.model import (
     _gradient,
     _objective,
     accuracy,
-    load_model,
     predict,
     predict_proba,
-    save_model,
     train,
 )
 
@@ -197,17 +195,3 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="empty"):
             accuracy(np.array([]), np.array([]))
 
-
-def test_save_load_round_trip(tmp_path):
-    raw, schema = synth_generate(120, 3, 0, 1.0, seed=8)
-    ds = preprocess(raw, schema)
-    model = train(ds.features, ds.labels, TrainConfig(seed=11))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    np.testing.assert_array_equal(back.weights, model.weights)
-    assert back.bias == model.bias
-    assert back.config.lam == model.config.lam
-    assert back.config.epochs == model.config.epochs
-    assert back.config.seed == 11
-    assert back.final_objective == model.final_objective

@@ -13,12 +13,21 @@ from dp_la.pipelines import (
     input_perturb,
     objective_perturb_train,
     pate_predict,
+    pate_teachers,
     pate_train,
     pate_vote_fraction,
     run_pipeline,
 )
 
 CFG = TrainConfig()
+
+
+def run_any(method, ds, split, budget, rng):
+    """run_pipeline for any method, building the teachers prediction
+    perturbation needs from the same stream."""
+    ensemble = (pate_teachers(ds, split, CFG, rng)
+                if method is DpMethod.PREDICTION_PERTURBATION else None)
+    return run_pipeline(method, ds, split, budget, CFG, rng, ensemble=ensemble)
 
 
 def synth_dataset(n=1000, sep=2.0, seed=7):
@@ -200,7 +209,7 @@ class TestRunPipeline:
         }
         for method, kind in expected.items():
             delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
-            res = run_pipeline(method, ds, split, PrivacyBudget(1.0, delta), CFG, RngState(1))
+            res = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(1))
             assert res.artifact.noise_kind is kind
             assert res.artifact.method is method
 
@@ -212,8 +221,7 @@ class TestRunPipeline:
         res = run_pipeline(DpMethod.OBJECTIVE_PERTURBATION, ds, split,
                            PrivacyBudget(1.0), CFG, RngState(2))
         assert "epsilon_prime" in res.artifact.metadata
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split,
-                           PrivacyBudget(1.0), CFG, RngState(2), num_teachers=10)
+        res = run_any(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(1.0), RngState(2))
         md = res.artifact.metadata
         assert md["num_teachers"] == 10
         n_queries = len(split.victim_train) + len(split.victim_test)
@@ -225,12 +233,18 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="delta"):
             run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0), CFG, RngState(0))
 
+    def test_prediction_perturbation_requires_an_ensemble(self, setup):
+        ds, split = setup
+        with pytest.raises(ValueError, match="teacher ensemble"):
+            run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(1.0),
+                         CFG, RngState(0))
+
     def test_deterministic_predictions(self, setup):
         ds, split = setup
         for method in DpMethod:
             delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
-            a = run_pipeline(method, ds, split, PrivacyBudget(1.0, delta), CFG, RngState(42))
-            b = run_pipeline(method, ds, split, PrivacyBudget(1.0, delta), CFG, RngState(42))
+            a = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
+            b = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
             np.testing.assert_array_equal(a.private_train_predictions, b.private_train_predictions)
             np.testing.assert_array_equal(a.private_test_predictions, b.private_test_predictions)
 
@@ -253,8 +267,8 @@ class TestLargeEpsilonConsistency:
                 Xt, yt = ds.features[split.victim_test], ds.labels[split.victim_test]
                 base = accuracy(predict(train(X, y, CFG), Xt), yt)
                 delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
-                res = run_pipeline(method, ds, split, PrivacyBudget(1e6, delta), CFG,
-                                   RngState(seed).substream("consistency"))
+                res = run_any(method, ds, split, PrivacyBudget(1e6, delta),
+                              RngState(seed).substream("consistency"))
                 gaps.append(abs(accuracy(res.private_test_predictions, yt) - base))
             assert np.median(gaps) < 0.01, f"{method}: median gap {np.median(gaps)}"
 
@@ -270,8 +284,8 @@ class TestBudgetMonotonicity:
                 accs = []
                 for seed in (1, 2, 3, 4, 5):
                     split = four_way_split(ds, seed)
-                    res = run_pipeline(method, ds, split, PrivacyBudget(eps), CFG,
-                                       RngState(seed).substream("mono", method.value))
+                    res = run_any(method, ds, split, PrivacyBudget(eps),
+                                  RngState(seed).substream("mono", method.value))
                     accs.append(accuracy(res.private_test_predictions,
                                          ds.labels[split.victim_test]))
                 medians.append(float(np.median(accs)))
