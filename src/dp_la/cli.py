@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -45,9 +44,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             config = dataclasses.replace(config, master_seed=args.seed)
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=args.out)
-        threads = args.threads if args.threads is not None else _env_threads()
-        if threads is not None:
-            config = dataclasses.replace(config, threads=threads)
+        if args.threads is not None:
+            config = dataclasses.replace(config, threads=args.threads)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -68,16 +66,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         return 2
     return 0
-
-
-def _env_threads() -> int | None:
-    raw = os.environ.get("DP_LA_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"DP_LA_THREADS must be an integer, got {raw!r}") from None
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -116,14 +116,6 @@ class FourWaySplit:
     attack_train: np.ndarray
     attack_test: np.ndarray
 
-    def parts(self) -> dict[str, np.ndarray]:
-        return {
-            "victim_train": self.victim_train,
-            "victim_test": self.victim_test,
-            "attack_train": self.attack_train,
-            "attack_test": self.attack_test,
-        }
-
 
 def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
     """Ingest a headered CSV into typed columns.

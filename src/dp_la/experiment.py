@@ -23,7 +23,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +108,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.data_path is None) == (self.synth is None):
             raise ValueError("config must specify exactly one of a CSV data path or a synth block")
-        if self.data_path is not None and self.schema_path is None:
-            raise ValueError("a CSV data path requires a schema path")
+        if (self.data_path is None) != (self.schema_path is None):
+            raise ValueError("a CSV data path and a schema path go together")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         if not self.seeds:
@@ -124,43 +124,22 @@ class ExperimentConfig:
             raise ValueError("threads must be positive")
 
     def canonical_json(self) -> str:
-        doc = {
-            "data_path": self.data_path,
-            "schema_path": self.schema_path,
-            "synth": None
-            if self.synth is None
-            else {
-                "n": self.synth.n,
-                "d_numeric": self.synth.d_numeric,
-                "d_categorical": self.synth.d_categorical,
-                "separation": self.synth.separation,
-                "seed": self.synth.seed,
-            },
-            "methods": [m.value for m in self.methods],
-            "epsilons": list(self.epsilons),
-            "delta": self.delta,
-            "seeds": list(self.seeds),
-            "num_teachers": self.num_teachers,
-            "train": {
-                "lam": self.train.lam,
-                "epochs": self.train.epochs,
-                "learning_rate": self.train.learning_rate,
-                "seed": self.train.seed,
-            },
-            "inner_train_fraction": self.inner_train_fraction,
-            "master_seed": self.master_seed,
-        }
+        """Every field that determines the results, i.e. all but where they
+        are written and how many threads compute them."""
+        doc = asdict(self)
+        del doc["output_dir"], doc["threads"]
+        doc["methods"] = [m.value for m in self.methods]
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
 
 
-_CONFIG_KEYS = frozenset({
-    "data", "methods", "epsilons", "delta", "seeds", "num_teachers", "train",
-    "inner_train_fraction", "master_seed", "output_dir", "threads",
-})
-_DATA_KEYS = frozenset({"synth", "path", "schema"})
+# The config's "data" block names the data-source fields differently.
+_DATA_FIELDS = {"synth": "synth", "path": "data_path", "schema": "schema_path"}
+_CONFIG_KEYS = frozenset(
+    {f.name for f in fields(ExperimentConfig)} - set(_DATA_FIELDS.values()) | {"data"}
+)
 
 
 def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str) -> None:
@@ -169,44 +148,30 @@ def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _from_doc(cls: type, doc: dict, where: str):
+    """``cls(**doc)`` after rejecting keys that are not fields of ``cls``."""
+    _reject_unknown_keys(doc, {f.name for f in fields(cls)}, where)
+    return cls(**doc)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config JSON document; an unknown key at any level
-    is an error, so a typo never silently falls back to a default."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
-    data = doc.get("data", {})
-    _reject_unknown_keys(data, _DATA_KEYS, "data")
-    synth = None
-    data_path = schema_path = None
-    if "synth" in data:
-        _reject_unknown_keys(data["synth"], {f.name for f in fields(SynthSpec)}, "data.synth")
-        synth = SynthSpec(**data["synth"])
-    if "path" in data:
-        data_path = data["path"]
-        schema_path = data.get("schema")
-    train_doc = doc.get("train", {})
-    _reject_unknown_keys(train_doc, {f.name for f in fields(TrainConfig)}, "train")
-    kwargs = dict(
-        data_path=data_path,
-        schema_path=schema_path,
-        synth=synth,
-        epsilons=tuple(doc.get("epsilons", DEFAULT_EPSILONS)),
-        delta=doc.get("delta", 1e-5),
-        seeds=tuple(doc.get("seeds", DEFAULT_SEEDS)),
-        num_teachers=doc.get("num_teachers", 10),
-        train=TrainConfig(
-            lam=train_doc.get("lam", 1e-4),
-            epochs=train_doc.get("epochs", 100),
-            learning_rate=train_doc.get("learning_rate", 0.5),
-            seed=train_doc.get("seed", 0),
-        ),
-        inner_train_fraction=doc.get("inner_train_fraction", 0.5),
-        master_seed=doc.get("master_seed", 0),
-        output_dir=doc.get("output_dir", "dp_la_out"),
-        threads=doc.get("threads", 1),
-    )
-    if "methods" in doc:
-        kwargs["methods"] = tuple(DpMethod(m) for m in doc["methods"])
+    is an error, so a typo never silently falls back to a default. A key left
+    out takes the dataclass's default."""
+    kwargs = json.loads(Path(path).read_text(encoding="utf-8"))
+    _reject_unknown_keys(kwargs, _CONFIG_KEYS, "config")
+    data = kwargs.pop("data", {})
+    _reject_unknown_keys(data, set(_DATA_FIELDS), "data")
+    kwargs.update({_DATA_FIELDS[key]: value for key, value in data.items()})
+    kwargs["synth"] = (_from_doc(SynthSpec, data["synth"], "data.synth")
+                       if "synth" in data else None)
+    if "train" in kwargs:
+        kwargs["train"] = _from_doc(TrainConfig, kwargs["train"], "train")
+    if "methods" in kwargs:
+        kwargs["methods"] = tuple(DpMethod(m) for m in kwargs["methods"])
+    for key in ("epsilons", "seeds"):
+        if key in kwargs:
+            kwargs[key] = tuple(kwargs[key])
     return ExperimentConfig(**kwargs)
 
 

@@ -7,7 +7,12 @@
   themselves satisfy epsilon-DP.
 * Prediction perturbation: a partitioned teacher ensemble releasing only
   noisy-argmax vote labels per query (teacher-aggregation scheme; no student
-  model is trained).
+  model is trained). The pipeline answers only the victim-test queries.
+
+Input and prediction perturbation each turn a budget into a noise scale
+through one named sensitivity (``_INPUT_SENSITIVITY``, ``_VOTE_SENSITIVITY``)
+and the shared calibrations of :mod:`dp_la.mechanisms`, which also check the
+budget's delta; objective perturbation's budget split is ``_erm_noise_budget``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .mechanisms import (
     Sensitivity,
     SensitivityNorm,
     gaussian_sigma,
+    laplace_scale,
     sample_laplace,
 )
 from .model import LogisticModel, TrainConfig, _fit, predict, predict_proba, train
@@ -48,6 +54,10 @@ __all__ = [
 
 # Logistic loss curvature bound used by the private ERM recipe.
 _CURVATURE = 0.25
+# Input perturbation noises each [0, 1]-normalized cell, so one cell moves by at most 1.
+_INPUT_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L2)
+# One record sits in one teacher's shard, so it moves one vote: the two class counts by 2 in L1.
+_VOTE_SENSITIVITY = Sensitivity(2.0, SensitivityNorm.L1)
 
 
 class DpMethod(Enum):
@@ -74,22 +84,24 @@ class PrivateModelArtifact:
     method: DpMethod
     budget: PrivacyBudget
     payload: LogisticModel | TeacherEnsemble
-    noise_kind: NoiseKind
     metadata: dict
 
     def __post_init__(self) -> None:
-        gaussian = self.noise_kind is NoiseKind.GAUSSIAN
-        if gaussian != (self.method is DpMethod.INPUT_PERTURBATION):
-            raise ValueError("noise_kind must be Gaussian exactly for input perturbation")
         wants_ensemble = self.method is DpMethod.PREDICTION_PERTURBATION
         if wants_ensemble != isinstance(self.payload, TeacherEnsemble):
             raise ValueError("payload variant does not match the DP method")
+
+    @property
+    def noise_kind(self) -> NoiseKind:
+        """Gaussian for input perturbation, Laplace for the two pure-epsilon methods."""
+        if self.method is DpMethod.INPUT_PERTURBATION:
+            return NoiseKind.GAUSSIAN
+        return NoiseKind.LAPLACE
 
 
 @dataclass(frozen=True)
 class PipelineResult:
     artifact: PrivateModelArtifact
-    private_train_predictions: np.ndarray
     private_test_predictions: np.ndarray
 
 
@@ -102,7 +114,7 @@ def input_perturb(train_features: np.ndarray, budget: PrivacyBudget, rng: RngSta
     features = np.asarray(train_features, dtype=float)
     if features.size and (features.min() < -1e-9 or features.max() > 1.0 + 1e-9):
         raise ValueError("input perturbation requires [0, 1]-normalized features")
-    sigma = gaussian_sigma(Sensitivity(1.0, SensitivityNorm.L2), budget)
+    sigma = gaussian_sigma(_INPUT_SENSITIVITY, budget)
     return features + rng.generator.normal(0.0, sigma, size=features.shape)
 
 
@@ -263,11 +275,9 @@ def pate_predict(
     epsilon is spent per query; the caller is responsible for composition
     accounting across queries.
     """
-    if budget.delta != 0.0:
-        raise ValueError("prediction perturbation is a pure epsilon-DP mechanism; delta must be 0")
+    scale = laplace_scale(_VOTE_SENSITIVITY, budget)
     n1 = _teacher_votes(ensemble, np.asarray(features, dtype=float))
     n0 = ensemble.num_teachers - n1
-    scale = 2.0 / budget.epsilon
     noisy0 = n0 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
     noisy1 = n1 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
     return (noisy1 >= noisy0).astype(int)
@@ -282,10 +292,11 @@ def pate_vote_fraction(
     """Noisy class-1 vote fraction in [0, 1], fresh Lap(2/eps) noise per row.
 
     This is the probability-like release an adversary can observe from the
-    ensemble, used when auditing prediction-perturbed models.
+    ensemble, used when auditing prediction-perturbed models. Like
+    :func:`pate_predict` it is pure epsilon-DP per row, so delta must be 0.
     """
+    scale = laplace_scale(_VOTE_SENSITIVITY, budget)
     n1 = _teacher_votes(ensemble, np.asarray(features, dtype=float))
-    scale = 2.0 / budget.epsilon
     noisy = n1 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
     return np.clip(noisy / ensemble.num_teachers, 0.0, 1.0)
 
@@ -299,72 +310,43 @@ def run_pipeline(
     rng: RngState,
     ensemble: TeacherEnsemble | None = None,
 ) -> PipelineResult:
-    """Run one DP configuration end to end on the victim half.
+    """Run one DP configuration end to end on the victim half and predict the
+    victim_test rows (for utility scoring).
 
     Prediction perturbation releases noisy votes of ``ensemble``, built by
     :func:`pate_teachers` from the same ``rng``; the other methods ignore it.
-    Always returns predictions on both victim_train (needed by the audit) and
-    victim_test (needed for utility scoring).
+    It answers only the victim_test queries, so ``queries_answered`` in its
+    metadata is ``len(split.victim_test)`` and ``composed_epsilon`` is epsilon
+    times that count (basic composition).
     """
     X_train = dataset.features[split.victim_train]
     y_train = dataset.labels[split.victim_train]
     X_test = dataset.features[split.victim_test]
 
     if method is DpMethod.INPUT_PERTURBATION:
-        if budget.delta <= 0.0:
-            raise ValueError("input perturbation uses the Gaussian mechanism; delta must be > 0")
-        sigma = gaussian_sigma(Sensitivity(1.0, SensitivityNorm.L2), budget)
         noised = input_perturb(X_train, budget, rng.substream("input-noise"))
-        model = train(noised, y_train, config)
-        artifact = PrivateModelArtifact(
-            method=method,
-            budget=budget,
-            payload=model,
-            noise_kind=NoiseKind.GAUSSIAN,
-            metadata={"seed": config.seed, "sigma": sigma},
-        )
-        return PipelineResult(artifact, predict(model, X_train), predict(model, X_test))
-
-    if method is DpMethod.OBJECTIVE_PERTURBATION:
-        model = objective_perturb_train(X_train, y_train, budget, config, rng.substream("erm-noise"))
+        payload = train(noised, y_train, config)
+        test_pred = predict(payload, X_test)
+        metadata = {"sigma": gaussian_sigma(_INPUT_SENSITIVITY, budget)}
+    elif method is DpMethod.OBJECTIVE_PERTURBATION:
+        payload = objective_perturb_train(X_train, y_train, budget, config,
+                                          rng.substream("erm-noise"))
+        test_pred = predict(payload, X_test)
         eps_prime, delta_lam = _erm_noise_budget(budget.epsilon, X_train.shape[0], config.lam)
-        artifact = PrivateModelArtifact(
-            method=method,
-            budget=budget,
-            payload=model,
-            noise_kind=NoiseKind.LAPLACE,
-            metadata={
-                "seed": config.seed,
-                "epsilon_prime": eps_prime,
-                "extra_regularization": delta_lam,
-            },
-        )
-        return PipelineResult(artifact, predict(model, X_train), predict(model, X_test))
-
-    if method is DpMethod.PREDICTION_PERTURBATION:
-        if budget.delta != 0.0:
-            raise ValueError("prediction perturbation uses Laplace noise; delta must be 0")
+        metadata = {"epsilon_prime": eps_prime, "extra_regularization": delta_lam}
+    elif method is DpMethod.PREDICTION_PERTURBATION:
         if ensemble is None:
             raise ValueError("prediction perturbation needs a teacher ensemble (see pate_teachers)")
-        vote_rng = rng.substream("pate-votes")
-        train_pred = pate_predict(ensemble, X_train, budget, vote_rng)
-        test_pred = pate_predict(ensemble, X_test, budget, vote_rng)
-        n_queries = train_pred.shape[0] + test_pred.shape[0]
-        artifact = PrivateModelArtifact(
-            method=method,
-            budget=budget,
-            payload=ensemble,
-            noise_kind=NoiseKind.LAPLACE,
-            metadata={
-                "seed": config.seed,
-                "num_teachers": ensemble.num_teachers,
-                "queries_answered": n_queries,
-                "composed_epsilon": budget.epsilon * n_queries,
-            },
-        )
-        return PipelineResult(artifact, train_pred, test_pred)
-
-    raise ValueError(f"unknown DP method: {method}")
+        payload = ensemble
+        test_pred = pate_predict(ensemble, X_test, budget, rng.substream("pate-votes"))
+        metadata = {
+            "num_teachers": ensemble.num_teachers,
+            "queries_answered": test_pred.shape[0],
+            "composed_epsilon": budget.epsilon * test_pred.shape[0],
+        }
+    else:
+        raise ValueError(f"unknown DP method: {method}")
+    return PipelineResult(PrivateModelArtifact(method, budget, payload, metadata), test_pred)
 
 
 def private_proba_fn(artifact: PrivateModelArtifact, rng: RngState) -> Callable[[np.ndarray], np.ndarray]:

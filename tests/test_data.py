@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ class TestFourWaySplit:
 
     def test_even_quarters(self):
         split = four_way_split(self.build(100), seed=1)
-        sizes = [len(v) for v in split.parts().values()]
+        sizes = [len(v) for v in astuple(split)]
         assert sizes == [25, 25, 25, 25]
 
     def test_odd_remainder_policy(self):
@@ -139,14 +141,13 @@ class TestFourWaySplit:
     def test_deterministic(self):
         ds = self.build(64)
         a, b = four_way_split(ds, seed=9), four_way_split(ds, seed=9)
-        for pa, pb in zip(a.parts().values(), b.parts().values()):
+        for pa, pb in zip(astuple(a), astuple(b)):
             np.testing.assert_array_equal(pa, pb)
 
     def test_disjoint_and_covering(self):
         ds = self.build(97)
         split = four_way_split(ds, seed=3)
-        parts = list(split.parts().values())
-        combined = np.concatenate(parts)
+        combined = np.concatenate(astuple(split))
         assert len(set(combined.tolist())) == 97 == len(combined)
 
     def test_stratification_within_two_points(self):
@@ -155,7 +156,7 @@ class TestFourWaySplit:
         ds = Dataset(np.zeros((500, 1)), labels, ("x",), {})
         split = four_way_split(ds, seed=4)
         global_rate = labels.mean()
-        for part in split.parts().values():
+        for part in astuple(split):
             assert abs(labels[part].mean() - global_rate) <= 0.02
 
     def test_too_small_errors(self):

@@ -63,6 +63,8 @@ class TestConfig:
     def test_csv_source_requires_schema(self):
         with pytest.raises(ValueError, match="schema"):
             ExperimentConfig(data_path="x.csv", synth=None)
+        with pytest.raises(ValueError, match="schema"):
+            ExperimentConfig(schema_path="s.json")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -98,6 +100,29 @@ class TestConfig:
         assert cfg.num_teachers == 4
         assert cfg.train.lam == 0.01 and cfg.train.epochs == 10
         assert cfg.synth.n == 400
+
+    def test_load_config_defaults_are_the_dataclasses(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": {"synth": {}}}))
+        assert load_config(path) == ExperimentConfig()
+
+    def test_load_config_without_data_source_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        with pytest.raises(ValueError, match="exactly one"):
+            load_config(path)
+
+    def test_canonical_json_pinned(self):
+        assert ExperimentConfig().canonical_json() == (
+            '{"data_path":null,"delta":1e-05,'
+            '"epsilons":[0.01,0.1,1.0,10.0,100.0,1000.0,10000.0],'
+            '"inner_train_fraction":0.5,"master_seed":0,'
+            '"methods":["input_perturbation","objective_perturbation","prediction_perturbation"],'
+            '"num_teachers":10,"schema_path":null,"seeds":[1,2,3,4,5],'
+            '"synth":{"d_categorical":2,"d_numeric":5,"n":2000,"seed":7,"separation":1.0},'
+            '"train":{"epochs":100,"lam":0.0001,"learning_rate":0.5,"seed":0}}'
+        )
+        assert ExperimentConfig().fingerprint() == "8fd356fa3798d38d"
 
     def test_load_config_accepts_every_key_it_reads(self, tmp_path):
         path = write_config(tmp_path, delta=1e-6, num_teachers=4, inner_train_fraction=0.5,
@@ -377,11 +402,6 @@ class TestCli:
         assert cli.main(["audit", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "privacy_leakage" in out and "utility_loss" in out
-
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DP_LA_THREADS", "2")
-        path = write_config(tmp_path, output_dir=str(tmp_path / "out_env"))
-        assert cli.main(["run", "--config", str(path)]) == 0
 
     def test_csv_data_source(self, tmp_path):
         synth_dir = tmp_path / "s"

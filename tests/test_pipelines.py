@@ -8,6 +8,7 @@ from dp_la.mechanisms import NoiseKind, PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, train
 from dp_la.pipelines import (
     DpMethod,
+    PrivateModelArtifact,
     TeacherEnsemble,
     _erm_noise_budget,
     input_perturb,
@@ -191,6 +192,11 @@ class TestPatePredict:
         with pytest.raises(ValueError, match="delta"):
             pate_predict(constant_vote_ensemble(0), np.zeros((1, 1)), PrivacyBudget(1.0, 1e-5), RngState(0))
 
+    def test_vote_fraction_rejects_nonzero_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            pate_vote_fraction(constant_vote_ensemble(0), np.zeros((1, 1)),
+                               PrivacyBudget(1.0, 1e-5), RngState(0))
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -213,6 +219,14 @@ class TestRunPipeline:
             assert res.artifact.noise_kind is kind
             assert res.artifact.method is method
 
+    def test_noise_kind_is_derived_not_passed(self):
+        model = LogisticModel(np.zeros(1), 0.0, CFG, 0.0)
+        with pytest.raises(TypeError, match="noise_kind"):
+            PrivateModelArtifact(method=DpMethod.INPUT_PERTURBATION, budget=PrivacyBudget(1.0, 1e-5),
+                                 payload=model, metadata={}, noise_kind=NoiseKind.GAUSSIAN)
+        with pytest.raises(ValueError, match="payload variant"):
+            PrivateModelArtifact(DpMethod.PREDICTION_PERTURBATION, PrivacyBudget(1.0), model, {})
+
     def test_metadata_fields(self, setup):
         ds, split = setup
         res = run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split,
@@ -224,9 +238,18 @@ class TestRunPipeline:
         res = run_any(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(1.0), RngState(2))
         md = res.artifact.metadata
         assert md["num_teachers"] == 10
-        n_queries = len(split.victim_train) + len(split.victim_test)
-        assert md["queries_answered"] == n_queries
-        assert md["composed_epsilon"] == pytest.approx(1.0 * n_queries)
+        assert md["queries_answered"] == len(split.victim_test)
+        assert md["composed_epsilon"] == pytest.approx(1.0 * len(split.victim_test))
+
+    def test_prediction_perturbation_answers_only_test_queries(self, setup):
+        ds, split = setup
+        budget, rng = PrivacyBudget(1.0), RngState(5)
+        ensemble = pate_teachers(ds, split, CFG, rng)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, budget, CFG, rng,
+                           ensemble=ensemble)
+        expected = pate_predict(ensemble, ds.features[split.victim_test], budget,
+                                rng.substream("pate-votes"))
+        np.testing.assert_array_equal(res.private_test_predictions, expected)
 
     def test_gaussian_requires_delta(self, setup):
         ds, split = setup
@@ -245,7 +268,6 @@ class TestRunPipeline:
             delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
             a = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
             b = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
-            np.testing.assert_array_equal(a.private_train_predictions, b.private_train_predictions)
             np.testing.assert_array_equal(a.private_test_predictions, b.private_test_predictions)
 
     def test_labels_never_touched(self, setup):
