@@ -35,7 +35,6 @@ from .experiment import (
     summarize,
 )
 from .mechanisms import (
-    NoiseKind,
     PrivacyBudget,
     RngState,
     Sensitivity,

@@ -29,7 +29,6 @@ import numpy as np
 
 from .data import Dataset, FourWaySplit
 from .model import LogisticModel, TrainConfig, predict_proba, train
-from .pipelines import DpMethod
 
 __all__ = [
     "AttackModel",
@@ -57,7 +56,6 @@ class AttackModel:
     """
 
     classifier: LogisticModel
-    feature_layout: tuple[str, str, str] = ("p_class0", "p_class1", "true_label")
     threshold: float = 0.5
 
 
@@ -76,7 +74,7 @@ class MiaOutcome:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Metrics for one sweep cell."""
+    """Metrics for one sweep cell; the cell's coordinates are its CellResult's."""
 
     acc_private: float
     acc_nonprivate: float
@@ -86,9 +84,6 @@ class AuditReport:
     trr_rate: float
     tpr: float
     fpr: float
-    method: DpMethod
-    epsilon: float
-    seed: int
 
 
 def attack_features(prediction_probability: np.ndarray | float, true_label: np.ndarray | int) -> np.ndarray:
@@ -230,9 +225,6 @@ def build_report(
     acc_private: float,
     acc_nonprivate: float,
     outcome: MiaOutcome,
-    method: DpMethod,
-    epsilon: float,
-    seed: int,
 ) -> AuditReport:
     """Assemble the per-cell report; the metric identities live in one place."""
     return AuditReport(
@@ -244,7 +236,4 @@ def build_report(
         trr_rate=outcome.true_positive_count / outcome.member_count,
         tpr=outcome.tpr,
         fpr=outcome.fpr,
-        method=method,
-        epsilon=epsilon,
-        seed=seed,
     )

@@ -4,7 +4,7 @@ Subcommands:
     run       execute a full (method, epsilon, seed) sweep from a config JSON
     synth     emit a synthetic CSV + schema pair
     check-dp  empirical epsilon-bound check on the built-in count query
-    audit     run a single cell with a verbose audit breakdown
+    audit     run the sweep's first cell with a verbose audit breakdown
 
 Exit codes: 0 success, 1 configuration error, 2 at least one sweep cell failed.
 """
@@ -18,17 +18,7 @@ import sys
 from pathlib import Path
 
 from .data import synth_generate, write_raw_csv
-from .experiment import (
-    CellResult,
-    ExperimentConfig,
-    emit_report,
-    enumerate_cells,
-    load_config,
-    load_experiment_dataset,
-    run_cell,
-    run_sweep,
-    summarize,
-)
+from .experiment import ExperimentConfig, emit_report, load_config, run_sweep, summarize
 from .mechanisms import PrivacyBudget, RngState, empirical_dp_check
 
 
@@ -37,17 +27,22 @@ def _count_above_half(values) -> float:
     return float(sum(1 for v in values if v > 0.5))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_config(args: argparse.Namespace, **overrides) -> ExperimentConfig | None:
+    """The ``--config`` file with ``--seed`` and every given (not None)
+    override applied, or None after printing the config error."""
+    overrides["master_seed"] = args.seed
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, master_seed=args.seed)
-        if args.out is not None:
-            config = dataclasses.replace(config, output_dir=args.out)
-        if args.threads is not None:
-            config = dataclasses.replace(config, threads=args.threads)
+        return dataclasses.replace(
+            config, **{key: value for key, value in overrides.items() if value is not None})
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _load_config(args, output_dir=args.out, threads=args.threads)
+    if config is None:
         return 1
 
     results = run_sweep(config)
@@ -106,17 +101,16 @@ def _cmd_check_dp(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, master_seed=args.seed)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    config = _load_config(args)
+    if config is None:
         return 1
 
-    dataset = load_experiment_dataset(config)
-    cell = enumerate_cells(config)[0]
-    result: CellResult = run_cell(config, dataset, cell)
+    # The sweep's first cell, run the way the sweep runs it: its eps_index and
+    # seed_index stay 0, so its random streams and split are the full sweep's.
+    results = run_sweep(dataclasses.replace(
+        config, methods=config.methods[:1], epsilons=config.epsilons[:1], seeds=config.seeds[:1]))
+    result = results.rows[0]
+    cell = result.cell
     print(f"cell: method={cell.method.value} epsilon={cell.epsilon} seed={cell.seed}")
     print(f"status: {result.status}")
     if result.report is None:
@@ -127,7 +121,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(f"attack: tpr={r.tpr:.4f} fpr={r.fpr:.4f}")
     print(f"privacy_leakage: {r.privacy_leakage:.4f}")
     print(f"true_revealed_records: {r.true_revealed_records} (rate {r.trr_rate:.4f})")
-    print(f"wall_time_seconds: {result.wall_time_seconds:.3f}")
+    wall_time = results.seed_timings[0].wall_time_seconds + result.wall_time_seconds
+    print(f"wall_time_seconds: {wall_time:.3f}")
     return 0
 
 

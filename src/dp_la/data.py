@@ -120,8 +120,9 @@ class FourWaySplit:
 def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
     """Ingest a headered CSV into typed columns.
 
-    Raises with the offending column name when a schema column is missing and
-    with the 1-based data row index when a numeric cell fails to parse.
+    Raises with the offending column name when a schema column is missing or
+    named twice in the header, and with the 1-based data row index when a row's
+    cell count differs from the header's or a numeric cell fails to parse.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -132,14 +133,14 @@ def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
             raise ValueError(f"{path}: file is empty") from None
         rows = list(reader)
 
-    col_index: dict[str, int] = {}
-    for i, name in enumerate(header):
-        col_index.setdefault(name, i)
+    col_index = {name: i for i, name in enumerate(header)}
     for name, kind in schema.columns:
         if kind is ColumnKind.DROP:
             continue
         if name not in col_index:
             raise ValueError(f"{path}: required column '{name}' not found in header")
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: column '{name}' appears more than once in the header")
 
     numeric_names = schema.names_of(ColumnKind.NUMERIC)
     categorical_names = schema.names_of(ColumnKind.CATEGORICAL)
@@ -150,7 +151,7 @@ def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
     target: list[str] = []
 
     for row_no, row in enumerate(rows, start=1):
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise ValueError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
         for name in numeric_names:
             cell = row[col_index[name]]

@@ -6,9 +6,11 @@ Work is done once at the level of the grid it depends on. Per seed, a
 accuracy, the shadow-trained attack with its threshold and, when prediction
 perturbation is swept, the PATE teachers (keyed by method and seed, never by
 epsilon). Each (method, epsilon) cell of that seed then runs only its own DP
-fit, its vote and audit noise, and the membership-inference attack. In
-``summary.json`` the context's wall time is under ``timings.per_seed`` and
-each cell's own time under ``timings.per_cell``.
+fit, its vote and audit noise, and the membership-inference attack. A cell
+only ever runs on its seed's context: ``dp-la audit`` runs the sweep on a
+config narrowed to its first method, epsilon and seed. In ``summary.json``
+the context's wall time is under ``timings.per_seed`` and each cell's own time
+under ``timings.per_cell``.
 
 Every cell derives its own random substream from the master seed and its grid
 coordinates, so results are identical regardless of execution order or worker
@@ -23,7 +25,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +254,6 @@ class SeedContext:
     """
 
     split: FourWaySplit
-    train_cfg: TrainConfig
     acc_nonprivate: float
     attack: audit_mod.AttackModel
     teachers: TeacherEnsemble | Exception | None
@@ -276,27 +277,26 @@ def build_seed_context(
     seed = config.seeds[seed_index]
     split = four_way_split(dataset, _split_seed(config.master_seed, seed),
                            config.inner_train_fraction)
-    train_cfg = replace(config.train, seed=seed)
 
     baseline = train(dataset.features[split.victim_train],
-                     dataset.labels[split.victim_train], train_cfg)
+                     dataset.labels[split.victim_train], config.train)
     acc_nonprivate = accuracy(
         predict(baseline, dataset.features[split.victim_test]),
         dataset.labels[split.victim_test],
     )
     shadow = train(dataset.features[split.attack_train],
-                   dataset.labels[split.attack_train], train_cfg)
-    attack = audit_mod.train_attack(shadow, dataset, split, train_cfg)
+                   dataset.labels[split.attack_train], config.train)
+    attack = audit_mod.train_attack(shadow, dataset, split, config.train)
 
     teachers: TeacherEnsemble | Exception | None = None
     if with_teachers:
         rng = _pipeline_rng(RngState(config.master_seed), DpMethod.PREDICTION_PERTURBATION,
                             seed_index)
         try:
-            teachers = pate_teachers(dataset, split, train_cfg, rng, config.num_teachers)
+            teachers = pate_teachers(dataset, split, config.train, rng, config.num_teachers)
         except Exception as exc:  # fails the prediction-perturbation cells only
             teachers = exc
-    return SeedContext(split, train_cfg, acc_nonprivate, attack, teachers)
+    return SeedContext(split, acc_nonprivate, attack, teachers)
 
 
 def _failed_status(exc: Exception) -> str:
@@ -307,12 +307,12 @@ def run_cell(
     config: ExperimentConfig,
     dataset: Dataset,
     cell: SweepCell,
-    context: SeedContext | None = None,
+    context: SeedContext,
 ) -> CellResult:
-    """One grid cell: DP pipeline, shadow attack on its release, metrics.
+    """One grid cell on its seed's context (from :func:`build_seed_context`):
+    DP pipeline, shadow attack on its release, metrics. The cell's wall time
+    covers only this work, not the context's.
 
-    ``context`` is the cell's seed context from :func:`build_seed_context`;
-    without it the cell builds its own, and its wall time includes that work.
     The split and the pipeline's noise draws are keyed by (master seed,
     method, seed) only, so cells along the epsilon axis of one seed share
     their underlying randomness and differ purely in the noise scale (common
@@ -321,9 +321,6 @@ def run_cell(
     """
     start = time.perf_counter()
     try:
-        if context is None:
-            context = build_seed_context(config, dataset, cell.seed_index,
-                                         cell.method is DpMethod.PREDICTION_PERTURBATION)
         master = RngState(config.master_seed)
         pipeline_rng = _pipeline_rng(master, cell.method, cell.seed_index)
         audit_rng = master.substream(
@@ -334,7 +331,7 @@ def run_cell(
         budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
         ensemble = context.ensemble() if cell.method is DpMethod.PREDICTION_PERTURBATION else None
         result = run_pipeline(
-            cell.method, dataset, split, budget, context.train_cfg,
+            cell.method, dataset, split, budget, config.train,
             pipeline_rng, ensemble=ensemble,
         )
         acc_private = accuracy(result.private_test_predictions,
@@ -349,9 +346,6 @@ def run_cell(
             acc_private=acc_private,
             acc_nonprivate=context.acc_nonprivate,
             outcome=outcome,
-            method=cell.method,
-            epsilon=cell.epsilon,
-            seed=cell.seed,
         )
         return CellResult(cell, report, time.perf_counter() - start, "ok")
     except Exception as exc:  # cell failures are contained, not fatal
@@ -442,16 +436,11 @@ def _results_csv_lines(results: SweepResults) -> list[str]:
     lines = [",".join(RESULT_COLUMNS)]
     for row in results.rows:
         r = row.report
+        values = [row.cell.method.value, _fmt(row.cell.epsilon), str(row.cell.seed)]
         if r is None:
-            values = [row.cell.method.value, _fmt(row.cell.epsilon), str(row.cell.seed)]
             values += [""] * 8
-            # wall time is kept out of results.csv so reruns are byte-identical
-            values += ["", _csv_escape(row.status)]
         else:
-            values = [
-                row.cell.method.value,
-                _fmt(r.epsilon),
-                str(r.seed),
+            values += [
                 _fmt(r.acc_nonprivate),
                 _fmt(r.acc_private),
                 _fmt(r.utility_loss),
@@ -460,9 +449,9 @@ def _results_csv_lines(results: SweepResults) -> list[str]:
                 _fmt(r.privacy_leakage),
                 str(r.true_revealed_records),
                 _fmt(r.trr_rate),
-                "",
-                "ok",
             ]
+        # wall time is kept out of results.csv so reruns are byte-identical
+        values += ["", _csv_escape(row.status)]
         lines.append(",".join(values))
     return lines
 
@@ -473,14 +462,11 @@ def _csv_escape(value: str) -> str:
     return value
 
 
-def _fig_series_lines(results: SweepResults, metric: str) -> list[str]:
-    methods = []
-    for row in results.rows:
-        if row.cell.method.value not in methods:
-            methods.append(row.cell.method.value)
-    epsilons = sorted({row.cell.epsilon for row in results.rows})
-    summary = summarize(results)
+def _fig_series_lines(summary: dict, metric: str) -> list[str]:
+    """One row per epsilon, one column per method, of ``metric``'s medians."""
     table = {(g["method"], g["epsilon"]): g for g in summary["groups"]}
+    methods = list(dict.fromkeys(method for method, _ in table))
+    epsilons = sorted({epsilon for _, epsilon in table})
     lines = [",".join(["epsilon"] + methods)]
     for eps in epsilons:
         cells = []
@@ -500,7 +486,9 @@ def emit_report(
     output_dir: str | Path,
     force: bool = False,
 ) -> list[Path]:
-    """Write results.csv, summary.json and the three figure-series CSVs.
+    """Write results.csv, summary.json and the three figure-series CSVs; the
+    figure series are the per-(method, epsilon) medians of ``summary`` (see
+    :func:`summarize`).
 
     Refuses to overwrite existing outputs unless ``force`` is set. Each file
     is written to a temporary name in ``output_dir`` and then renamed onto its
@@ -510,9 +498,9 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     targets = {
         "results.csv": "\n".join(_results_csv_lines(results)) + "\n",
-        "fig_utility_loss.csv": "\n".join(_fig_series_lines(results, "utility_loss")) + "\n",
-        "fig_privacy_leakage.csv": "\n".join(_fig_series_lines(results, "privacy_leakage")) + "\n",
-        "fig_trr.csv": "\n".join(_fig_series_lines(results, "trr_rate")) + "\n",
+        "fig_utility_loss.csv": "\n".join(_fig_series_lines(summary, "utility_loss")) + "\n",
+        "fig_privacy_leakage.csv": "\n".join(_fig_series_lines(summary, "privacy_leakage")) + "\n",
+        "fig_trr.csv": "\n".join(_fig_series_lines(summary, "trr_rate")) + "\n",
     }
     existing = [name for name in list(targets) + ["summary.json"] if (out / name).exists()]
     if existing and not force:

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "NoiseKind",
     "SensitivityNorm",
     "PrivacyBudget",
     "Sensitivity",
@@ -39,13 +38,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-
-class NoiseKind(Enum):
-    """Noise distribution of a mechanism."""
-
-    LAPLACE = "laplace"
-    GAUSSIAN = "gaussian"
 
 
 class SensitivityNorm(Enum):

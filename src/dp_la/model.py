@@ -33,7 +33,6 @@ class TrainConfig:
     lam: float = 1e-4
     epochs: int = 100
     learning_rate: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -48,7 +47,6 @@ class TrainConfig:
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    config: TrainConfig
     final_objective: float
 
 
@@ -122,18 +120,22 @@ def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError("training data contains a single class")
 
 
-def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogisticModel:
+def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
+          linear_term: np.ndarray | None = None) -> LogisticModel:
     """Fit the regularized logistic objective with full-batch gradient descent.
 
     Deterministic: zero initialization, fixed epoch count, step halved via
-    backtracking whenever an update would increase the objective.
+    backtracking whenever an update would increase the objective. A
+    ``linear_term`` v adds (1/n) v.w to the objective (objective perturbation).
+    This is the package's only entry point to the trainer.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     _validate_training_inputs(features, labels)
     y_pm = np.where(labels == 1, 1.0, -1.0)
-    w, b, j_final = _fit(features, y_pm, config.lam, config.epochs, config.learning_rate)
-    return LogisticModel(weights=w, bias=b, config=config, final_objective=j_final)
+    w, b, j_final = _fit(features, y_pm, config.lam, config.epochs, config.learning_rate,
+                         linear_term=linear_term)
+    return LogisticModel(weights=w, bias=b, final_objective=j_final)
 
 
 def predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:

@@ -9,16 +9,18 @@
   noisy-argmax vote labels per query (teacher-aggregation scheme; no student
   model is trained). The pipeline answers only the victim-test queries.
 
-Input and prediction perturbation each turn a budget into a noise scale
-through one named sensitivity (``_INPUT_SENSITIVITY``, ``_VOTE_SENSITIVITY``)
-and the shared calibrations of :mod:`dp_la.mechanisms`, which also check the
-budget's delta; objective perturbation's budget split is ``_erm_noise_budget``.
+Input and prediction perturbation turn a budget into a noise scale through
+named sensitivities (``_INPUT_SENSITIVITY``; ``_VOTE_SENSITIVITY`` for the
+two-count noisy argmax, ``_CLASS1_COUNT_SENSITIVITY`` for the audited vote
+fraction) and the shared calibrations of :mod:`dp_la.mechanisms`, which also
+check the budget's delta; objective perturbation's budget split is
+``_erm_noise_budget``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -26,7 +28,6 @@ import numpy as np
 
 from .data import Dataset, FourWaySplit
 from .mechanisms import (
-    NoiseKind,
     PrivacyBudget,
     RngState,
     Sensitivity,
@@ -35,7 +36,7 @@ from .mechanisms import (
     laplace_scale,
     sample_laplace,
 )
-from .model import LogisticModel, TrainConfig, _fit, predict, predict_proba, train
+from .model import LogisticModel, TrainConfig, predict, predict_proba, train
 
 __all__ = [
     "DpMethod",
@@ -58,6 +59,8 @@ _CURVATURE = 0.25
 _INPUT_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L2)
 # One record sits in one teacher's shard, so it moves one vote: the two class counts by 2 in L1.
 _VOTE_SENSITIVITY = Sensitivity(2.0, SensitivityNorm.L1)
+# The same moved vote changes the class-1 count alone by at most 1.
+_CLASS1_COUNT_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L1)
 
 
 class DpMethod(Enum):
@@ -72,11 +75,14 @@ class TeacherEnsemble:
 
     teachers: tuple[LogisticModel, ...]
     partition: tuple[np.ndarray, ...]
-    num_teachers: int
 
     def __post_init__(self) -> None:
-        if len(self.teachers) != self.num_teachers or len(self.partition) != self.num_teachers:
-            raise ValueError("teacher/partition counts disagree with num_teachers")
+        if len(self.teachers) != len(self.partition):
+            raise ValueError("teacher and partition counts disagree")
+
+    @property
+    def num_teachers(self) -> int:
+        return len(self.teachers)
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,6 @@ class PrivateModelArtifact:
         wants_ensemble = self.method is DpMethod.PREDICTION_PERTURBATION
         if wants_ensemble != isinstance(self.payload, TeacherEnsemble):
             raise ValueError("payload variant does not match the DP method")
-
-    @property
-    def noise_kind(self) -> NoiseKind:
-        """Gaussian for input perturbation, Laplace for the two pure-epsilon methods."""
-        if self.method is DpMethod.INPUT_PERTURBATION:
-            return NoiseKind.GAUSSIAN
-        return NoiseKind.LAPLACE
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,11 @@ def objective_perturb_train(
     if config.lam <= 0:
         raise ValueError("objective perturbation requires a strictly positive regularizer")
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
     n, d = features.shape
     if n == 0 or d == 0:
         raise ValueError("empty training matrix")
 
-    max_norm = float(np.sqrt((features**2).sum(axis=1)).max()) if n else 0.0
+    max_norm = float(np.sqrt((features**2).sum(axis=1)).max())
     rescale = math.sqrt(d) if max_norm > 1.0 else 1.0
     if max_norm / rescale > 1.0 + 1e-9:
         raise ValueError(
@@ -179,16 +177,8 @@ def objective_perturb_train(
     # rescale * b, which the shared trainer minimizes with the exact same
     # dynamics as the non-private baseline (so the only difference at huge
     # epsilon is the slightly stronger regularizer).
-    y_pm = np.where(labels == 1, 1.0, -1.0)
-    w, bias, j_final = _fit(
-        features,
-        y_pm,
-        lam_eff * rescale**2,
-        config.epochs,
-        config.learning_rate,
-        linear_term=rescale * noise,
-    )
-    return LogisticModel(weights=w, bias=bias, config=config, final_objective=j_final)
+    return train(features, labels, replace(config, lam=lam_eff * rescale**2),
+                 linear_term=rescale * noise)
 
 
 def pate_train(
@@ -220,15 +210,9 @@ def pate_train(
     else:
         raise ValueError("could not shard the data with both classes per teacher after 10 shuffles")
 
-    teachers = []
-    for shard in shards:
-        y_pm = np.where(labels[shard] == 1, 1.0, -1.0)
-        w, b, j = _fit(features[shard], y_pm, config.lam, config.epochs, config.learning_rate)
-        teachers.append(LogisticModel(weights=w, bias=b, config=config, final_objective=j))
     return TeacherEnsemble(
-        teachers=tuple(teachers),
+        teachers=tuple(train(features[s], labels[s], config) for s in shards),
         partition=tuple(np.sort(s) for s in shards),
-        num_teachers=num_teachers,
     )
 
 
@@ -289,13 +273,14 @@ def pate_vote_fraction(
     budget: PrivacyBudget,
     rng: RngState,
 ) -> np.ndarray:
-    """Noisy class-1 vote fraction in [0, 1], fresh Lap(2/eps) noise per row.
+    """Noisy class-1 vote fraction in [0, 1]: fresh Lap(1/eps) noise on each
+    row's class-1 vote count, divided by the number of teachers.
 
     This is the probability-like release an adversary can observe from the
     ensemble, used when auditing prediction-perturbed models. Like
     :func:`pate_predict` it is pure epsilon-DP per row, so delta must be 0.
     """
-    scale = laplace_scale(_VOTE_SENSITIVITY, budget)
+    scale = laplace_scale(_CLASS1_COUNT_SENSITIVITY, budget)
     n1 = _teacher_votes(ensemble, np.asarray(features, dtype=float))
     noisy = n1 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
     return np.clip(noisy / ensemble.num_teachers, 0.0, 1.0)

@@ -22,7 +22,7 @@ CFG = TrainConfig()
 
 
 def make_attack(weights, bias) -> AttackModel:
-    return AttackModel(LogisticModel(np.asarray(weights, dtype=float), float(bias), CFG, 0.0))
+    return AttackModel(LogisticModel(np.asarray(weights, dtype=float), float(bias), 0.0))
 
 
 def outcome(tpr, fpr, member_count=100, nonmember_count=100) -> MiaOutcome:
@@ -63,7 +63,7 @@ class TestTrainAttack:
             attack_train=np.arange(0, 40),
             attack_test=np.arange(40, 80),
         )
-        shadow = LogisticModel(np.array([50.0, 0.0]), 0.0, CFG, 0.0)
+        shadow = LogisticModel(np.array([50.0, 0.0]), 0.0, 0.0)
         return ds, split, shadow
 
     def test_separable_membership_signal(self):
@@ -81,7 +81,7 @@ class TestTrainAttack:
 
     def test_uninformative_shadow_gives_chance_accuracy(self):
         ds, split, _ = self.degenerate_setup()
-        flat_shadow = LogisticModel(np.zeros(2), 0.0, CFG, 0.0)
+        flat_shadow = LogisticModel(np.zeros(2), 0.0, 0.0)
         attack = train_attack(flat_shadow, ds, split, TrainConfig(epochs=300))
         from dp_la.model import accuracy, predict
 
@@ -99,7 +99,7 @@ class TestTrainAttack:
 
     def test_flat_shadow_gives_infinite_threshold_and_flags_nobody(self):
         ds, split, _ = self.degenerate_setup()
-        flat_shadow = LogisticModel(np.zeros(2), 0.0, CFG, 0.0)
+        flat_shadow = LogisticModel(np.zeros(2), 0.0, 0.0)
         attack = train_attack(flat_shadow, ds, split, TrainConfig(epochs=300))
         assert attack.threshold == np.inf
         out = self.attack_on_shadow_rows(attack, flat_shadow, ds, split)
@@ -123,7 +123,7 @@ class TestTrainAttack:
 
     def test_dimension_mismatch_rejected(self):
         ds, split, _ = self.degenerate_setup()
-        bad_shadow = LogisticModel(np.zeros(5), 0.0, CFG, 0.0)
+        bad_shadow = LogisticModel(np.zeros(5), 0.0, 0.0)
         with pytest.raises(ValueError, match="dimension"):
             train_attack(bad_shadow, ds, split, CFG)
 
@@ -222,8 +222,7 @@ class TestMetrics:
 
     def test_build_report_identities(self):
         out = outcome(0.4, 0.1)
-        rep = build_report(acc_private=0.8, acc_nonprivate=0.9, outcome=out,
-                           method=DpMethod.OBJECTIVE_PERTURBATION, epsilon=1.0, seed=3)
+        rep = build_report(acc_private=0.8, acc_nonprivate=0.9, outcome=out)
         assert rep.utility_loss == rep.acc_nonprivate - rep.acc_private
         assert rep.privacy_leakage == out.tpr - out.fpr
         assert rep.true_revealed_records == out.true_positive_count

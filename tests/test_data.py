@@ -63,6 +63,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(p, schema_age_region_result())
 
+    def test_duplicate_schema_column_names_it(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,age,result\n30,east,31,pass\n")
+        with pytest.raises(ValueError, match="column 'age' appears more than once"):
+            load_csv(p, schema_age_region_result())
+
+    def test_overlong_row_cites_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\n30,east,pass\n40,west,fail,extra\n")
+        with pytest.raises(ValueError, match="row 2 has 4 cells, expected 3"):
+            load_csv(p, schema_age_region_result())
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

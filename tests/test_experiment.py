@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dp_la import cli, model, pipelines
+from dp_la import cli, model
 from dp_la.audit import AuditReport
 from dp_la.experiment import (
     CellResult,
@@ -12,6 +12,7 @@ from dp_la.experiment import (
     SweepCell,
     SweepResults,
     SynthSpec,
+    build_seed_context,
     emit_report,
     enumerate_cells,
     load_config,
@@ -52,7 +53,7 @@ class TestConfig:
         assert cfg.delta == 1e-5
         assert cfg.num_teachers == 10
         assert cfg.methods == tuple(DpMethod)
-        assert cfg.train == TrainConfig(lam=1e-4, epochs=100, learning_rate=0.5, seed=0)
+        assert cfg.train == TrainConfig(lam=1e-4, epochs=100, learning_rate=0.5)
 
     def test_requires_exactly_one_data_source(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -120,14 +121,14 @@ class TestConfig:
             '"methods":["input_perturbation","objective_perturbation","prediction_perturbation"],'
             '"num_teachers":10,"schema_path":null,"seeds":[1,2,3,4,5],'
             '"synth":{"d_categorical":2,"d_numeric":5,"n":2000,"seed":7,"separation":1.0},'
-            '"train":{"epochs":100,"lam":0.0001,"learning_rate":0.5,"seed":0}}'
+            '"train":{"epochs":100,"lam":0.0001,"learning_rate":0.5}}'
         )
-        assert ExperimentConfig().fingerprint() == "8fd356fa3798d38d"
+        assert ExperimentConfig().fingerprint() == "9315722f4ac962c8"
 
     def test_load_config_accepts_every_key_it_reads(self, tmp_path):
         path = write_config(tmp_path, delta=1e-6, num_teachers=4, inner_train_fraction=0.5,
                             master_seed=3, output_dir="o", threads=2,
-                            train={"lam": 0.01, "epochs": 10, "learning_rate": 0.25, "seed": 1})
+                            train={"lam": 0.01, "epochs": 10, "learning_rate": 0.25})
         cfg = load_config(path)
         assert (cfg.master_seed, cfg.output_dir, cfg.threads) == (3, "o", 2)
 
@@ -136,6 +137,7 @@ class TestConfig:
         (dict(data={"synth": {"n": 400}, "schema_path": "s.json"}), "data: schema_path"),
         (dict(data={"synth": {"n": 400, "seperation": 2.0}}), "data.synth: seperation"),
         (dict(train={"epoch": 5}), "train: epoch"),
+        (dict(train={"seed": 0}), "train: seed"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, overrides, where):
         path = write_config(tmp_path, **overrides)
@@ -205,7 +207,6 @@ class TestRunSweep:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(model, "_fit", counting_fit)
-        monkeypatch.setattr(pipelines, "_fit", counting_fit)
         cfg = ExperimentConfig(**SMALL)
         results = run_sweep(cfg)
         assert all(r.status == "ok" for r in results.rows)
@@ -218,7 +219,8 @@ class TestRunSweep:
         cfg, results = small_results
         dataset = load_experiment_dataset(cfg)
         for row in results.rows:
-            alone = run_cell(cfg, dataset, row.cell)
+            context = build_seed_context(cfg, dataset, row.cell.seed_index, with_teachers=True)
+            alone = run_cell(cfg, dataset, row.cell, context)
             assert alone.status == row.status == "ok"
             assert row.report == alone.report
 
@@ -268,7 +270,7 @@ def fabricated_results(values_by_seed, method=DpMethod.OBJECTIVE_PERTURBATION, e
         report = AuditReport(
             acc_private=0.8, acc_nonprivate=0.8 + ul, utility_loss=ul,
             privacy_leakage=0.0, true_revealed_records=0, trr_rate=0.0,
-            tpr=0.0, fpr=0.0, method=method, epsilon=epsilon, seed=seed,
+            tpr=0.0, fpr=0.0,
         )
         rows.append(CellResult(cell, report, 0.0, "ok"))
     return SweepResults(rows=tuple(rows), config_fingerprint="test")
@@ -401,7 +403,9 @@ class TestCli:
         path = write_config(tmp_path)
         assert cli.main(["audit", "--config", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "privacy_leakage" in out and "utility_loss" in out
+        first = run_sweep(load_config(path)).rows[0].report
+        assert f"utility_loss: {first.utility_loss:.4f}\n" in out
+        assert f"privacy_leakage: {first.privacy_leakage:.4f}\n" in out
 
     def test_csv_data_source(self, tmp_path):
         synth_dir = tmp_path / "s"

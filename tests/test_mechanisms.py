@@ -6,7 +6,6 @@ from scipy import stats
 
 from dp_la.mechanisms import (
     DpCheckReport,
-    NoiseKind,
     PrivacyBudget,
     RngState,
     Sensitivity,
@@ -200,7 +199,3 @@ class TestEmpiricalDpCheck:
                 count_above_half, self.DATA, self.NEIGHBOUR, PrivacyBudget(1.0),
                 trials=500, rng=RngState(0),
             )
-
-
-def test_noise_kind_enum_is_exhaustive():
-    assert {k.value for k in NoiseKind} == {"laplace", "gaussian"}

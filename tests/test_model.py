@@ -16,7 +16,7 @@ from dp_la.model import (
 
 
 def make_model(weights, bias):
-    return LogisticModel(np.asarray(weights, dtype=float), float(bias), TrainConfig(), 0.0)
+    return LogisticModel(np.asarray(weights, dtype=float), float(bias), 0.0)
 
 
 class TestTrain:

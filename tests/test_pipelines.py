@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dp_la.data import four_way_split, preprocess, synth_generate
-from dp_la.mechanisms import NoiseKind, PrivacyBudget, RngState
+from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, train
 from dp_la.pipelines import (
     DpMethod,
@@ -41,11 +41,10 @@ def constant_vote_ensemble(votes_for_one: int, num_teachers: int = 10) -> Teache
     teachers = []
     for i in range(num_teachers):
         bias = 50.0 if i < votes_for_one else -50.0
-        teachers.append(LogisticModel(np.zeros(1), bias, CFG, 0.0))
+        teachers.append(LogisticModel(np.zeros(1), bias, 0.0))
     return TeacherEnsemble(
         teachers=tuple(teachers),
         partition=tuple(np.array([i]) for i in range(num_teachers)),
-        num_teachers=num_teachers,
     )
 
 
@@ -120,6 +119,13 @@ class TestObjectivePerturb:
             objective_perturb_train(np.zeros((4, 2)), np.array([0, 1, 0, 1]),
                                     PrivacyBudget(1.0, 1e-5), CFG, RngState(0))
 
+    def test_rejects_non_finite_feature(self):
+        ds = synth_dataset(n=200, sep=1.0)
+        X = ds.features[:100].copy()
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            objective_perturb_train(X, ds.labels[:100], PrivacyBudget(1.0), CFG, RngState(0))
+
 
 class TestPateTrain:
     def test_even_shards(self):
@@ -149,6 +155,13 @@ class TestPateTrain:
         ds = synth_dataset(n=100, sep=1.0)
         with pytest.raises(ValueError, match="num_teachers"):
             pate_train(ds.features[:100], ds.labels[:100], 26, CFG, RngState(0))
+
+    def test_rejects_non_finite_feature(self):
+        ds = synth_dataset(n=400, sep=1.0)
+        X = ds.features.copy()
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pate_train(X, ds.labels, 4, CFG, RngState(0))
 
 
 class TestPatePredict:
@@ -188,6 +201,16 @@ class TestPatePredict:
         frac = pate_vote_fraction(ensemble, np.zeros((500, 1)), PrivacyBudget(0.01), RngState(12))
         assert frac.min() >= 0.0 and frac.max() <= 1.0
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 4.0])
+    def test_vote_fraction_noise_has_scale_one_over_epsilon(self, epsilon):
+        # The release is the class-1 count alone, which one record moves by at
+        # most 1, so its Laplace scale is 1/eps; median |Lap(b)| = b ln 2.
+        ensemble = constant_vote_ensemble(5)
+        frac = pate_vote_fraction(ensemble, np.zeros((20_000, 1)), PrivacyBudget(epsilon),
+                                  RngState(13))
+        noise = frac * ensemble.num_teachers - 5
+        assert np.median(np.abs(noise)) == pytest.approx(math.log(2) / epsilon, rel=0.05)
+
     def test_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
             pate_predict(constant_vote_ensemble(0), np.zeros((1, 1)), PrivacyBudget(1.0, 1e-5), RngState(0))
@@ -206,24 +229,15 @@ def setup():
 
 class TestRunPipeline:
 
-    def test_noise_kind_binding(self, setup):
+    def test_artifact_records_its_method(self, setup):
         ds, split = setup
-        expected = {
-            DpMethod.INPUT_PERTURBATION: NoiseKind.GAUSSIAN,
-            DpMethod.OBJECTIVE_PERTURBATION: NoiseKind.LAPLACE,
-            DpMethod.PREDICTION_PERTURBATION: NoiseKind.LAPLACE,
-        }
-        for method, kind in expected.items():
+        for method in DpMethod:
             delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
             res = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(1))
-            assert res.artifact.noise_kind is kind
             assert res.artifact.method is method
 
-    def test_noise_kind_is_derived_not_passed(self):
-        model = LogisticModel(np.zeros(1), 0.0, CFG, 0.0)
-        with pytest.raises(TypeError, match="noise_kind"):
-            PrivateModelArtifact(method=DpMethod.INPUT_PERTURBATION, budget=PrivacyBudget(1.0, 1e-5),
-                                 payload=model, metadata={}, noise_kind=NoiseKind.GAUSSIAN)
+    def test_payload_variant_must_match_method(self):
+        model = LogisticModel(np.zeros(1), 0.0, 0.0)
         with pytest.raises(ValueError, match="payload variant"):
             PrivateModelArtifact(DpMethod.PREDICTION_PERTURBATION, PrivacyBudget(1.0), model, {})
 
