@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; seeds always run serially")
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic CSV + schema pair")

@@ -9,12 +9,14 @@ epsilon). Each (method, epsilon) cell of that seed then runs only its own DP
 fit, its vote and audit noise, and the membership-inference attack. A cell
 only ever runs on its seed's context: ``dp-la audit`` runs the sweep on a
 config narrowed to its first method, epsilon and seed. In ``summary.json``
-the context's wall time is under ``timings.per_seed`` and each cell's own time
-under ``timings.per_cell``.
+the context's wall time is under ``timings.per_seed``; each cell's own time and
+its released model's fit diagnostics (Newton iterations, final gradient norm)
+are under ``timings.per_cell``.
 
-Every cell derives its own random substream from the master seed and its grid
-coordinates, so results are identical regardless of execution order or worker
-count, and editing one cell's coordinates never disturbs another cell.
+Seeds run one after another. Every cell derives its own random substream from
+the master seed and its grid coordinates, so results are identical regardless
+of execution order, and editing one cell's coordinates never disturbs another
+cell.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import json
 import os
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .data import (
     synth_generate,
 )
 from .mechanisms import PrivacyBudget, RngState
-from .model import TrainConfig, accuracy, predict, train
+from .model import LogisticModel, TrainConfig, accuracy, predict, train
 from .pipelines import DpMethod, TeacherEnsemble, pate_teachers, private_proba_fn, run_pipeline
 
 __all__ = [
@@ -105,7 +106,7 @@ class ExperimentConfig:
     inner_train_fraction: float = 0.5
     master_seed: int = 0
     output_dir: str = "dp_la_out"
-    threads: int = 1
+    threads: int = 1  # accepted for existing configs; seeds always run serially
 
     def __post_init__(self) -> None:
         if (self.data_path is None) == (self.synth is None):
@@ -127,7 +128,7 @@ class ExperimentConfig:
 
     def canonical_json(self) -> str:
         """Every field that determines the results, i.e. all but where they
-        are written and how many threads compute them."""
+        are written and ``threads``, which changes nothing."""
         doc = asdict(self)
         del doc["output_dir"], doc["threads"]
         doc["methods"] = [m.value for m in self.methods]
@@ -188,10 +189,16 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One cell's outcome. ``fit_iterations`` and ``fit_gradient_norm`` are
+    the released model's trainer diagnostics; None for prediction
+    perturbation (it releases votes, not a fitted model) and failed cells."""
+
     cell: SweepCell
     report: audit_mod.AuditReport | None
     wall_time_seconds: float
     status: str
+    fit_iterations: int | None = None
+    fit_gradient_norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -347,7 +354,10 @@ def run_cell(
             acc_nonprivate=context.acc_nonprivate,
             outcome=outcome,
         )
-        return CellResult(cell, report, time.perf_counter() - start, "ok")
+        released = result.artifact.payload
+        fit = ((released.iterations, released.gradient_norm)
+               if isinstance(released, LogisticModel) else (None, None))
+        return CellResult(cell, report, time.perf_counter() - start, "ok", *fit)
     except Exception as exc:  # cell failures are contained, not fatal
         return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))
 
@@ -370,23 +380,15 @@ def _run_seed(
 
 
 def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResults:
-    """Execute the full grid, one seed group at a time (``threads`` > 1 runs
-    seed groups concurrently); rows come back in cell order regardless of
-    scheduling."""
+    """Execute the full grid, one seed group after another; rows come back in
+    cell order. ``config.threads`` is accepted but does not change scheduling."""
     if dataset is None:
         dataset = load_experiment_dataset(config)
     cells = enumerate_cells(config)
-
-    def seed_group(seed_index: int) -> tuple[list[CellResult], SeedTiming]:
-        return _run_seed(config, dataset, seed_index,
-                         [c for c in cells if c.seed_index == seed_index])
-
-    seed_indices = range(len(config.seeds))
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            groups = list(pool.map(seed_group, seed_indices))
-    else:
-        groups = [seed_group(si) for si in seed_indices]
+    groups = [
+        _run_seed(config, dataset, si, [c for c in cells if c.seed_index == si])
+        for si in range(len(config.seeds))
+    ]
     by_cell = {row.cell: row for rows, _ in groups for row in rows}
     return SweepResults(
         rows=tuple(by_cell[c] for c in cells),
@@ -528,6 +530,8 @@ def emit_report(
                 "seed": r.cell.seed,
                 "wall_time_seconds": round(r.wall_time_seconds, 6),
                 "status": r.status,
+                "fit_iterations": r.fit_iterations,
+                "fit_gradient_norm": r.fit_gradient_norm,
             }
             for r in results.rows
         ],

@@ -1,13 +1,16 @@
-"""L2-regularized binary logistic regression, trained by deterministic
-full-batch gradient descent.
+"""L2-regularized binary logistic regression, trained to its exact minimiser
+by damped Newton.
 
 The objective minimized is
 
     J(w, b) = (1/n) sum_i log(1 + exp(-y_i (w.x_i + b))) + (lam/2) ||w||^2
 
-with y in {-1, +1} and an unregularized bias. Training starts from zero
-weights and halves the step size whenever an update would increase J, so the
-objective is non-increasing and the result is bit-reproducible.
+with y in {-1, +1} and an unregularized bias. With d features a Newton step
+is one (d+1) x (d+1) solve, so training reaches ||grad J|| < 1e-10 in a
+handful of iterations. It starts from zero, never lets the objective rise by
+more than its rounding error, and is bit-reproducible. ``TrainConfig.epochs``
+caps the iterations, which matters only when no finite minimiser exists
+(lam = 0 on separable data).
 """
 
 from __future__ import annotations
@@ -25,10 +28,20 @@ __all__ = [
     "accuracy",
 ]
 
+_GRADIENT_TOL = 1e-10
+_MAX_HALVINGS = 60
+# Relative rounding error allowed when comparing objectives (about 450 ulp).
+_ROUNDING = 1e-13
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters shared by every logistic model in the package."""
+    """Hyperparameters shared by every logistic model in the package.
+
+    ``epochs`` caps the Newton iterations. The Newton trainer does not read
+    ``learning_rate``; it is kept, with its validation, so existing configs
+    that set it still load.
+    """
 
     lam: float = 1e-4
     epochs: int = 100
@@ -45,9 +58,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LogisticModel:
+    """A fitted (or hand-built) model with the trainer's diagnostics: Newton
+    iterations taken and the gradient norm where training stopped (NaN for a
+    model that was not trained)."""
+
     weights: np.ndarray
     bias: float
     final_objective: float
+    iterations: int = 0
+    gradient_norm: float = float("nan")
 
 
 def _objective(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: float,
@@ -71,37 +90,61 @@ def _gradient(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: flo
     return gw, gb
 
 
-def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, epochs: int, learning_rate: float,
-         linear_term: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    """Gradient descent with adaptive step, returning (weights, bias, final objective).
+def _hessian(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: float) -> np.ndarray:
+    """Hessian of J over (w, b): Z^T diag(s) Z / n with Z = [X, 1] and
+    s = sigmoid(m) sigmoid(-m), plus lam on the weights' diagonal only."""
+    n, d = X.shape
+    e = np.exp(-np.abs(y_pm * (X @ w + b)))
+    curvature = e / (1.0 + e) ** 2
+    Z = np.column_stack([X, np.ones(n)])
+    H = (Z.T * curvature) @ Z / n
+    H[np.arange(d), np.arange(d)] += lam
+    return H
 
-    Each epoch takes one accepted descent step: the step size is halved while
-    the update would increase the objective, and doubles after an epoch that
-    needed no halving, so the method self-tunes to the local curvature and
-    reaches near-optimal objectives within the configured epoch budget.
+
+def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
+         linear_term: np.ndarray | None = None) -> tuple[np.ndarray, float, float, int, float]:
+    """Damped Newton on (w, b) from zero, returning (weights, bias, final
+    objective, iterations, final gradient norm).
+
+    Each iteration solves H p = -g by least squares (rcond at machine
+    precision), so a singular Hessian -- lam = 0 with columns collinear with
+    the bias, or separable data whose curvature vanishes -- gives the
+    minimum-norm step instead of an error. The step is halved until the
+    objective does not rise by more than its rounding error: near the
+    minimiser a Newton step lowers J by less than that, and an exact
+    comparison would reject the steps that finish the solve. The loop stops
+    when ||g|| < 1e-10, when no halving keeps J from rising, or after
+    ``max_iter`` steps.
     """
     n, d = X.shape
+    linear_norm = 0.0 if linear_term is None else float(np.linalg.norm(linear_term)) / n
     w = np.zeros(d)
     b = 0.0
-    step = learning_rate
     j_cur = _objective(X, y_pm, w, b, lam, linear_term)
-    for _ in range(epochs):
+    iterations = 0
+    while True:
         gw, gb = _gradient(X, y_pm, w, b, lam, linear_term)
-        halved = False
-        while True:
-            w_new = w - step * gw
-            b_new = b - step * gb
+        g = np.append(gw, gb)
+        gradient_norm = float(np.linalg.norm(g))
+        if gradient_norm < _GRADIENT_TOL or iterations == max_iter:
+            break
+        step = np.linalg.lstsq(_hessian(X, y_pm, w, b, lam), -g, rcond=None)[0]
+        # J's terms sum to at most |J| + 2 |v.w| / n in magnitude.
+        slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * float(np.linalg.norm(w)))
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_new = w + t * step[:d]
+            b_new = b + t * float(step[d])
             j_new = _objective(X, y_pm, w_new, b_new, lam, linear_term)
-            if j_new <= j_cur:
-                w, b, j_cur = w_new, b_new, j_new
+            if j_new <= j_cur + slack:
                 break
-            if step < 1e-18:  # cannot descend further in float64
-                break
-            step *= 0.5
-            halved = True
-        if not halved and step < 1e12:
-            step *= 2.0
-    return w, b, j_cur
+            t *= 0.5
+        else:  # no step keeps the objective from rising
+            break
+        w, b, j_cur = w_new, b_new, j_new
+        iterations += 1
+    return w, b, j_cur, iterations, gradient_norm
 
 
 def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
@@ -122,20 +165,22 @@ def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
 
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
           linear_term: np.ndarray | None = None) -> LogisticModel:
-    """Fit the regularized logistic objective with full-batch gradient descent.
+    """Fit the regularized logistic objective by damped Newton (see ``_fit``).
 
-    Deterministic: zero initialization, fixed epoch count, step halved via
-    backtracking whenever an update would increase the objective. A
-    ``linear_term`` v adds (1/n) v.w to the objective (objective perturbation).
-    This is the package's only entry point to the trainer.
+    Deterministic: zero initialization, at most ``config.epochs`` Newton
+    iterations, stopping once the gradient norm is below 1e-10. The returned
+    model carries the iterations taken and the final gradient norm. A
+    ``linear_term`` v adds
+    (1/n) v.w to the objective (objective perturbation). This is the
+    package's only entry point to the trainer.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     _validate_training_inputs(features, labels)
     y_pm = np.where(labels == 1, 1.0, -1.0)
-    w, b, j_final = _fit(features, y_pm, config.lam, config.epochs, config.learning_rate,
-                         linear_term=linear_term)
-    return LogisticModel(weights=w, bias=b, final_objective=j_final)
+    w, b, j_final, iterations, gradient_norm = _fit(features, y_pm, config.lam, config.epochs,
+                                                     linear_term=linear_term)
+    return LogisticModel(w, b, j_final, iterations, gradient_norm)
 
 
 def predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dp_la import cli, model
+from dp_la import cli, model, pipelines
 from dp_la.audit import AuditReport
 from dp_la.experiment import (
     CellResult,
@@ -214,6 +214,36 @@ class TestRunSweep:
         # per seed: baseline, shadow, attack and the teachers; per (seed, epsilon):
         # one input- and one objective-perturbation fit
         assert len(calls) == seeds * (3 + cfg.num_teachers) + seeds * epsilons * 2
+
+    def test_teacher_votes_are_computed_once_per_seed(self, monkeypatch):
+        calls = []
+        original = pipelines._teacher_votes
+
+        def counting_votes(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "_teacher_votes", counting_votes)
+        cfg = ExperimentConfig(**{**SMALL, "epsilons": (0.1, 1.0, 100.0)})
+        results = run_sweep(cfg)
+        assert all(r.status == "ok" for r in results.rows)
+        # per seed: the victim-test rows (the released labels and the audit's
+        # non-members) and the victim-train rows (the audit's members)
+        assert len(calls) == 2 * len(cfg.seeds)
+
+    def test_default_config_fits_reach_the_minimiser(self, tmp_path):
+        cfg = ExperimentConfig()
+        results = run_sweep(cfg)
+        emit_report(results, summarize(results), tmp_path)
+        per_cell = json.loads((tmp_path / "summary.json").read_text())["timings"]["per_cell"]
+        assert len(per_cell) == 105
+        for entry in per_cell:
+            assert entry["status"] == "ok"
+            if entry["method"] == DpMethod.PREDICTION_PERTURBATION.value:
+                assert entry["fit_iterations"] is None and entry["fit_gradient_norm"] is None
+            else:
+                assert entry["fit_gradient_norm"] < 1e-8
+                assert 0 < entry["fit_iterations"] < cfg.train.epochs
 
     def test_sweep_rows_match_standalone_cells(self, small_results):
         cfg, results = small_results

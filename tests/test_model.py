@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from dp_la import pipelines
 from dp_la.data import four_way_split, preprocess, synth_generate
+from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import (
     LogisticModel,
     TrainConfig,
@@ -70,10 +72,72 @@ class TestTrain:
     def test_deterministic_bits(self):
         raw, schema = synth_generate(200, 3, 1, 1.0, seed=2)
         ds = preprocess(raw, schema)
-        a = train(ds.features, ds.labels, TrainConfig())
-        b = train(ds.features, ds.labels, TrainConfig())
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias and a.final_objective == b.final_objective
+        for linear_term in (None, np.linspace(-3.0, 3.0, ds.n_features)):
+            a = train(ds.features, ds.labels, TrainConfig(), linear_term=linear_term)
+            b = train(ds.features, ds.labels, TrainConfig(), linear_term=linear_term)
+            assert np.array_equal(a.weights, b.weights)
+            assert a.bias == b.bias and a.final_objective == b.final_objective
+            assert a.iterations == b.iterations and a.gradient_norm == b.gradient_norm
+
+
+def default_victim_train():
+    """Victim-train rows of the default sweep's data (synth n=2000, seed 7)."""
+    ds = preprocess(*synth_generate(2000, 5, 2, 1.0, seed=7))
+    split = four_way_split(ds, seed=1)
+    return ds.features[split.victim_train], ds.labels[split.victim_train]
+
+
+class TestNewton:
+    def test_lam_zero_on_separable_data_stays_finite_within_the_cap(self):
+        # acceptance criterion 8's overfit victim: 60 rows, 40 features
+        ds = preprocess(*synth_generate(240, 40, 0, 0.35, seed=101))
+        split = four_way_split(ds, 1)
+        X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
+        for epochs in (3, 2000):
+            model = train(X, y, TrainConfig(lam=0.0, epochs=epochs))
+            assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+            assert 0 < model.iterations <= epochs
+            assert np.isfinite(model.gradient_norm)
+        assert accuracy(predict(model, X), y) == 1.0  # separable: no finite minimiser
+
+    def test_singular_hessian_does_not_raise(self):
+        # lam = 0 with one-hot columns whose sum is the bias column
+        X, y = default_victim_train()
+        model = train(X, y, TrainConfig(lam=0.0))
+        assert np.all(np.isfinite(model.weights))
+        assert model.gradient_norm < 1e-8 and model.iterations < 100
+
+    def test_objective_perturbation_releases_the_exact_minimiser(self, monkeypatch):
+        X, y = default_victim_train()
+        seen = {}
+        original = pipelines.train
+
+        def capture(features, labels, config, linear_term=None):
+            seen.update(lam=config.lam, linear_term=linear_term)
+            return original(features, labels, config, linear_term=linear_term)
+
+        monkeypatch.setattr(pipelines, "train", capture)
+        released = pipelines.objective_perturb_train(X, y, PrivacyBudget(10.0), TrainConfig(),
+                                                     RngState(0).substream("erm-noise"))
+
+        # independent solve of the same perturbed objective, written out here
+        n, d = X.shape
+        y_pm = np.where(y == 1, 1.0, -1.0)
+        lam, v = seen["lam"], seen["linear_term"]
+
+        def objective_and_gradient(z):
+            w, b = z[:d], z[d]
+            margins = y_pm * (X @ w + b)
+            value = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * lam * w @ w + v @ w / n
+            coef = -y_pm * np.exp(-np.logaddexp(0.0, margins)) / n
+            return value, np.append(X.T @ coef + lam * w + v / n, coef.sum())
+
+        res = minimize(objective_and_gradient, np.zeros(d + 1), jac=True, method="BFGS",
+                       options={"gtol": 1e-12, "maxiter": 10_000})
+        assert np.linalg.norm(res.jac) < 1e-8  # the reference itself is converged
+        ours = np.append(released.weights, released.bias)
+        assert np.linalg.norm(ours - res.x) / np.linalg.norm(res.x) < 1e-6
+        assert released.gradient_norm < 1e-10
 
 
 class TestGradientAndObjective:
