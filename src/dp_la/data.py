@@ -7,6 +7,7 @@ experiments.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -120,11 +121,32 @@ class FourWaySplit:
 def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
     """Ingest a headered CSV into typed columns.
 
-    Raises with the offending column name when a schema column is missing or
-    named twice in the header, and with the 1-based data row index when a row's
-    cell count differs from the header's or a numeric cell fails to parse.
+    The file is parsed by ``csv.reader`` into rows, then handled column by
+    column: the rows are transposed into columns in one pass, and each numeric
+    column is converted in one ``np.asarray(cells, dtype=float)`` call, which
+    accepts exactly what Python's ``float()`` accepts.
+
+    Errors, in the order they are checked: an empty file; a schema column
+    missing from the header or named twice in it (with the column name); any
+    row whose cell count differs from the header's, checked over the whole file
+    (the first such 1-based data row is reported); a file with no data rows;
+    and a numeric cell that fails to parse (the first bad row of the first
+    such column, in schema order). So a short row is reported even when an
+    earlier row holds a bad number.
     """
-    path = Path(path)
+    # Ingest allocates one list per row and no reference cycles, so the
+    # collector's passes over those lists find nothing. Pause it until the
+    # rows are freed, then restore the state it had before the call.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_columns(Path(path), schema)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_columns(path: Path, schema: TabularSchema) -> RawTable:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -133,82 +155,86 @@ def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
             raise ValueError(f"{path}: file is empty") from None
         rows = list(reader)
 
-    col_index = {name: i for i, name in enumerate(header)}
     for name, kind in schema.columns:
         if kind is ColumnKind.DROP:
             continue
-        if name not in col_index:
+        if name not in header:
             raise ValueError(f"{path}: required column '{name}' not found in header")
         if header.count(name) > 1:
             raise ValueError(f"{path}: column '{name}' appears more than once in the header")
 
-    numeric_names = schema.names_of(ColumnKind.NUMERIC)
-    categorical_names = schema.names_of(ColumnKind.CATEGORICAL)
-    target_name = schema.target_column
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(counts != len(header))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{path}: row {k + 1} has {counts[k]} cells, expected {len(header)}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
 
-    numeric: dict[str, list[float]] = {n: [] for n in numeric_names}
-    categorical: dict[str, list[str]] = {n: [] for n in categorical_names}
-    target: list[str] = []
+    # One transposing pass visits each row once; a pass per column would
+    # visit every row once per column.
+    columns = dict(zip(header, zip(*rows)))
+    return RawTable(
+        numeric={n: _parse_numeric(path, n, columns[n]) for n in schema.names_of(ColumnKind.NUMERIC)},
+        categorical={n: list(columns[n]) for n in schema.names_of(ColumnKind.CATEGORICAL)},
+        target=list(columns[schema.target_column]),
+        n_rows=len(rows),
+    )
 
-    for row_no, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-        for name in numeric_names:
-            cell = row[col_index[name]]
+
+def _parse_numeric(path: Path, name: str, cells: tuple[str, ...]) -> np.ndarray:
+    """One numeric column as floats; on failure, rescan it to cite the first bad row."""
+    try:
+        return np.asarray(cells, dtype=float)
+    except ValueError:
+        for row_no, cell in enumerate(cells, start=1):
             try:
-                numeric[name].append(float(cell))
+                float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: row {row_no}, column '{name}': cannot parse {cell!r} as a number"
                 ) from None
-        for name in categorical_names:
-            categorical[name].append(row[col_index[name]])
-        target.append(row[col_index[target_name]])
-
-    if not target:
-        raise ValueError(f"{path}: no data rows")
-    return RawTable(
-        numeric={n: np.asarray(v, dtype=float) for n, v in numeric.items()},
-        categorical=categorical,
-        target=target,
-        n_rows=len(target),
-    )
-
-
-def _minmax(values: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    lo, hi = bounds
-    if hi <= lo:  # constant column maps to 0
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
+        raise
 
 
 def preprocess(raw: RawTable, schema: TabularSchema) -> Dataset:
-    """Build the model matrix: scaled numerics, one-hot categoricals, binary labels."""
-    blocks: list[np.ndarray] = []
+    """Build the model matrix: scaled numerics, one-hot categoricals, binary labels.
+
+    The matrix is allocated once and filled column by column: each min-max
+    column is written in place, and each one-hot block is set by one index
+    assignment from the rows' codes in the sorted vocabulary.
+    """
+    vocabularies = {name: sorted(set(raw.categorical[name]))
+                    for name in schema.names_of(ColumnKind.CATEGORICAL)}
+    width = len(schema.names_of(ColumnKind.NUMERIC)) + sum(map(len, vocabularies.values()))
+    features = np.zeros((raw.n_rows, width))
+    rows = np.arange(raw.n_rows)
     names: list[str] = []
     bounds: dict[str, tuple[float, float]] = {}
 
     for name, kind in schema.columns:
+        offset = len(names)
         if kind is ColumnKind.NUMERIC:
             col = raw.numeric[name]
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"column '{name}' contains non-finite values")
             lo, hi = float(col.min()), float(col.max())
             bounds[name] = (lo, hi)
-            blocks.append(_minmax(col, (lo, hi))[:, None])
+            if hi > lo:  # a constant column stays 0
+                out = features[:, offset]
+                np.subtract(col, lo, out=out)
+                np.divide(out, hi - lo, out=out)
             names.append(name)
         elif kind is ColumnKind.CATEGORICAL:
-            col = raw.categorical[name]
-            categories = sorted(set(col))
+            categories = vocabularies[name]
             index = {c: i for i, c in enumerate(categories)}
-            block = np.zeros((raw.n_rows, len(categories)))
-            for r, value in enumerate(col):
-                block[r, index[value]] = 1.0
-            blocks.append(block)
+            codes = np.fromiter(map(index.__getitem__, raw.categorical[name]),
+                                dtype=np.intp, count=raw.n_rows)
+            features[rows, offset + codes] = 1.0
             names.extend(f"{name}={c}" for c in categories)
 
-    labels = np.asarray([1 if t in schema.positive_labels else 0 for t in raw.target], dtype=int)
-    features = np.hstack(blocks) if blocks else np.zeros((raw.n_rows, 0))
+    labels = np.fromiter(map(schema.positive_labels.__contains__, raw.target),
+                         dtype=int, count=raw.n_rows)
     return Dataset(
         features=features,
         labels=labels,
@@ -341,14 +367,12 @@ def write_raw_csv(raw: RawTable, schema: TabularSchema, path: str | Path) -> Non
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
-        for r in range(raw.n_rows):
-            row: list[str] = []
-            for name, kind in schema.columns:
-                if kind is ColumnKind.NUMERIC:
-                    row.append(repr(float(raw.numeric[name][r])))
-                elif kind is ColumnKind.CATEGORICAL:
-                    row.append(raw.categorical[name][r])
-                elif kind is ColumnKind.TARGET:
-                    row.append(raw.target[r])
-            writer.writerow(row)
-
+        columns: list[list[str]] = []
+        for name, kind in schema.columns:
+            if kind is ColumnKind.NUMERIC:
+                columns.append([repr(float(v)) for v in raw.numeric[name]])
+            elif kind is ColumnKind.CATEGORICAL:
+                columns.append(raw.categorical[name])
+            elif kind is ColumnKind.TARGET:
+                columns.append(raw.target)
+        writer.writerows(zip(*columns))

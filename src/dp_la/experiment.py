@@ -10,8 +10,8 @@ fit, its vote and audit noise, and the membership-inference attack. A cell
 only ever runs on its seed's context: ``dp-la audit`` runs the sweep on a
 config narrowed to its first method, epsilon and seed. In ``summary.json``
 the context's wall time is under ``timings.per_seed``; each cell's own time and
-its released model's fit diagnostics (Newton iterations, final gradient norm)
-are under ``timings.per_cell``.
+its released model's fit diagnostics (Newton iterations, final gradient norm,
+stop reason) are under ``timings.per_cell``.
 
 Seeds run one after another. Every cell derives its own random substream from
 the master seed and its grid coordinates, so results are identical regardless
@@ -189,9 +189,10 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One cell's outcome. ``fit_iterations`` and ``fit_gradient_norm`` are
-    the released model's trainer diagnostics; None for prediction
-    perturbation (it releases votes, not a fitted model) and failed cells."""
+    """One cell's outcome. ``fit_iterations``, ``fit_gradient_norm`` and
+    ``fit_stop`` are the released model's trainer diagnostics; None for
+    prediction perturbation (it releases votes, not a fitted model) and
+    failed cells."""
 
     cell: SweepCell
     report: audit_mod.AuditReport | None
@@ -199,6 +200,7 @@ class CellResult:
     status: str
     fit_iterations: int | None = None
     fit_gradient_norm: float | None = None
+    fit_stop: str | None = None
 
 
 @dataclass(frozen=True)
@@ -355,8 +357,8 @@ def run_cell(
             outcome=outcome,
         )
         released = result.artifact.payload
-        fit = ((released.iterations, released.gradient_norm)
-               if isinstance(released, LogisticModel) else (None, None))
+        fit = ((released.iterations, released.gradient_norm, released.stop)
+               if isinstance(released, LogisticModel) else (None, None, None))
         return CellResult(cell, report, time.perf_counter() - start, "ok", *fit)
     except Exception as exc:  # cell failures are contained, not fatal
         return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))
@@ -532,6 +534,7 @@ def emit_report(
                 "status": r.status,
                 "fit_iterations": r.fit_iterations,
                 "fit_gradient_norm": r.fit_gradient_norm,
+                "fit_stop": r.fit_stop,
             }
             for r in results.rows
         ],

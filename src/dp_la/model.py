@@ -59,28 +59,41 @@ class TrainConfig:
 @dataclass(frozen=True)
 class LogisticModel:
     """A fitted (or hand-built) model with the trainer's diagnostics: Newton
-    iterations taken and the gradient norm where training stopped (NaN for a
-    model that was not trained)."""
+    iterations taken, the gradient norm where training stopped (NaN for a
+    model that was not trained), and which exit ended the fit: ``"gradient"``
+    (norm below tolerance), ``"no_descent"`` (no halved step kept the
+    objective from rising) or ``"cap"`` (``TrainConfig.epochs`` reached);
+    None for a model that was not trained."""
 
     weights: np.ndarray
     bias: float
     final_objective: float
     iterations: int = 0
     gradient_norm: float = float("nan")
+    stop: str | None = None
+
+
+def _margins(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
+    return y_pm * (X @ w + b)
 
 
 def _objective(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: float,
                linear_term: np.ndarray | None = None) -> float:
-    margins = y_pm * (X @ w + b)
+    return _objective_at(_margins(X, y_pm, w, b), w, lam, linear_term)
+
+
+def _objective_at(margins: np.ndarray, w: np.ndarray, lam: float,
+                  linear_term: np.ndarray | None = None) -> float:
+    """J at the point whose margins y_i (w.x_i + b) are given."""
     value = float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(w @ w)
     if linear_term is not None:
-        value += float(linear_term @ w) / X.shape[0]
+        value += float(linear_term @ w) / margins.shape[0]
     return value
 
 
-def _gradient(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: float,
+def _gradient(X: np.ndarray, y_pm: np.ndarray, margins: np.ndarray, w: np.ndarray, lam: float,
               linear_term: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    margins = y_pm * (X @ w + b)
+    """Gradient of J over (w, b) at the point whose margins are given."""
     # sigmoid(-m) = 1/(1+exp(m)), computed stably for large |m|
     coef = -y_pm / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))
     gw = X.T @ coef / X.shape[0] + lam * w
@@ -90,22 +103,20 @@ def _gradient(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: flo
     return gw, gb
 
 
-def _hessian(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: float) -> np.ndarray:
+def _hessian(Z: np.ndarray, margins: np.ndarray, lam: float) -> np.ndarray:
     """Hessian of J over (w, b): Z^T diag(s) Z / n with Z = [X, 1] and
     s = sigmoid(m) sigmoid(-m), plus lam on the weights' diagonal only."""
-    n, d = X.shape
-    e = np.exp(-np.abs(y_pm * (X @ w + b)))
+    n, d = Z.shape[0], Z.shape[1] - 1
+    e = np.exp(-np.abs(margins))
     curvature = e / (1.0 + e) ** 2
-    Z = np.column_stack([X, np.ones(n)])
     H = (Z.T * curvature) @ Z / n
     H[np.arange(d), np.arange(d)] += lam
     return H
 
 
 def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
-         linear_term: np.ndarray | None = None) -> tuple[np.ndarray, float, float, int, float]:
-    """Damped Newton on (w, b) from zero, returning (weights, bias, final
-    objective, iterations, final gradient norm).
+         linear_term: np.ndarray | None = None) -> LogisticModel:
+    """Damped Newton on (w, b) from zero.
 
     Each iteration solves H p = -g by least squares (rcond at machine
     precision), so a singular Hessian -- lam = 0 with columns collinear with
@@ -115,36 +126,46 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     minimiser a Newton step lowers J by less than that, and an exact
     comparison would reject the steps that finish the solve. The loop stops
     when ||g|| < 1e-10, when no halving keeps J from rising, or after
-    ``max_iter`` steps.
+    ``max_iter`` steps; the model's ``stop`` names which. The margins of each
+    point are computed once, by the line search that accepts it, and serve
+    its gradient and Hessian.
     """
     n, d = X.shape
+    Z = np.column_stack([X, np.ones(n)])
     linear_norm = 0.0 if linear_term is None else float(np.linalg.norm(linear_term)) / n
     w = np.zeros(d)
     b = 0.0
-    j_cur = _objective(X, y_pm, w, b, lam, linear_term)
+    margins = _margins(X, y_pm, w, b)
+    j_cur = _objective_at(margins, w, lam, linear_term)
     iterations = 0
     while True:
-        gw, gb = _gradient(X, y_pm, w, b, lam, linear_term)
+        gw, gb = _gradient(X, y_pm, margins, w, lam, linear_term)
         g = np.append(gw, gb)
         gradient_norm = float(np.linalg.norm(g))
-        if gradient_norm < _GRADIENT_TOL or iterations == max_iter:
+        if gradient_norm < _GRADIENT_TOL:
+            stop = "gradient"
             break
-        step = np.linalg.lstsq(_hessian(X, y_pm, w, b, lam), -g, rcond=None)[0]
+        if iterations == max_iter:
+            stop = "cap"
+            break
+        step = np.linalg.lstsq(_hessian(Z, margins, lam), -g, rcond=None)[0]
         # J's terms sum to at most |J| + 2 |v.w| / n in magnitude.
         slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * float(np.linalg.norm(w)))
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             w_new = w + t * step[:d]
             b_new = b + t * float(step[d])
-            j_new = _objective(X, y_pm, w_new, b_new, lam, linear_term)
+            margins_new = _margins(X, y_pm, w_new, b_new)
+            j_new = _objective_at(margins_new, w_new, lam, linear_term)
             if j_new <= j_cur + slack:
                 break
             t *= 0.5
-        else:  # no step keeps the objective from rising
+        else:
+            stop = "no_descent"
             break
-        w, b, j_cur = w_new, b_new, j_new
+        w, b, j_cur, margins = w_new, b_new, j_new, margins_new
         iterations += 1
-    return w, b, j_cur, iterations, gradient_norm
+    return LogisticModel(w, b, j_cur, iterations, gradient_norm, stop)
 
 
 def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
@@ -169,18 +190,15 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
 
     Deterministic: zero initialization, at most ``config.epochs`` Newton
     iterations, stopping once the gradient norm is below 1e-10. The returned
-    model carries the iterations taken and the final gradient norm. A
-    ``linear_term`` v adds
-    (1/n) v.w to the objective (objective perturbation). This is the
-    package's only entry point to the trainer.
+    model carries the iterations taken, the final gradient norm and the stop
+    reason. A ``linear_term`` v adds (1/n) v.w to the objective (objective
+    perturbation). This is the package's only entry point to the trainer.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     _validate_training_inputs(features, labels)
     y_pm = np.where(labels == 1, 1.0, -1.0)
-    w, b, j_final, iterations, gradient_norm = _fit(features, y_pm, config.lam, config.epochs,
-                                                     linear_term=linear_term)
-    return LogisticModel(w, b, j_final, iterations, gradient_norm)
+    return _fit(features, y_pm, config.lam, config.epochs, linear_term=linear_term)
 
 
 def predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:

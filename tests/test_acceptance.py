@@ -14,7 +14,7 @@ from dp_la.audit import privacy_leakage, run_mia, train_attack
 from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.experiment import ExperimentConfig, SynthSpec, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState, empirical_dp_check, sample_laplace
-from dp_la.model import TrainConfig, _gradient, _objective, predict_proba, train
+from dp_la.model import TrainConfig, _gradient, _margins, _objective, predict_proba, train
 from dp_la.pipelines import DpMethod, pate_teachers, private_proba_fn, run_pipeline
 
 
@@ -82,7 +82,7 @@ def test_criterion_3_gradient_check():
     for _ in range(20):
         w = rng.normal(scale=0.8, size=5)
         b = float(rng.normal())
-        gw, gb = _gradient(X, y_pm, w, b, lam)
+        gw, gb = _gradient(X, y_pm, _margins(X, y_pm, w, b), w, lam)
         num = np.empty(6)
         for i in range(5):
             e = np.zeros(5)

@@ -1,3 +1,5 @@
+import csv
+import gc
 from dataclasses import astuple
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from dp_la.data import (
     ColumnKind,
     Dataset,
+    RawTable,
     TabularSchema,
     four_way_split,
     load_csv,
@@ -80,6 +83,122 @@ class TestLoadCsv:
         p.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_csv(p, schema_age_region_result())
+
+
+    def test_blank_line_is_a_row_of_zero_cells(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\n30,east,pass\n\n40,west,fail\n")
+        with pytest.raises(ValueError, match="row 2 has 0 cells, expected 3"):
+            load_csv(p, schema_age_region_result())
+
+    def test_first_of_several_short_rows_is_reported(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\n30,east,pass\n40,west\n50\n60,east,pass,x\n")
+        with pytest.raises(ValueError, match="row 2 has 2 cells, expected 3"):
+            load_csv(p, schema_age_region_result())
+
+    def test_cell_counts_are_checked_before_numbers(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\nN/A,east,pass\n40,west\n")
+        with pytest.raises(ValueError, match="row 2 has 2 cells, expected 3"):
+            load_csv(p, schema_age_region_result())
+
+    def test_first_of_several_bad_numbers_is_reported(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\n30,east,pass\n?,west,fail\nN/A,east,pass\n")
+        with pytest.raises(ValueError, match=r"row 2, column 'age': cannot parse '\?'"):
+            load_csv(p, schema_age_region_result())
+
+    def test_bad_number_on_the_last_row_cites_it(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\n30,east,pass\n40,west,fail\nforty,east,pass\n")
+        with pytest.raises(ValueError, match="row 3, column 'age': cannot parse 'forty'"):
+            load_csv(p, schema_age_region_result())
+
+    def test_header_only(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("age,region,result\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(p, schema_age_region_result())
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_state_is_restored(self, tmp_path, collecting):
+        good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+        good.write_text("age,region,result\n30,east,pass\n")
+        short.write_text("age,region,result\n30,east\n")
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            load_csv(good, schema_age_region_result())
+            assert gc.isenabled() is collecting
+            with pytest.raises(ValueError, match="row 1 has 2 cells"):
+                load_csv(short, schema_age_region_result())
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+
+
+def reference_ingest(path, schema):
+    """A plain per-row loader and preprocessor, kept as the behaviour that
+    load_csv + preprocess must reproduce: (features, labels, names, bounds)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    at = {name: header.index(name) for name, kind in schema.columns if kind is not ColumnKind.DROP}
+    columns, names, bounds = [], [], {}
+    for name, kind in schema.columns:
+        if kind is ColumnKind.NUMERIC:
+            values = [float(row[at[name]]) for row in rows]
+            lo, hi = min(values), max(values)
+            bounds[name] = (lo, hi)
+            columns.append([(v - lo) / (hi - lo) if hi > lo else 0.0 for v in values])
+            names.append(name)
+        elif kind is ColumnKind.CATEGORICAL:
+            cells = [row[at[name]] for row in rows]
+            for category in sorted(set(cells)):
+                columns.append([1.0 if c == category else 0.0 for c in cells])
+                names.append(f"{name}={category}")
+    target = at[schema.target_column]
+    labels = [1 if row[target] in schema.positive_labels else 0 for row in rows]
+    return np.array(columns).T, np.array(labels), tuple(names), bounds
+
+
+class TestIngestMatchesReference:
+    def test_awkward_table(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 400
+        cities = ("São Paulo", "Zürich", "東京", "a,b", 'say "hi"', "plain")
+        schema = TabularSchema(
+            columns=(
+                ("note", ColumnKind.DROP),
+                ("score", ColumnKind.NUMERIC),
+                ("city", ColumnKind.CATEGORICAL),
+                ("flat", ColumnKind.NUMERIC),
+                ("kind", ColumnKind.CATEGORICAL),
+                ("outcome", ColumnKind.TARGET),
+            ),
+            positive_labels=frozenset({"pass"}),  # never present: every label is 0
+        )
+        scores = []
+        for v in rng.normal(50.0, 20.0, size=n).tolist():
+            form = rng.integers(4)
+            scores.append((repr(v), f"  {v:.3f} ", f"{int(abs(v)) * 1000:_}", str(int(v)))[form])
+        with open(tmp_path / "d.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["note", "score", "extra", "city", "flat", "kind", "outcome"])
+            for i in range(n):
+                writer.writerow([f'n{i}, "quoted"', scores[i], "ignored", cities[rng.integers(6)],
+                                 "7", "only", ("fail", "withdrawn")[rng.integers(2)]])
+
+        ds = preprocess(load_csv(tmp_path / "d.csv", schema), schema)
+        features, labels, names, bounds = reference_ingest(tmp_path / "d.csv", schema)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.features.shape == features.shape
+        assert ds.labels.dtype == labels.dtype and ds.labels.tolist() == labels.tolist()
+        assert not ds.labels.any()
+        assert ds.feature_names == names
+        assert ds.normalization_bounds == bounds
+        assert "city=São Paulo" in names and "city=a,b" in names and 'city=say "hi"' in names
+        assert "kind=only" in names and bounds["flat"] == (7.0, 7.0)
 
 
 class TestPreprocess:
@@ -205,6 +324,31 @@ class TestSynthGenerate:
             raw, schema = synth_generate(100, 3, 1, 1.5, seed=9)
             write_raw_csv(raw, schema, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_emission_bytes_are_pinned(self, tmp_path):
+        schema = TabularSchema(
+            columns=(
+                ("x", ColumnKind.NUMERIC),
+                ("note", ColumnKind.DROP),
+                ("city", ColumnKind.CATEGORICAL),
+                ("y", ColumnKind.NUMERIC),
+                ("outcome", ColumnKind.TARGET),
+            ),
+            positive_labels=frozenset({"pos"}),
+        )
+        raw = RawTable(
+            numeric={"x": np.array([0.1, -3.0, 1e-7]), "y": np.array([123456789.125, 2.0, 1 / 3])},
+            categorical={"city": ["São Paulo", "a,b", 'say "hi"']},
+            target=["pos", "neg", "pos, maybe"],
+            n_rows=3,
+        )
+        write_raw_csv(raw, schema, tmp_path / "pinned.csv")
+        assert (tmp_path / "pinned.csv").read_bytes() == (
+            'x,city,y,outcome\n'
+            '0.1,São Paulo,123456789.125,pos\n'
+            '-3.0,"a,b",2.0,neg\n'
+            '1e-07,"say ""hi""",0.3333333333333333,"pos, maybe"\n'
+        ).encode("utf-8")
 
     def test_balanced_target(self):
         raw, _ = synth_generate(500, 2, 0, 1.0, seed=1)

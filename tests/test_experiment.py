@@ -241,8 +241,9 @@ class TestRunSweep:
             assert entry["status"] == "ok"
             if entry["method"] == DpMethod.PREDICTION_PERTURBATION.value:
                 assert entry["fit_iterations"] is None and entry["fit_gradient_norm"] is None
+                assert entry["fit_stop"] is None
             else:
-                assert entry["fit_gradient_norm"] < 1e-8
+                assert entry["fit_gradient_norm"] < 1e-8 and entry["fit_stop"] == "gradient"
                 assert 0 < entry["fit_iterations"] < cfg.train.epochs
 
     def test_sweep_rows_match_standalone_cells(self, small_results):

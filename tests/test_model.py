@@ -9,6 +9,7 @@ from dp_la.model import (
     LogisticModel,
     TrainConfig,
     _gradient,
+    _margins,
     _objective,
     accuracy,
     predict,
@@ -51,10 +52,8 @@ class TestTrain:
         res = minimize(
             lambda z: _objective(X, y_pm, z[:d], z[d], cfg.lam),
             np.zeros(d + 1),
-            jac=lambda z: np.concatenate([
-                _gradient(X, y_pm, z[:d], z[d], cfg.lam)[0],
-                [_gradient(X, y_pm, z[:d], z[d], cfg.lam)[1]],
-            ]),
+            jac=lambda z: np.append(
+                *_gradient(X, y_pm, _margins(X, y_pm, z[:d], z[d]), z[:d], cfg.lam)),
             method="L-BFGS-B",
         )
         ref = make_model(res.x[:d], res.x[d])
@@ -99,6 +98,15 @@ class TestNewton:
             assert 0 < model.iterations <= epochs
             assert np.isfinite(model.gradient_norm)
         assert accuracy(predict(model, X), y) == 1.0  # separable: no finite minimiser
+
+    def test_stop_reason_names_the_exit_taken(self):
+        ds = preprocess(*synth_generate(300, 4, 1, 1.0, seed=4))
+        converged = train(ds.features, ds.labels, TrainConfig())
+        assert converged.stop == "gradient" and converged.gradient_norm < 1e-10
+        capped = train(ds.features, ds.labels, TrainConfig(epochs=1))
+        assert capped.stop == "cap" and capped.iterations == 1
+        assert capped.gradient_norm > 1e-10
+        assert make_model([1.0], 0.0).stop is None
 
     def test_singular_hessian_does_not_raise(self):
         # lam = 0 with one-hot columns whose sum is the bias column
@@ -150,7 +158,7 @@ class TestGradientAndObjective:
         for _ in range(20):
             w = rng.normal(scale=0.8, size=5)
             b = float(rng.normal())
-            gw, gb = _gradient(X, y_pm, w, b, lam)
+            gw, gb = _gradient(X, y_pm, _margins(X, y_pm, w, b), w, lam)
             num = np.empty(6)
             for i in range(5):
                 e = np.zeros(5)
@@ -189,7 +197,7 @@ class TestGradientAndObjective:
             step = cfg.learning_rate
             j = _objective(X, y_pm, w, b, cfg.lam)
             for _ in range(cfg.epochs * 100):
-                gw, gb = _gradient(X, y_pm, w, b, cfg.lam)
+                gw, gb = _gradient(X, y_pm, _margins(X, y_pm, w, b), w, cfg.lam)
                 while True:
                     wn, bn = w - step * gw, b - step * gb
                     jn = _objective(X, y_pm, wn, bn, cfg.lam)
