@@ -181,7 +181,7 @@ def objective_perturb_train(
     if n == 0 or d == 0:
         raise ValueError("empty training matrix")
 
-    max_norm = float(np.sqrt((features**2).sum(axis=1)).max())
+    max_norm = float(np.sqrt(np.einsum("ij,ij->i", features, features)).max())
     rescale = math.sqrt(d) if max_norm > 1.0 else 1.0
     if max_norm / rescale > 1.0 + 1e-9:
         raise ValueError(
@@ -331,24 +331,24 @@ def run_pipeline(
     """
     X_train = dataset.features[split.victim_train]
     y_train = dataset.labels[split.victim_train]
-    X_test = dataset.features[split.victim_test]
 
     if method is DpMethod.INPUT_PERTURBATION:
         noised = input_perturb(X_train, budget, rng.substream("input-noise"))
         payload = train(noised, y_train, config)
-        test_pred = predict(payload, X_test)
+        test_pred = predict(payload, dataset.features[split.victim_test])
         metadata = {"sigma": gaussian_sigma(_INPUT_SENSITIVITY, budget)}
     elif method is DpMethod.OBJECTIVE_PERTURBATION:
         payload = objective_perturb_train(X_train, y_train, budget, config,
                                           rng.substream("erm-noise"))
-        test_pred = predict(payload, X_test)
+        test_pred = predict(payload, dataset.features[split.victim_test])
         eps_prime, delta_lam = _erm_noise_budget(budget.epsilon, X_train.shape[0], config.lam)
         metadata = {"epsilon_prime": eps_prime, "extra_regularization": delta_lam}
     elif method is DpMethod.PREDICTION_PERTURBATION:
         if ensemble is None:
             raise ValueError("prediction perturbation needs a teacher ensemble (see pate_teachers)")
         payload = ensemble
-        test_pred = pate_predict(ensemble, X_test, budget, rng.substream("pate-votes"))
+        test_pred = pate_predict(ensemble, dataset.features[split.victim_test], budget,
+                                 rng.substream("pate-votes"))
         metadata = {
             "num_teachers": ensemble.num_teachers,
             "queries_answered": test_pred.shape[0],
