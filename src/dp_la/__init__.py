@@ -47,7 +47,7 @@ from .mechanisms import (
 from .model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
 from .pipelines import (
     DpMethod,
-    PrivateModelArtifact,
+    Release,
     TeacherEnsemble,
     input_perturb,
     objective_perturb_train,

@@ -6,7 +6,8 @@ Subcommands:
     check-dp  empirical epsilon-bound check on the built-in count query
     audit     run the sweep's first cell with a verbose audit breakdown
 
-Exit codes: 0 success, 1 configuration error, 2 at least one sweep cell failed.
+Exit codes: 0 success, 1 configuration error (a bad value, a missing input file or
+an output in the way), 2 at least one sweep cell failed.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     results = run_sweep(config)
-    summary = summarize(results)
-    try:
-        written = emit_report(results, summary, config.output_dir, force=args.force)
-    except FileExistsError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    written = emit_report(results, summarize(results), config.output_dir, force=args.force)
     for path in written:
         print(f"wrote {path}")
     failed = [r for r in results.rows if r.status != "ok"]
@@ -64,12 +60,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        raw, schema = synth_generate(args.n, args.numeric, args.categorical,
-                                     args.separation, args.seed)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    raw, schema = synth_generate(args.n, args.numeric, args.categorical,
+                                 args.separation, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.csv"
@@ -82,11 +74,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_dp(args: argparse.Namespace) -> int:
-    try:
-        budget = PrivacyBudget(epsilon=args.epsilon)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    budget = PrivacyBudget(epsilon=args.epsilon)
     # Neighbouring datasets for the count query: one record flipped.
     data = [0.0] * 5 + [1.0] * 5
     neighbour = [0.0] * 6 + [1.0] * 4
@@ -165,10 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A ValueError or OSError that escapes it (a bad value,
+    a missing input file, an output that is in the way) is a config error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

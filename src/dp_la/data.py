@@ -39,6 +39,21 @@ class ColumnKind(Enum):
     DROP = "drop"
 
 
+def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _require_exact_keys(doc: dict, keys: set[str], where: str) -> None:
+    _reject_unknown_keys(doc, keys, where)
+    missing = sorted(keys - set(doc))
+    if missing:
+        raise ValueError(f"missing key(s) in {where}: {', '.join(missing)}")
+
+
 @dataclass(frozen=True)
 class TabularSchema:
     """Declared roles of the CSV columns plus the positive target labels."""
@@ -62,9 +77,21 @@ class TabularSchema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TabularSchema":
+        """Parse ``{"columns": [{"name": ..., "kind": ...}, ...],
+        "positive_labels": [...]}``. A key missing or unknown at either level
+        is an error, and ``positive_labels`` must be a list of strings."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        columns = tuple((c["name"], ColumnKind(c["kind"])) for c in doc["columns"])
-        return cls(columns=columns, positive_labels=frozenset(doc["positive_labels"]))
+        _require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
+        labels = doc["positive_labels"]
+        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+            raise ValueError("schema positive_labels must be a list of strings")
+        if not isinstance(doc["columns"], list):
+            raise ValueError("schema columns must be a list")
+        columns = []
+        for i, column in enumerate(doc["columns"]):
+            _require_exact_keys(column, {"name", "kind"}, f"schema column {i}")
+            columns.append((column["name"], ColumnKind(column["kind"])))
+        return cls(columns=tuple(columns), positive_labels=frozenset(labels))
 
     def to_json(self, path: str | Path) -> None:
         doc = {

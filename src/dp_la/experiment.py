@@ -36,14 +36,15 @@ from .data import (
     Dataset,
     FourWaySplit,
     TabularSchema,
+    _reject_unknown_keys,
     four_way_split,
     load_csv,
     preprocess,
     synth_generate,
 )
 from .mechanisms import PrivacyBudget, RngState
-from .model import LogisticModel, TrainConfig, accuracy, predict, train
-from .pipelines import DpMethod, TeacherEnsemble, pate_teachers, private_proba_fn, run_pipeline
+from .model import TrainConfig, accuracy, predict, train
+from .pipelines import DpMethod, TeacherEnsemble, pate_teachers, run_pipeline
 
 __all__ = [
     "SynthSpec",
@@ -117,12 +118,19 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
         if list(self.epsilons) != sorted(set(self.epsilons)):
             raise ValueError("epsilons must be strictly increasing")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not (0.0 < self.inner_train_fraction < 1.0):
+            raise ValueError(
+                f"inner_train_fraction must be in (0, 1), got {self.inner_train_fraction}")
+        if self.num_teachers < 2:
+            raise ValueError(f"num_teachers must be at least 2, got {self.num_teachers}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 
@@ -143,12 +151,6 @@ _DATA_FIELDS = {"synth": "synth", "path": "data_path", "schema": "schema_path"}
 _CONFIG_KEYS = frozenset(
     {f.name for f in fields(ExperimentConfig)} - set(_DATA_FIELDS.values()) | {"data"}
 )
-
-
-def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str) -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 def _from_doc(cls: type, doc: dict, where: str):
@@ -339,26 +341,19 @@ def run_cell(
         delta = config.delta if cell.method is DpMethod.INPUT_PERTURBATION else 0.0
         budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
         ensemble = context.ensemble() if cell.method is DpMethod.PREDICTION_PERTURBATION else None
-        result = run_pipeline(
+        release = run_pipeline(
             cell.method, dataset, split, budget, config.train,
-            pipeline_rng, ensemble=ensemble,
+            pipeline_rng, audit_rng, ensemble=ensemble,
         )
-        acc_private = accuracy(result.private_test_predictions,
-                               dataset.labels[split.victim_test])
-        outcome = audit_mod.run_mia(
-            context.attack,
-            private_proba_fn(result.artifact, audit_rng),
-            dataset,
-            split,
-        )
+        acc_private = accuracy(release.predictions, dataset.labels[split.victim_test])
+        outcome = audit_mod.run_mia(context.attack, release.proba, dataset, split)
         report = audit_mod.build_report(
             acc_private=acc_private,
             acc_nonprivate=context.acc_nonprivate,
             outcome=outcome,
         )
-        released = result.artifact.payload
-        fit = ((released.iterations, released.gradient_norm, released.stop)
-               if isinstance(released, LogisticModel) else (None, None, None))
+        model = release.model
+        fit = () if model is None else (model.iterations, model.gradient_norm, model.stop)
         return CellResult(cell, report, time.perf_counter() - start, "ok", *fit)
     except Exception as exc:  # cell failures are contained, not fatal
         return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))

@@ -9,6 +9,8 @@
   noisy-argmax vote labels per query (teacher-aggregation scheme; no student
   model is trained). The pipeline answers only the victim-test queries.
 
+:func:`run_pipeline` dispatches on the method once and returns a :class:`Release`.
+
 Input and prediction perturbation turn a budget into a noise scale through
 named sensitivities (``_INPUT_SENSITIVITY``; ``_VOTE_SENSITIVITY`` for the
 two-count noisy argmax, ``_CLASS1_COUNT_SENSITIVITY`` for the audited vote
@@ -41,8 +43,7 @@ from .model import LogisticModel, TrainConfig, predict, predict_proba, train
 __all__ = [
     "DpMethod",
     "TeacherEnsemble",
-    "PrivateModelArtifact",
-    "PipelineResult",
+    "Release",
     "input_perturb",
     "objective_perturb_train",
     "pate_train",
@@ -50,7 +51,6 @@ __all__ = [
     "pate_predict",
     "pate_vote_fraction",
     "run_pipeline",
-    "private_proba_fn",
 ]
 
 # Logistic loss curvature bound used by the private ERM recipe.
@@ -105,22 +105,14 @@ class TeacherEnsemble:
 
 
 @dataclass(frozen=True)
-class PrivateModelArtifact:
-    method: DpMethod
-    budget: PrivacyBudget
-    payload: LogisticModel | TeacherEnsemble
-    metadata: dict
+class Release:
+    """One pipeline run's private victim_test labels (for utility), the
+    probability-like output the audit observes on any rows, and the fitted
+    model behind both (None for prediction perturbation, which releases votes)."""
 
-    def __post_init__(self) -> None:
-        wants_ensemble = self.method is DpMethod.PREDICTION_PERTURBATION
-        if wants_ensemble != isinstance(self.payload, TeacherEnsemble):
-            raise ValueError("payload variant does not match the DP method")
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    artifact: PrivateModelArtifact
-    private_test_predictions: np.ndarray
+    predictions: np.ndarray
+    proba: Callable[[np.ndarray], np.ndarray]
+    model: LogisticModel | None
 
 
 def input_perturb(train_features: np.ndarray, budget: PrivacyBudget, rng: RngState) -> np.ndarray:
@@ -318,66 +310,36 @@ def run_pipeline(
     budget: PrivacyBudget,
     config: TrainConfig,
     rng: RngState,
+    audit_rng: RngState,
     ensemble: TeacherEnsemble | None = None,
-) -> PipelineResult:
-    """Run one DP configuration end to end on the victim half and predict the
-    victim_test rows (for utility scoring).
+) -> Release:
+    """Run one DP configuration on the victim half; input and objective
+    perturbation fit on the victim_train rows, and the audit observes the
+    fitted model's sigmoid output.
 
     Prediction perturbation releases noisy votes of ``ensemble``, built by
     :func:`pate_teachers` from the same ``rng``; the other methods ignore it.
-    It answers only the victim_test queries, so ``queries_answered`` in its
-    metadata is ``len(split.victim_test)`` and ``composed_epsilon`` is epsilon
-    times that count (basic composition).
+    It answers only the len(victim_test) queries, so its composed epsilon is
+    epsilon times that count (basic composition). The audit observes the noisy
+    vote fraction, with fresh noise from ``audit_rng``'s "audit-votes" substream.
     """
-    X_train = dataset.features[split.victim_train]
-    y_train = dataset.labels[split.victim_train]
-
-    if method is DpMethod.INPUT_PERTURBATION:
-        noised = input_perturb(X_train, budget, rng.substream("input-noise"))
-        payload = train(noised, y_train, config)
-        test_pred = predict(payload, dataset.features[split.victim_test])
-        metadata = {"sigma": gaussian_sigma(_INPUT_SENSITIVITY, budget)}
-    elif method is DpMethod.OBJECTIVE_PERTURBATION:
-        payload = objective_perturb_train(X_train, y_train, budget, config,
-                                          rng.substream("erm-noise"))
-        test_pred = predict(payload, dataset.features[split.victim_test])
-        eps_prime, delta_lam = _erm_noise_budget(budget.epsilon, X_train.shape[0], config.lam)
-        metadata = {"epsilon_prime": eps_prime, "extra_regularization": delta_lam}
-    elif method is DpMethod.PREDICTION_PERTURBATION:
+    if method is DpMethod.PREDICTION_PERTURBATION:
         if ensemble is None:
             raise ValueError("prediction perturbation needs a teacher ensemble (see pate_teachers)")
-        payload = ensemble
-        test_pred = pate_predict(ensemble, dataset.features[split.victim_test], budget,
-                                 rng.substream("pate-votes"))
-        metadata = {
-            "num_teachers": ensemble.num_teachers,
-            "queries_answered": test_pred.shape[0],
-            "composed_epsilon": budget.epsilon * test_pred.shape[0],
-        }
+        predictions = pate_predict(ensemble, dataset.features[split.victim_test], budget,
+                                   rng.substream("pate-votes"))
+        vote_rng = audit_rng.substream("audit-votes")
+        return Release(predictions, lambda features: pate_vote_fraction(
+            ensemble, features, budget, vote_rng), None)
+
+    X_train = dataset.features[split.victim_train]
+    y_train = dataset.labels[split.victim_train]
+    if method is DpMethod.INPUT_PERTURBATION:
+        model = train(input_perturb(X_train, budget, rng.substream("input-noise")), y_train, config)
+    elif method is DpMethod.OBJECTIVE_PERTURBATION:
+        model = objective_perturb_train(X_train, y_train, budget, config,
+                                        rng.substream("erm-noise"))
     else:
         raise ValueError(f"unknown DP method: {method}")
-    return PipelineResult(PrivateModelArtifact(method, budget, payload, metadata), test_pred)
-
-
-def private_proba_fn(artifact: PrivateModelArtifact, rng: RngState) -> Callable[[np.ndarray], np.ndarray]:
-    """Probability-like release function of an artifact, as the audit sees it.
-
-    For input/objective perturbation this is the released model's sigmoid
-    output; for prediction perturbation it is the noisy vote fraction with
-    fresh per-row noise.
-    """
-    if artifact.method is DpMethod.PREDICTION_PERTURBATION:
-        ensemble = artifact.payload
-        vote_rng = rng.substream("audit-votes")
-
-        def proba(features: np.ndarray) -> np.ndarray:
-            return pate_vote_fraction(ensemble, features, artifact.budget, vote_rng)
-
-        return proba
-
-    model = artifact.payload
-
-    def proba(features: np.ndarray) -> np.ndarray:
-        return predict_proba(model, features)
-
-    return proba
+    predictions = predict(model, dataset.features[split.victim_test])
+    return Release(predictions, lambda features: predict_proba(model, features), model)

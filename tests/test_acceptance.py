@@ -15,7 +15,7 @@ from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.experiment import ExperimentConfig, SynthSpec, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState, empirical_dp_check, sample_laplace
 from dp_la.model import TrainConfig, _gradient, _margins, _objective, predict_proba, train
-from dp_la.pipelines import DpMethod, pate_teachers, private_proba_fn, run_pipeline
+from dp_la.pipelines import DpMethod, pate_teachers, run_pipeline
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -170,8 +170,8 @@ def test_criterion_8_overfit_mia_and_mitigation():
         rng = RngState(seed)
         teachers = pate_teachers(ds, split, vic_cfg, rng.substream("p"), num_teachers=10)
         res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(0.1),
-                           vic_cfg, rng.substream("p"), ensemble=teachers)
-        out_p = run_mia(attack, private_proba_fn(res.artifact, rng.substream("a")), ds, split)
+                           vic_cfg, rng.substream("p"), rng.substream("a"), ensemble=teachers)
+        out_p = run_mia(attack, res.proba, ds, split)
         pate_leaks.append(privacy_leakage(out_p))
     base_med = float(np.median(base_leaks))
     pate_med = float(np.median(pate_leaks))

@@ -16,7 +16,7 @@ from dp_la.audit import (
 from dp_la.data import Dataset, FourWaySplit, four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, predict_proba, train
-from dp_la.pipelines import DpMethod, pate_teachers, private_proba_fn, run_pipeline
+from dp_la.pipelines import DpMethod, pate_teachers, run_pipeline
 
 CFG = TrainConfig()
 
@@ -261,8 +261,8 @@ class TestOverfitOracle:
             rng = RngState(seed)
             teachers = pate_teachers(ds, split, vic_cfg, rng.substream("p"), num_teachers=10)
             res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(0.1),
-                               vic_cfg, rng.substream("p"), ensemble=teachers)
-            out_p = run_mia(attack, private_proba_fn(res.artifact, rng.substream("a")), ds, split)
+                               vic_cfg, rng.substream("p"), rng.substream("a"), ensemble=teachers)
+            out_p = run_mia(attack, res.proba, ds, split)
             pate_leaks.append(privacy_leakage(out_p))
         assert np.median(base_leaks) >= 0.05
         assert np.median(pate_leaks) <= np.median(base_leaks) / 2 or np.median(pate_leaks) < 0.05

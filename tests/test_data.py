@@ -1,5 +1,6 @@
 import csv
 import gc
+import json
 import tracemalloc
 from dataclasses import astuple
 
@@ -45,6 +46,36 @@ class TestSchema:
         schema = schema_age_region_result()
         schema.to_json(tmp_path / "schema.json")
         assert TabularSchema.from_json(tmp_path / "schema.json") == schema
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            pytest.param(lambda doc: doc.update(version=2),
+                         "unknown key.*schema: version", id="unknown-key"),
+            pytest.param(lambda doc: doc["columns"][1].update(type="x"),
+                         "unknown key.*schema column 1: type", id="unknown-column-key"),
+            pytest.param(lambda doc: doc.pop("positive_labels"),
+                         "missing key.*schema: positive_labels", id="no-positive-labels"),
+            pytest.param(lambda doc: doc["columns"][0].pop("name"),
+                         "missing key.*schema column 0: name", id="column-without-name"),
+            pytest.param(lambda doc: doc["columns"][2].pop("kind"),
+                         "missing key.*schema column 2: kind", id="column-without-kind"),
+            pytest.param(lambda doc: doc.update(positive_labels="pass"),
+                         "list of strings", id="labels-as-string"),
+            pytest.param(lambda doc: doc.update(positive_labels=[1]),
+                         "list of strings", id="label-not-a-string"),
+            pytest.param(lambda doc: doc.update(columns={"age": "numeric"}),
+                         "columns must be a list", id="columns-as-object"),
+        ],
+    )
+    def test_from_json_is_strict(self, tmp_path, edit, message):
+        path = tmp_path / "schema.json"
+        schema_age_region_result().to_json(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            TabularSchema.from_json(path)
 
 
 class TestLoadCsv:

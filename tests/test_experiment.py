@@ -79,6 +79,10 @@ class TestConfig:
             dict(delta=1.0),
             dict(threads=0),
             dict(methods=()),
+            dict(seeds=(1, 1)),
+            dict(inner_train_fraction=0.0),
+            dict(inner_train_fraction=1.5),
+            dict(num_teachers=1),
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
@@ -230,6 +234,25 @@ class TestRunSweep:
         # per seed: the victim-test rows (the released labels and the audit's
         # non-members) and the victim-train rows (the audit's members)
         assert len(calls) == 2 * len(cfg.seeds)
+
+    def test_each_budget_is_calibrated_once_per_cell(self, monkeypatch):
+        calls = {"gaussian_sigma": 0, "_erm_noise_budget": 0}
+
+        def counting(name):
+            original = getattr(pipelines, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipelines, name, counting(name))
+        cfg = ExperimentConfig(**SMALL)
+        results = run_sweep(cfg)
+        assert all(r.status == "ok" for r in results.rows)
+        cells_per_method = len(cfg.epsilons) * len(cfg.seeds)
+        assert calls == {"gaussian_sigma": cells_per_method, "_erm_noise_budget": cells_per_method}
 
     def test_default_config_fits_reach_the_minimiser(self, tmp_path):
         cfg = ExperimentConfig()
@@ -419,6 +442,24 @@ class TestCli:
         b = (tmp_path / "o2" / "results.csv").read_bytes()
         c = (tmp_path / "o3" / "results.csv").read_bytes()
         assert a != b and b == c
+
+    @pytest.mark.parametrize("missing", ["data", "schema"])
+    def test_missing_input_file_exit_one(self, tmp_path, capsys, missing):
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--n", "100", "--out", str(synth_dir)]) == 0
+        files = {"data": synth_dir / "data.csv", "schema": synth_dir / "schema.json"}
+        files[missing].unlink()
+        path = write_config(tmp_path, data={"path": str(files["data"]),
+                                            "schema": str(files["schema"])},
+                            output_dir=str(tmp_path / "out"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_synth_onto_a_file_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert cli.main(["synth", "--n", "100", "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_synth_subcommand(self, tmp_path):
         out = tmp_path / "synth"

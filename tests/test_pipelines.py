@@ -5,10 +5,9 @@ import pytest
 
 from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState
-from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, train
+from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
 from dp_la.pipelines import (
     DpMethod,
-    PrivateModelArtifact,
     TeacherEnsemble,
     _erm_noise_budget,
     input_perturb,
@@ -28,7 +27,8 @@ def run_any(method, ds, split, budget, rng):
     perturbation needs from the same stream."""
     ensemble = (pate_teachers(ds, split, CFG, rng)
                 if method is DpMethod.PREDICTION_PERTURBATION else None)
-    return run_pipeline(method, ds, split, budget, CFG, rng, ensemble=ensemble)
+    return run_pipeline(method, ds, split, budget, CFG, rng, rng.substream("audit"),
+                        ensemble=ensemble)
 
 
 def synth_dataset(n=1000, sep=2.0, seed=7):
@@ -234,47 +234,43 @@ class TestRunPipeline:
         for method in DpMethod:
             delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
             res = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(1))
-            assert res.artifact.method is method
+            assert (res.model is None) == (method is DpMethod.PREDICTION_PERTURBATION)
 
-    def test_payload_variant_must_match_method(self):
-        model = LogisticModel(np.zeros(1), 0.0, 0.0)
-        with pytest.raises(ValueError, match="payload variant"):
-            PrivateModelArtifact(DpMethod.PREDICTION_PERTURBATION, PrivacyBudget(1.0), model, {})
-
-    def test_metadata_fields(self, setup):
+    def test_release_proba_is_what_the_audit_observes(self, setup):
         ds, split = setup
-        res = run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split,
-                           PrivacyBudget(1.0, 1e-5), CFG, RngState(2))
-        assert res.artifact.metadata["sigma"] == pytest.approx(4.844805262605389)
-        res = run_pipeline(DpMethod.OBJECTIVE_PERTURBATION, ds, split,
-                           PrivacyBudget(1.0), CFG, RngState(2))
-        assert "epsilon_prime" in res.artifact.metadata
-        res = run_any(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(1.0), RngState(2))
-        md = res.artifact.metadata
-        assert md["num_teachers"] == 10
-        assert md["queries_answered"] == len(split.victim_test)
-        assert md["composed_epsilon"] == pytest.approx(1.0 * len(split.victim_test))
+        rows = ds.features[split.victim_train]
+        res = run_any(DpMethod.OBJECTIVE_PERTURBATION, ds, split, PrivacyBudget(1.0), RngState(4))
+        np.testing.assert_array_equal(res.proba(rows), predict_proba(res.model, rows))
+        budget, rng, audit_rng = PrivacyBudget(1.0), RngState(4), RngState(9)
+        ensemble = pate_teachers(ds, split, CFG, rng)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, budget, CFG, rng,
+                           audit_rng, ensemble=ensemble)
+        vote_rng = audit_rng.substream("audit-votes")
+        for _ in range(2):  # one noise stream across calls, as members then non-members
+            np.testing.assert_array_equal(
+                res.proba(rows), pate_vote_fraction(ensemble, rows, budget, vote_rng))
 
     def test_prediction_perturbation_answers_only_test_queries(self, setup):
         ds, split = setup
         budget, rng = PrivacyBudget(1.0), RngState(5)
         ensemble = pate_teachers(ds, split, CFG, rng)
         res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, budget, CFG, rng,
-                           ensemble=ensemble)
+                           RngState(6), ensemble=ensemble)
         expected = pate_predict(ensemble, ds.features[split.victim_test], budget,
                                 rng.substream("pate-votes"))
-        np.testing.assert_array_equal(res.private_test_predictions, expected)
+        np.testing.assert_array_equal(res.predictions, expected)
 
     def test_gaussian_requires_delta(self, setup):
         ds, split = setup
         with pytest.raises(ValueError, match="delta"):
-            run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0), CFG, RngState(0))
+            run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0), CFG,
+                         RngState(0), RngState(1))
 
     def test_prediction_perturbation_requires_an_ensemble(self, setup):
         ds, split = setup
         with pytest.raises(ValueError, match="teacher ensemble"):
             run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(1.0),
-                         CFG, RngState(0))
+                         CFG, RngState(0), RngState(1))
 
     def test_deterministic_predictions(self, setup):
         ds, split = setup
@@ -282,12 +278,13 @@ class TestRunPipeline:
             delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
             a = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
             b = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
-            np.testing.assert_array_equal(a.private_test_predictions, b.private_test_predictions)
+            np.testing.assert_array_equal(a.predictions, b.predictions)
 
     def test_labels_never_touched(self, setup):
         ds, split = setup
         before = ds.labels.copy()
-        run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0, 1e-5), CFG, RngState(3))
+        run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0, 1e-5), CFG,
+                     RngState(3), RngState(4))
         np.testing.assert_array_equal(ds.labels, before)
 
 
@@ -305,7 +302,7 @@ class TestLargeEpsilonConsistency:
                 delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
                 res = run_any(method, ds, split, PrivacyBudget(1e6, delta),
                               RngState(seed).substream("consistency"))
-                gaps.append(abs(accuracy(res.private_test_predictions, yt) - base))
+                gaps.append(abs(accuracy(res.predictions, yt) - base))
             assert np.median(gaps) < 0.01, f"{method}: median gap {np.median(gaps)}"
 
 
@@ -322,7 +319,7 @@ class TestBudgetMonotonicity:
                     split = four_way_split(ds, seed)
                     res = run_any(method, ds, split, PrivacyBudget(eps),
                                   RngState(seed).substream("mono", method.value))
-                    accs.append(accuracy(res.private_test_predictions,
+                    accs.append(accuracy(res.predictions,
                                          ds.labels[split.victim_test]))
                 medians.append(float(np.median(accs)))
             drops = [(i, medians[i + 1] - medians[i]) for i in range(len(grid) - 1)
