@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .data import synth_generate, write_raw_csv
-from .experiment import ExperimentConfig, emit_report, load_config, run_sweep, summarize
+from .experiment import (ExperimentConfig, emit_report, load_config, refuse_existing_outputs,
+                         run_sweep, summarize)
 from .mechanisms import PrivacyBudget, RngState, empirical_dp_check
 
 
@@ -46,6 +47,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config is None:
         return 1
 
+    refuse_existing_outputs(config.output_dir, force=args.force)
     results = run_sweep(config)
     written = emit_report(results, summarize(results), config.output_dir, force=args.force)
     for path in written:

@@ -62,6 +62,10 @@ class TabularSchema:
     positive_labels: frozenset[str]
 
     def __post_init__(self) -> None:
+        names = [name for name, _ in self.columns]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"schema declares column(s) more than once: {repeated}")
         targets = [name for name, kind in self.columns if kind is ColumnKind.TARGET]
         if len(targets) != 1:
             raise ValueError(f"schema must declare exactly one target column, got {targets}")

@@ -61,6 +61,7 @@ __all__ = [
     "run_sweep",
     "summarize",
     "emit_report",
+    "refuse_existing_outputs",
     "RESULT_COLUMNS",
 ]
 
@@ -479,6 +480,23 @@ def _fig_series_lines(summary: dict, metric: str) -> list[str]:
     return lines
 
 
+_REPORT_FILES = ("results.csv", "fig_utility_loss.csv", "fig_privacy_leakage.csv",
+                 "fig_trr.csv", "summary.json")
+
+
+def refuse_existing_outputs(output_dir: str | Path, force: bool = False) -> None:
+    """Raise FileExistsError if any of ``_REPORT_FILES`` already exists in
+    ``output_dir``, unless ``force`` is set. ``dp-la run`` calls it before the
+    sweep, so a refused run does no work; ``emit_report`` calls it again at
+    write time."""
+    out = Path(output_dir)
+    existing = [name for name in _REPORT_FILES if (out / name).exists()]
+    if existing and not force:
+        raise FileExistsError(
+            f"refusing to overwrite {', '.join(sorted(existing))} in {out} (pass force/--force)"
+        )
+
+
 def emit_report(
     results: SweepResults,
     summary: dict,
@@ -494,6 +512,7 @@ def emit_report(
     own, so no output is ever left half-written.
     """
     out = Path(output_dir)
+    refuse_existing_outputs(out, force)
     out.mkdir(parents=True, exist_ok=True)
     targets = {
         "results.csv": "\n".join(_results_csv_lines(results)) + "\n",
@@ -501,11 +520,6 @@ def emit_report(
         "fig_privacy_leakage.csv": "\n".join(_fig_series_lines(summary, "privacy_leakage")) + "\n",
         "fig_trr.csv": "\n".join(_fig_series_lines(summary, "trr_rate")) + "\n",
     }
-    existing = [name for name in list(targets) + ["summary.json"] if (out / name).exists()]
-    if existing and not force:
-        raise FileExistsError(
-            f"refusing to overwrite {', '.join(sorted(existing))} in {out} (pass force/--force)"
-        )
 
     summary_doc = dict(summary)
     summary_doc["environment"] = {

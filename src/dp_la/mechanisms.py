@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,13 +92,18 @@ class RngState:
     optional label path. Identical (seed, path) pairs yield identical sample
     streams; :meth:`substream` derives independent child streams, so every
     sweep cell can own a reproducible generator keyed by its coordinates.
+    The generator is built on first use, so a state that only derives
+    substreams never hashes its labels or seeds a Philox.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(seed) & _MASK64
         self._path = tuple(_path)
+
+    @cached_property
+    def generator(self) -> np.random.Generator:
         entropy = [self.seed] + [_label_hash(p) for p in self._path]
-        self.generator = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
     def substream(self, *labels: object) -> "RngState":
         """Independent child stream keyed by (seed, path + labels)."""

@@ -6,8 +6,10 @@ The objective minimized is
     J(w, b) = (1/n) sum_i log(1 + exp(-y_i (w.x_i + b))) + (lam/2) ||w||^2
 
 with y in {-1, +1} and an unregularized bias. With d features a Newton step
-is one (d+1) x (d+1) solve, so training reaches ||grad J|| < 1e-10 in a
-handful of iterations. It starts from zero, never lets the objective rise by
+is one (d+1) x (d+1) solve -- by LU when lam > 0, where the Hessian is
+positive definite, and by minimum-norm least squares when lam = 0, where it
+can be singular -- so training reaches ||grad J|| < 1e-10 in a handful of
+iterations. It starts from zero, never lets the objective rise by
 more than its rounding error, and is bit-reproducible. ``TrainConfig.epochs``
 caps the iterations, which matters only when no finite minimiser exists
 (lam = 0 on separable data).
@@ -15,6 +17,7 @@ caps the iterations, which matters only when no finite minimiser exists
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,99 +76,118 @@ class LogisticModel:
     stop: str | None = None
 
 
-def _margins(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    return y_pm * (X @ w + b)
+def _design(X: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
+    """The signed design matrix Zy = y * [X, 1]: row i is y_i (x_i, 1), so the
+    margins y_i (w.x_i + b) at theta = (w, b) are Zy @ theta."""
+    n, d = X.shape
+    Zy = np.empty((n, d + 1))
+    np.multiply(X, y_pm[:, None], out=Zy[:, :d])
+    Zy[:, d] = y_pm
+    return Zy
 
 
-def _objective(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray, b: float, lam: float,
-               linear_term: np.ndarray | None = None) -> float:
-    return _objective_at(_margins(X, y_pm, w, b), w, lam, linear_term)
-
-
-def _objective_at(margins: np.ndarray, w: np.ndarray, lam: float,
-                  linear_term: np.ndarray | None = None) -> float:
-    """J at the point whose margins y_i (w.x_i + b) are given."""
-    value = float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(w @ w)
+def _penalties(d: int, n: int, lam: float,
+               linear_term: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The ridge vector r = (lam, ..., lam, 0) and the linear vector
+    l = (v/n, 0) over theta = (w, b); the bias is neither regularized nor
+    perturbed."""
+    ridge = np.full(d + 1, float(lam))
+    ridge[d] = 0.0
+    linear = np.zeros(d + 1)
     if linear_term is not None:
-        value += float(linear_term @ w) / margins.shape[0]
-    return value
+        linear[:d] = linear_term / n
+    return ridge, linear
 
 
-def _gradient(X: np.ndarray, y_pm: np.ndarray, margins: np.ndarray, w: np.ndarray, lam: float,
-              linear_term: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Gradient of J over (w, b) at the point whose margins are given."""
-    # sigmoid(-m) = 1/(1+exp(m)), computed stably for large |m|
-    coef = -y_pm / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))
-    gw = X.T @ coef / X.shape[0] + lam * w
-    gb = float(np.mean(coef))
-    if linear_term is not None:
-        gw = gw + linear_term / X.shape[0]
-    return gw, gb
+def _evaluate(Zy: np.ndarray, theta: np.ndarray, ridge: np.ndarray,
+              linear: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """J at theta, with the margins m = Zy theta and e = exp(-|m|) that the
+    gradient and Hessian at theta reuse."""
+    m = Zy @ theta
+    e = np.exp(-np.abs(m))
+    # log(1 + exp(-m)) = log1p(exp(-|m|)) + max(-m, 0), without overflow;
+    # sum / n is np.mean's arithmetic without its call overhead
+    loss = float((np.log1p(e) - np.minimum(m, 0.0)).sum()) / m.shape[0]
+    return loss + 0.5 * float(theta @ (ridge * theta)) + float(linear @ theta), m, e
 
 
-def _hessian(Z: np.ndarray, margins: np.ndarray, lam: float) -> np.ndarray:
-    """Hessian of J over (w, b): Z^T diag(s) Z / n with Z = [X, 1] and
-    s = sigmoid(m) sigmoid(-m), plus lam on the weights' diagonal only."""
-    n, d = Z.shape[0], Z.shape[1] - 1
-    e = np.exp(-np.abs(margins))
-    curvature = e / (1.0 + e) ** 2
-    H = (Z.T * curvature) @ Z / n
-    H[np.arange(d), np.arange(d)] += lam
+def _gradient(Zy: np.ndarray, theta: np.ndarray, m: np.ndarray, e: np.ndarray,
+              ridge: np.ndarray, linear: np.ndarray) -> np.ndarray:
+    """Gradient of J over theta = (w, b) from the margins m and e = exp(-|m|)
+    at theta: r * theta + l - Zy^T sigmoid(-m) / n."""
+    # sigmoid(-m) = 1/(1+exp(m)): e/(1+e) for m >= 0, 1/(1+e) for m < 0
+    sigmoid_neg = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
+    return ridge * theta + linear - Zy.T @ sigmoid_neg / Zy.shape[0]
+
+
+def _hessian(Zy: np.ndarray, e: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """Hessian of J over theta = (w, b): Zy^T diag(s) Zy / n + diag(r) with
+    s = sigmoid(m) sigmoid(-m) = e/(1+e)^2. The signs of Zy cancel in it."""
+    H = (Zy.T * (e / (1.0 + e) ** 2)) @ Zy / Zy.shape[0]
+    H.flat[:: H.shape[0] + 1] += ridge
     return H
+
+
+def _min_norm_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of H p = rhs (rcond at machine
+    precision), defined when H is singular."""
+    return np.linalg.lstsq(H, rhs, rcond=None)[0]
 
 
 def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
          linear_term: np.ndarray | None = None) -> LogisticModel:
-    """Damped Newton on (w, b) from zero.
+    """Damped Newton on theta = (w, b) from zero.
 
-    Each iteration solves H p = -g by least squares (rcond at machine
-    precision), so a singular Hessian -- lam = 0 with columns collinear with
-    the bias, or separable data whose curvature vanishes -- gives the
-    minimum-norm step instead of an error. The step is halved until the
-    objective does not rise by more than its rounding error: near the
-    minimiser a Newton step lowers J by less than that, and an exact
-    comparison would reject the steps that finish the solve. The loop stops
-    when ||g|| < 1e-10, when no halving keeps J from rising, or after
-    ``max_iter`` steps; the model's ``stop`` names which. The margins of each
-    point are computed once, by the line search that accepts it, and serve
-    its gradient and Hessian.
+    The signed design matrix, the ridge and the linear vectors are built once
+    per fit. Each trial point costs one margin product and one exp; the
+    accepted point's margins serve its gradient and Hessian.
+
+    With lam > 0 the Hessian is positive definite -- for v = (u, c),
+    v^T H v >= lam ||u||^2 when u != 0 and c^2 mean(s) > 0 when u = 0, with
+    s the per-row curvatures of ``_hessian`` -- so the Newton step is an LU
+    solve. With lam = 0 the Hessian can be singular
+    (one-hot columns that sum to the bias column, or separable data whose
+    curvature vanishes), and the step is the minimum-norm least-squares
+    solution, which keeps theta orthogonal to the null space. The step is
+    halved until the objective does not rise by more than its rounding
+    error: near the minimiser a Newton step lowers J by less than that, and
+    an exact comparison would reject the steps that finish the solve. The
+    loop stops when ||g|| < 1e-10, when no halving keeps J from rising, or
+    after ``max_iter`` steps; the model's ``stop`` names which.
     """
     n, d = X.shape
-    Z = np.column_stack([X, np.ones(n)])
-    linear_norm = 0.0 if linear_term is None else float(np.linalg.norm(linear_term)) / n
-    w = np.zeros(d)
-    b = 0.0
-    margins = _margins(X, y_pm, w, b)
-    j_cur = _objective_at(margins, w, lam, linear_term)
+    Zy = _design(X, y_pm)
+    ridge, linear = _penalties(d, n, lam, linear_term)
+    linear_norm = math.sqrt(linear @ linear)
+    solve = np.linalg.solve if lam > 0 else _min_norm_solve
+    theta = np.zeros(d + 1)
+    j_cur, m, e = _evaluate(Zy, theta, ridge, linear)
     iterations = 0
     while True:
-        gw, gb = _gradient(X, y_pm, margins, w, lam, linear_term)
-        g = np.append(gw, gb)
-        gradient_norm = float(np.linalg.norm(g))
+        g = _gradient(Zy, theta, m, e, ridge, linear)
+        gradient_norm = math.sqrt(g @ g)  # np.linalg.norm's arithmetic
         if gradient_norm < _GRADIENT_TOL:
             stop = "gradient"
             break
         if iterations == max_iter:
             stop = "cap"
             break
-        step = np.linalg.lstsq(_hessian(Z, margins, lam), -g, rcond=None)[0]
-        # J's terms sum to at most |J| + 2 |v.w| / n in magnitude.
-        slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * float(np.linalg.norm(w)))
+        step = solve(_hessian(Zy, e, ridge), -g)
+        # J's terms sum to at most |J| + 2 |l.theta| in magnitude.
+        slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * math.sqrt(theta[:d] @ theta[:d]))
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            w_new = w + t * step[:d]
-            b_new = b + t * float(step[d])
-            margins_new = _margins(X, y_pm, w_new, b_new)
-            j_new = _objective_at(margins_new, w_new, lam, linear_term)
+            theta_new = theta + t * step
+            j_new, m_new, e_new = _evaluate(Zy, theta_new, ridge, linear)
             if j_new <= j_cur + slack:
                 break
             t *= 0.5
         else:
             stop = "no_descent"
             break
-        w, b, j_cur, margins = w_new, b_new, j_new, margins_new
+        theta, j_cur, m, e = theta_new, j_new, m_new, e_new
         iterations += 1
-    return LogisticModel(w, b, j_cur, iterations, gradient_norm, stop)
+    return LogisticModel(theta[:d], float(theta[d]), j_cur, iterations, gradient_norm, stop)
 
 
 def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
@@ -178,7 +200,7 @@ def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     classes = np.unique(labels)
-    if not np.all(np.isin(classes, (0, 1))):
+    if not np.all((classes == 0) | (classes == 1)):
         raise ValueError(f"labels must be in {{0, 1}}, got {classes}")
     if classes.size < 2:
         raise ValueError("training data contains a single class")
@@ -209,12 +231,8 @@ def predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:
             f"feature dimension {features.shape} does not match model dimension {model.weights.shape[0]}"
         )
     z = features @ model.weights + model.bias
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def predict(model: LogisticModel, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -14,7 +14,8 @@ from dp_la.audit import privacy_leakage, run_mia, train_attack
 from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.experiment import ExperimentConfig, SynthSpec, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState, empirical_dp_check, sample_laplace
-from dp_la.model import TrainConfig, _gradient, _margins, _objective, predict_proba, train
+from dp_la.model import (TrainConfig, _design, _evaluate, _gradient, _penalties, predict_proba,
+                         train)
 from dp_la.pipelines import DpMethod, pate_teachers, run_pipeline
 
 
@@ -78,18 +79,24 @@ def test_criterion_3_gradient_check():
     y_pm = np.where(rng.random(50) < 0.5, 1.0, -1.0)
     lam = 1e-4
     h = 1e-5
+    Zy = _design(X, y_pm)
+    ridge, linear = _penalties(5, 50, lam)
+
+    def objective(w, b):
+        return _evaluate(Zy, np.append(w, b), ridge, linear)[0]
+
     worst = 0.0
     for _ in range(20):
         w = rng.normal(scale=0.8, size=5)
         b = float(rng.normal())
-        gw, gb = _gradient(X, y_pm, _margins(X, y_pm, w, b), w, lam)
+        theta = np.append(w, b)
+        analytic = _gradient(Zy, theta, *_evaluate(Zy, theta, ridge, linear)[1:], ridge, linear)
         num = np.empty(6)
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            num[i] = (_objective(X, y_pm, w + e, b, lam) - _objective(X, y_pm, w - e, b, lam)) / (2 * h)
-        num[5] = (_objective(X, y_pm, w, b + h, lam) - _objective(X, y_pm, w, b - h, lam)) / (2 * h)
-        analytic = np.concatenate([gw, [gb]])
+            num[i] = (objective(w + e, b) - objective(w - e, b)) / (2 * h)
+        num[5] = (objective(w, b + h) - objective(w, b - h)) / (2 * h)
         rel = float((np.abs(analytic - num) / np.maximum(np.abs(num), 1e-8)).max())
         worst = max(worst, rel)
     ok = worst < 1e-4

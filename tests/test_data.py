@@ -42,6 +42,21 @@ class TestSchema:
         with pytest.raises(ValueError, match="positive_labels"):
             TabularSchema(columns=(("t", ColumnKind.TARGET),), positive_labels=frozenset())
 
+    def test_rejects_a_column_declared_twice(self):
+        with pytest.raises(ValueError, match=r"more than once: \['a'\]"):
+            TabularSchema(columns=(("a", ColumnKind.NUMERIC), ("a", ColumnKind.CATEGORICAL),
+                                   ("t", ColumnKind.TARGET)),
+                          positive_labels=frozenset({"x"}))
+
+    def test_from_json_rejects_a_column_declared_twice(self, tmp_path):
+        path = tmp_path / "schema.json"
+        schema_age_region_result().to_json(path)
+        doc = json.loads(path.read_text())
+        doc["columns"].insert(1, {"name": "age", "kind": "categorical"})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"more than once: \['age'\]"):
+            TabularSchema.from_json(path)
+
     def test_json_round_trip(self, tmp_path):
         schema = schema_age_region_result()
         schema.to_json(tmp_path / "schema.json")

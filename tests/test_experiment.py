@@ -432,6 +432,20 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert cli.main(["run", "--config", str(path), "--force"]) == 0
 
+    def test_refused_overwrite_runs_no_sweep(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        before = (tmp_path / "out" / "results.csv").read_bytes()
+
+        def no_sweep(config):
+            raise AssertionError("run_sweep called for a refused run")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "refusing to overwrite fig_privacy_leakage.csv, fig_trr.csv" in capsys.readouterr().err
+        assert (tmp_path / "out" / "results.csv").read_bytes() == before
+
     def test_master_seed_override_changes_results(self, tmp_path):
         path = write_config(tmp_path)
         out1, out2, out3 = (str(tmp_path / d) for d in ("o1", "o2", "o3"))

@@ -138,6 +138,21 @@ class TestRngState:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
+    def test_first_draws_are_pinned(self):
+        # any change to the seeding scheme moves every split, noise draw and
+        # results.csv row
+        assert RngState(0).generator.random(3).tolist() == [
+            0.014067035665647709, 0.2577672456246177, 0.47156538101528966]
+        noise = RngState(0).substream("pipeline", "input_perturbation", "seed", 0)
+        assert noise.substream("input-noise").generator.normal(size=3).tolist() == [
+            -0.21648973873293897, 1.2030135137285687, 0.2776350407139029]
+
+    def test_generator_is_built_once_on_first_use(self):
+        rng = RngState(5)
+        assert "generator" not in vars(rng)
+        assert rng.generator is rng.generator
+        assert repr(rng.substream("a", 1)) == "RngState(seed=5, path=('a', 1))"
+
     def test_nested_labels(self):
         x = RngState(1).substream("m", 0, 3).generator.random(4)
         y = RngState(1).substream("m", 0, 3).generator.random(4)

@@ -8,9 +8,11 @@ from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import (
     LogisticModel,
     TrainConfig,
+    _design,
+    _evaluate,
     _gradient,
-    _margins,
-    _objective,
+    _hessian,
+    _penalties,
     accuracy,
     predict,
     predict_proba,
@@ -20,6 +22,23 @@ from dp_la.model import (
 
 def make_model(weights, bias):
     return LogisticModel(np.asarray(weights, dtype=float), float(bias), 0.0)
+
+
+def objective_and_gradient(X, y_pm, lam):
+    """J(w, b) and its gradient over (w, b), through the trainer's own helpers."""
+    Zy = _design(X, y_pm)
+    ridge, linear = _penalties(X.shape[1], X.shape[0], lam)
+
+    def objective(w, b):
+        return _evaluate(Zy, np.append(w, b), ridge, linear)[0]
+
+    def gradient(w, b):
+        theta = np.append(w, b)
+        _, m, e = _evaluate(Zy, theta, ridge, linear)
+        g = _gradient(Zy, theta, m, e, ridge, linear)
+        return g[:-1], float(g[-1])
+
+    return objective, gradient
 
 
 class TestTrain:
@@ -49,11 +68,11 @@ class TestTrain:
         # independent solve of the same convex objective
         y_pm = np.where(y == 1, 1.0, -1.0)
         d = X.shape[1]
+        objective, gradient = objective_and_gradient(X, y_pm, cfg.lam)
         res = minimize(
-            lambda z: _objective(X, y_pm, z[:d], z[d], cfg.lam),
+            lambda z: objective(z[:d], z[d]),
             np.zeros(d + 1),
-            jac=lambda z: np.append(
-                *_gradient(X, y_pm, _margins(X, y_pm, z[:d], z[d]), z[:d], cfg.lam)),
+            jac=lambda z: np.append(*gradient(z[:d], z[d])),
             method="L-BFGS-B",
         )
         ref = make_model(res.x[:d], res.x[d])
@@ -115,6 +134,20 @@ class TestNewton:
         assert np.all(np.isfinite(model.weights))
         assert model.gradient_norm < 1e-8 and model.iterations < 100
 
+    def test_lam_zero_step_keeps_theta_off_the_null_space(self):
+        # Each one-hot block sums to the bias column, so v = (1 on the block, -1 on
+        # the bias) spans the loss's flat directions at lam = 0. The minimum-norm
+        # step never moves theta along v; an LU solve would.
+        X, y = default_victim_train()
+        model = train(X, y, TrainConfig(lam=0.0))
+        theta = np.append(model.weights, model.bias)
+        for block in (slice(5, 8), slice(8, 11)):  # c0=a..c, c1=a..c
+            assert np.array_equal(X[:, block].sum(axis=1), np.ones(len(X)))
+            v = np.zeros(theta.size)
+            v[block] = 1.0
+            v[-1] = -1.0
+            assert abs(v @ theta) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(theta)
+
     def test_objective_perturbation_releases_the_exact_minimiser(self, monkeypatch):
         X, y = default_victim_train()
         seen = {}
@@ -155,19 +188,38 @@ class TestGradientAndObjective:
         y_pm = np.where(rng.random(50) < 0.5, 1.0, -1.0)
         lam = 1e-4
         h = 1e-5
+        objective, gradient = objective_and_gradient(X, y_pm, lam)
         for _ in range(20):
             w = rng.normal(scale=0.8, size=5)
             b = float(rng.normal())
-            gw, gb = _gradient(X, y_pm, _margins(X, y_pm, w, b), w, lam)
+            gw, gb = gradient(w, b)
             num = np.empty(6)
             for i in range(5):
                 e = np.zeros(5)
                 e[i] = h
-                num[i] = (_objective(X, y_pm, w + e, b, lam) - _objective(X, y_pm, w - e, b, lam)) / (2 * h)
-            num[5] = (_objective(X, y_pm, w, b + h, lam) - _objective(X, y_pm, w, b - h, lam)) / (2 * h)
+                num[i] = (objective(w + e, b) - objective(w - e, b)) / (2 * h)
+            num[5] = (objective(w, b + h) - objective(w, b - h)) / (2 * h)
             analytic = np.concatenate([gw, [gb]])
             rel = np.abs(analytic - num) / np.maximum(np.abs(num), 1e-8)
             assert rel.max() < 1e-4
+
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        y_pm = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        Zy = _design(X, y_pm)
+        ridge, linear = _penalties(3, 40, 0.1, linear_term=rng.normal(size=3))
+        h = 1e-6
+
+        def gradient(theta):
+            return _gradient(Zy, theta, *_evaluate(Zy, theta, ridge, linear)[1:], ridge, linear)
+
+        for _ in range(5):
+            theta = rng.normal(size=4)
+            H = _hessian(Zy, _evaluate(Zy, theta, ridge, linear)[2], ridge)
+            num = np.column_stack([(gradient(theta + h * u) - gradient(theta - h * u)) / (2 * h)
+                                   for u in np.eye(4)])
+            np.testing.assert_allclose(H, num, rtol=1e-6, atol=1e-8)
 
     def test_objective_never_increases(self):
         raw, schema = synth_generate(300, 4, 0, 1.0, seed=4)
@@ -175,7 +227,8 @@ class TestGradientAndObjective:
         cfg = TrainConfig(epochs=50)
         model = train(ds.features, ds.labels, cfg)
         y_pm = np.where(ds.labels == 1, 1.0, -1.0)
-        initial = _objective(ds.features, y_pm, np.zeros(ds.n_features), 0.0, cfg.lam)
+        objective, _ = objective_and_gradient(ds.features, y_pm, cfg.lam)
+        initial = objective(np.zeros(ds.n_features), 0.0)
         assert model.final_objective <= initial
 
     def test_close_to_long_run_descent_minimum(self):
@@ -192,15 +245,16 @@ class TestGradientAndObjective:
             model = train(X, y, cfg)
 
             y_pm = np.where(y == 1, 1.0, -1.0)
+            objective, gradient = objective_and_gradient(X, y_pm, cfg.lam)
             w = np.zeros(4)
             b = 0.0
             step = cfg.learning_rate
-            j = _objective(X, y_pm, w, b, cfg.lam)
+            j = objective(w, b)
             for _ in range(cfg.epochs * 100):
-                gw, gb = _gradient(X, y_pm, _margins(X, y_pm, w, b), w, cfg.lam)
+                gw, gb = gradient(w, b)
                 while True:
                     wn, bn = w - step * gw, b - step * gb
-                    jn = _objective(X, y_pm, wn, bn, cfg.lam)
+                    jn = objective(wn, bn)
                     if jn <= j:
                         w, b, j = wn, bn, jn
                         break
@@ -228,6 +282,18 @@ class TestPredict:
         p = predict_proba(make_model(w, b), X)
         q = predict_proba(make_model(-w, -b), X)
         np.testing.assert_allclose(p + q, 1.0, atol=1e-12, rtol=0)
+
+    def test_bits_match_the_two_branch_formula(self):
+        z = np.array([-800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 40.0, 800.0])
+        z = np.concatenate([z, np.random.default_rng(6).normal(scale=30.0, size=200)])
+        # reference: the two masked branches sigmoid(z) was computed with before
+        expected = np.empty_like(z)
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        got = predict_proba(make_model([1.0], 0.0), z[:, None])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
