@@ -49,12 +49,13 @@ from .pipelines import (
     DpMethod,
     Release,
     TeacherEnsemble,
+    Victim,
     input_perturb,
     objective_perturb_train,
     pate_predict,
-    pate_teachers,
     pate_train,
     run_pipeline,
+    victim_view,
 )
 
 __version__ = "0.1.0"

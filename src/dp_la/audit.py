@@ -6,6 +6,10 @@ attack training: a shadow model mimicking the victim's architecture is trained
 on attack_train, its confidence vectors over attack_train (members) and
 attack_test (non-members) form the attack classifier's training set, and only
 then is the attack pointed at the victim's released probabilities.
+run_mia takes that release as arrays: the probability-like output the audit
+observes on the victim_train rows (the members) and on the victim_test rows
+(the non-members), each with those rows' true labels. It sees neither the
+dataset nor the split nor the model behind the release.
 
 The attack's operating point is chosen on the shadow as well. A victim row is
 flagged as a member when its attack score (the classifier's member posterior)
@@ -23,7 +27,6 @@ the n=2000 default grid gets a finite threshold from a shadow without signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -114,7 +117,13 @@ def wilson_interval(successes: np.ndarray | int, trials: int) -> tuple[np.ndarra
 def _operating_threshold(member_scores: np.ndarray, nonmember_scores: np.ndarray) -> float:
     """Score threshold maximising the lower 95% bound on TPR - FPR over the
     shadow's pools, or +inf when no threshold's bound is above zero."""
-    candidates = np.unique(np.concatenate([member_scores, nonmember_scores]))
+    # the distinct scores in ascending order, as np.unique gives them without
+    # its first-use import of numpy.ma
+    pooled = np.sort(np.concatenate([member_scores, nonmember_scores]))
+    distinct = np.empty(pooled.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
+    candidates = pooled[distinct]
 
     def flagged(scores: np.ndarray) -> np.ndarray:
         return scores.size - np.searchsorted(np.sort(scores), candidates, side="left")
@@ -172,27 +181,25 @@ def train_attack(
 
 def run_mia(
     attack: AttackModel,
-    victim_predict_proba: Callable[[np.ndarray], np.ndarray],
-    dataset: Dataset,
-    split: FourWaySplit,
+    member_proba: np.ndarray,
+    member_labels: np.ndarray,
+    nonmember_proba: np.ndarray,
+    nonmember_labels: np.ndarray,
 ) -> MiaOutcome:
-    """Attack every victim row: victim_train rows are the true members,
-    victim_test rows the true non-members. A row is flagged when its attack
-    score is >= attack.threshold, so a +inf threshold flags none."""
-    if split.victim_train.size == 0 or split.victim_test.size == 0:
+    """Attack every victim row from the victim's observed output on it and
+    its true label: the members are the victim_train rows, the non-members
+    the victim_test rows. A row is flagged when its attack score is
+    >= attack.threshold, so a +inf threshold flags none."""
+    member_count, nonmember_count = len(member_labels), len(nonmember_labels)
+    if member_count == 0 or nonmember_count == 0:
         raise ValueError("victim split parts must be non-empty")
 
-    def flags(indices: np.ndarray) -> np.ndarray:
-        probs = np.asarray(victim_predict_proba(dataset.features[indices]), dtype=float)
-        feats = attack_features(probs, dataset.labels[indices])
-        return predict_proba(attack.classifier, feats) >= attack.threshold
+    def flagged(proba: np.ndarray, labels: np.ndarray) -> int:
+        scores = predict_proba(attack.classifier, attack_features(proba, labels))
+        return int((scores >= attack.threshold).sum())
 
-    member_flags = flags(split.victim_train)
-    nonmember_flags = flags(split.victim_test)
-    tp = int(member_flags.sum())
-    fp = int(nonmember_flags.sum())
-    member_count = int(split.victim_train.size)
-    nonmember_count = int(split.victim_test.size)
+    tp = flagged(member_proba, member_labels)
+    fp = flagged(nonmember_proba, nonmember_labels)
     return MiaOutcome(
         tpr=tp / member_count,
         fpr=fp / nonmember_count,

@@ -367,7 +367,7 @@ def four_way_split(dataset: Dataset, seed: int, inner_train_fraction: float = 0.
         ("attack_test", attack_test),
     ):
         part_labels = dataset.labels[part]
-        if part.size == 0 or np.unique(part_labels).size < 2:
+        if part.size == 0 or part_labels.min() == part_labels.max():
             raise ValueError(f"dataset too small: part '{part_name}' lacks a row of each class")
     return FourWaySplit(victim_train, victim_test, attack_train, attack_test)
 

@@ -2,16 +2,25 @@
 grid execution, per-cell privacy audits, and report emission.
 
 Work is done once at the level of the grid it depends on. Per seed, a
-:class:`SeedContext` holds the four-way split, the non-private baseline's
-accuracy, the shadow-trained attack with its threshold and, when prediction
-perturbation is swept, the PATE teachers (keyed by method and seed, never by
-epsilon). Each (method, epsilon) cell of that seed then runs only its own DP
-fit, its vote and audit noise, and the membership-inference attack. A cell
-only ever runs on its seed's context: ``dp-la audit`` runs the sweep on a
-config narrowed to its first method, epsilon and seed. In ``summary.json``
-the context's wall time is under ``timings.per_seed``; each cell's own time and
-its released model's fit diagnostics (Newton iterations, final gradient norm,
-stop reason) are under ``timings.per_cell``.
+:class:`SeedContext` holds the shadow-trained attack with its threshold (fitted
+on the attack half of the seed's four-way split), the victim view and the
+non-private baseline's accuracy. The victim view
+(:class:`~dp_la.pipelines.Victim`) is the victim_train and victim_test rows
+and labels, gathered once, with the parts of each swept method's release
+that do not depend on epsilon: input perturbation's standard-normal noise,
+drawn once and range-checked once, and the PATE teachers' class-1 vote
+counts on both parts (keyed by method and seed, never by epsilon). Each
+(method, epsilon) cell of that seed then does only its epsilon work: it
+scales the input noise by sigma(epsilon) and fits, fits objective
+perturbation, or draws its vote and audit noise; it computes the outputs
+the audit observes once per part; and it runs the membership-inference
+attack on those arrays. A cell only reads the context, so the order in
+which a seed's cells run changes no result. A cell only ever runs on its
+seed's context: ``dp-la audit`` runs the sweep on a config narrowed to its
+first method, epsilon and seed. In ``summary.json`` the context's wall time
+is under ``timings.per_seed``; each cell's own time and its released model's
+fit diagnostics (Newton iterations, final gradient norm, stop reason) are
+under ``timings.per_cell``.
 
 Seeds run one after another. Every cell derives its own random substream from
 the master seed and its grid coordinates, so results are identical regardless
@@ -34,7 +43,6 @@ import numpy as np
 from . import audit as audit_mod
 from .data import (
     Dataset,
-    FourWaySplit,
     TabularSchema,
     _reject_unknown_keys,
     four_way_split,
@@ -44,7 +52,7 @@ from .data import (
 )
 from .mechanisms import PrivacyBudget, RngState
 from .model import TrainConfig, accuracy, predict, train
-from .pipelines import DpMethod, TeacherEnsemble, pate_teachers, run_pipeline
+from .pipelines import DpMethod, Victim, run_pipeline, victim_view
 
 __all__ = [
     "SynthSpec",
@@ -258,72 +266,59 @@ def _pipeline_rng(master: RngState, method: DpMethod, seed_index: int) -> RngSta
 
 @dataclass(frozen=True)
 class SeedContext:
-    """What every cell of one seed shares, computed once per seed.
+    """What every cell of one seed shares, computed once per seed: the
+    shadow-trained attack, the victim rows with the budget-free parts of
+    each method's release (a :class:`~dp_la.pipelines.Victim`) and the
+    non-private baseline's accuracy on them. Cells only read it."""
 
-    ``teachers`` is the PATE ensemble, None when it was not asked for, or the
-    exception that building it raised: only prediction-perturbation cells
-    need it, so only they fail with it.
-    """
-
-    split: FourWaySplit
-    acc_nonprivate: float
     attack: audit_mod.AttackModel
-    teachers: TeacherEnsemble | Exception | None
-
-    def ensemble(self) -> TeacherEnsemble | None:
-        if isinstance(self.teachers, Exception):
-            raise self.teachers
-        return self.teachers
+    victim: Victim
+    acc_nonprivate: float
 
 
 def build_seed_context(
-    config: ExperimentConfig, dataset: Dataset, seed_index: int, with_teachers: bool
+    config: ExperimentConfig, dataset: Dataset, seed_index: int
 ) -> SeedContext:
-    """The split, the non-private baseline's accuracy, the shadow-trained
-    attack and (``with_teachers``) the PATE teachers of one seed.
+    """The split of one seed, then the shadow-trained attack on its attack
+    half, then the victim view of its victim half (built for the methods in
+    ``config.methods``) and the non-private baseline's accuracy.
 
-    The split is keyed by (master seed, seed); the teachers by the
-    prediction-perturbation pipeline stream of (master seed, method, seed),
-    the same stream that run_cell draws the cell's votes from.
+    The split is keyed by (master seed, seed). The input noise and the
+    teachers are keyed by the pipeline stream of (master seed, method, seed),
+    the same stream that run_cell draws the rest of the method's noise from.
+    The attack half is fitted before the victim rows are gathered, so its
+    fits never run beside the victim's copies.
     """
     seed = config.seeds[seed_index]
     split = four_way_split(dataset, _split_seed(config.master_seed, seed),
                            config.inner_train_fraction)
 
-    baseline = train(dataset.features[split.victim_train],
-                     dataset.labels[split.victim_train], config.train)
-    acc_nonprivate = accuracy(
-        predict(baseline, dataset.features[split.victim_test]),
-        dataset.labels[split.victim_test],
-    )
     shadow = train(dataset.features[split.attack_train],
                    dataset.labels[split.attack_train], config.train)
     attack = audit_mod.train_attack(shadow, dataset, split, config.train)
 
-    teachers: TeacherEnsemble | Exception | None = None
-    if with_teachers:
-        rng = _pipeline_rng(RngState(config.master_seed), DpMethod.PREDICTION_PERTURBATION,
-                            seed_index)
-        try:
-            teachers = pate_teachers(dataset, split, config.train, rng, config.num_teachers)
-        except Exception as exc:  # fails the prediction-perturbation cells only
-            teachers = exc
-    return SeedContext(split, acc_nonprivate, attack, teachers)
+    master = RngState(config.master_seed)
+
+    def stream(method: DpMethod) -> RngState | None:
+        return _pipeline_rng(master, method, seed_index) if method in config.methods else None
+
+    victim = victim_view(dataset, split, config.train,
+                         noise_rng=stream(DpMethod.INPUT_PERTURBATION),
+                         teacher_rng=stream(DpMethod.PREDICTION_PERTURBATION),
+                         num_teachers=config.num_teachers)
+    baseline = train(victim.train_features, victim.train_labels, config.train)
+    acc_nonprivate = accuracy(predict(baseline, victim.test_features), victim.test_labels)
+    return SeedContext(attack, victim, acc_nonprivate)
 
 
 def _failed_status(exc: Exception) -> str:
     return f"failed:{type(exc).__name__}:{exc}"
 
 
-def run_cell(
-    config: ExperimentConfig,
-    dataset: Dataset,
-    cell: SweepCell,
-    context: SeedContext,
-) -> CellResult:
+def run_cell(config: ExperimentConfig, cell: SweepCell, context: SeedContext) -> CellResult:
     """One grid cell on its seed's context (from :func:`build_seed_context`):
-    DP pipeline, shadow attack on its release, metrics. The cell's wall time
-    covers only this work, not the context's.
+    the epsilon-dependent part of the DP release, the shadow attack on it,
+    metrics. The cell's wall time covers only this work, not the context's.
 
     The split and the pipeline's noise draws are keyed by (master seed,
     method, seed) only, so cells along the epsilon axis of one seed share
@@ -338,16 +333,14 @@ def run_cell(
         audit_rng = master.substream(
             "audit", cell.method.value, cell.eps_index, cell.seed_index
         )
-        split = context.split
+        victim = context.victim
         delta = config.delta if cell.method is DpMethod.INPUT_PERTURBATION else 0.0
         budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
-        ensemble = context.ensemble() if cell.method is DpMethod.PREDICTION_PERTURBATION else None
-        release = run_pipeline(
-            cell.method, dataset, split, budget, config.train,
-            pipeline_rng, audit_rng, ensemble=ensemble,
-        )
-        acc_private = accuracy(release.predictions, dataset.labels[split.victim_test])
-        outcome = audit_mod.run_mia(context.attack, release.proba, dataset, split)
+        release = run_pipeline(cell.method, victim, budget, config.train,
+                               pipeline_rng, audit_rng)
+        acc_private = accuracy(release.predictions, victim.test_labels)
+        outcome = audit_mod.run_mia(context.attack, release.train_proba, victim.train_labels,
+                                    release.test_proba, victim.test_labels)
         report = audit_mod.build_report(
             acc_private=acc_private,
             acc_nonprivate=context.acc_nonprivate,
@@ -367,14 +360,13 @@ def _run_seed(
     context cannot be built, every cell of the seed fails with its error."""
     start = time.perf_counter()
     try:
-        context = build_seed_context(config, dataset, seed_index,
-                                     DpMethod.PREDICTION_PERTURBATION in config.methods)
+        context = build_seed_context(config, dataset, seed_index)
     except Exception as exc:  # contained like a cell failure
         context, status = None, _failed_status(exc)
     timing = SeedTiming(config.seeds[seed_index], time.perf_counter() - start)
     if context is None:
         return [CellResult(cell, None, 0.0, status) for cell in cells], timing
-    return [run_cell(config, dataset, cell, context) for cell in cells], timing
+    return [run_cell(config, cell, context) for cell in cells], timing
 
 
 def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResults:
@@ -393,6 +385,13 @@ def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> Sweep
         config_fingerprint=config.fingerprint(),
         seed_timings=tuple(timing for _, timing in groups),
     )
+
+
+def _median(values: list[float]) -> float:
+    """np.median's value for a non-empty list: the middle value, or the mean
+    of the two middle values (np.median imports numpy.ma on first use)."""
+    ordered, k = sorted(values), len(values) // 2
+    return float(ordered[k] if len(values) % 2 else (ordered[k - 1] + ordered[k]) / 2.0)
 
 
 def summarize(results: SweepResults) -> dict:
@@ -416,10 +415,10 @@ def summarize(results: SweepResults) -> dict:
         entry: dict = {"method": method, "epsilon": epsilon, "n_ok": len(reports)}
         if reports:
             entry.update(
-                median_utility_loss=float(np.median([r.utility_loss for r in reports])),
-                median_privacy_leakage=float(np.median([r.privacy_leakage for r in reports])),
-                median_true_revealed_records=float(np.median([r.true_revealed_records for r in reports])),
-                median_trr_rate=float(np.median([r.trr_rate for r in reports])),
+                median_utility_loss=_median([r.utility_loss for r in reports]),
+                median_privacy_leakage=_median([r.privacy_leakage for r in reports]),
+                median_true_revealed_records=_median([r.true_revealed_records for r in reports]),
+                median_trr_rate=_median([r.trr_rate for r in reports]),
             )
         else:
             entry["missing"] = True

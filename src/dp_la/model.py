@@ -7,12 +7,13 @@ The objective minimized is
 
 with y in {-1, +1} and an unregularized bias. With d features a Newton step
 is one (d+1) x (d+1) solve -- by LU when lam > 0, where the Hessian is
-positive definite, and by minimum-norm least squares when lam = 0, where it
-can be singular -- so training reaches ||grad J|| < 1e-10 in a handful of
-iterations. It starts from zero, never lets the objective rise by
-more than its rounding error, and is bit-reproducible. ``TrainConfig.epochs``
-caps the iterations, which matters only when no finite minimiser exists
-(lam = 0 on separable data).
+positive definite, and by minimum-norm least squares when lam = 0 (or lies
+below the rounding of the Hessian's diagonal), where it can be singular --
+so training reaches ||grad J|| < 1e-10 in a handful of iterations. It
+starts from zero, never lets the objective rise by more than its rounding
+error, and is bit-reproducible. ``TrainConfig.epochs`` caps the iterations,
+which matters only when no finite minimiser exists (lam = 0 on separable
+data).
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 _GRADIENT_TOL = 1e-10
+# Machine epsilon: a ridge at most this times H's largest diagonal entry is
+# lost in its rounding.
+_EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 60
 # Relative rounding error allowed when comparing objectives (about 450 ulp).
 _ROUNDING = 1e-13
@@ -120,10 +124,15 @@ def _gradient(Zy: np.ndarray, theta: np.ndarray, m: np.ndarray, e: np.ndarray,
     return ridge * theta + linear - Zy.T @ sigmoid_neg / Zy.shape[0]
 
 
-def _hessian(Zy: np.ndarray, e: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+def _hessian(Zy: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Hessian of J over theta = (w, b): Zy^T diag(s) Zy / n + diag(r) with
-    s = sigmoid(m) sigmoid(-m) = e/(1+e)^2. The signs of Zy cancel in it."""
-    H = (Zy.T * (e / (1.0 + e) ** 2)) @ Zy / Zy.shape[0]
+    s = sigmoid(m) sigmoid(-m) = e/(1+e)^2. The signs of Zy cancel in it.
+
+    ``buf`` (Zy's shape) receives diag(s) Zy, so a fit allocates that product
+    once rather than per iteration; ``buf.T`` has the layout of ``Zy.T * s``,
+    so the matrix product and its bits are the same."""
+    np.multiply(Zy, (e / (1.0 + e) ** 2)[:, None], out=buf)
+    H = buf.T @ Zy / Zy.shape[0]
     H.flat[:: H.shape[0] + 1] += ridge
     return H
 
@@ -138,9 +147,10 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
          linear_term: np.ndarray | None = None) -> LogisticModel:
     """Damped Newton on theta = (w, b) from zero.
 
-    The signed design matrix, the ridge and the linear vectors are built once
-    per fit. Each trial point costs one margin product and one exp; the
-    accepted point's margins serve its gradient and Hessian.
+    The signed design matrix, the Hessian's product buffer, the ridge and
+    the linear vectors are built once per fit. Each trial point costs one
+    margin product and one exp; the accepted point's margins serve its
+    gradient and Hessian.
 
     With lam > 0 the Hessian is positive definite -- for v = (u, c),
     v^T H v >= lam ||u||^2 when u != 0 and c^2 mean(s) > 0 when u = 0, with
@@ -148,18 +158,21 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     solve. With lam = 0 the Hessian can be singular
     (one-hot columns that sum to the bias column, or separable data whose
     curvature vanishes), and the step is the minimum-norm least-squares
-    solution, which keeps theta orthogonal to the null space. The step is
-    halved until the objective does not rise by more than its rounding
-    error: near the minimiser a Newton step lowers J by less than that, and
-    an exact comparison would reject the steps that finish the solve. The
-    loop stops when ||g|| < 1e-10, when no halving keeps J from rising, or
-    after ``max_iter`` steps; the model's ``stop`` names which.
+    solution, which keeps theta orthogonal to the null space. So is a lam
+    too small to survive the rounding of H's diagonal (lam <= eps * its
+    largest entry): adding it changes no bit of H, and an LU step would move
+    freely along the null space. The step is halved until the objective does
+    not rise by more than its rounding error: near the minimiser a Newton
+    step lowers J by less than that, and an exact comparison would reject
+    the steps that finish the solve. The loop stops when ||g|| < 1e-10, when
+    no halving keeps J from rising, or after ``max_iter`` steps; the model's
+    ``stop`` names which.
     """
     n, d = X.shape
     Zy = _design(X, y_pm)
+    buf = np.empty_like(Zy)
     ridge, linear = _penalties(d, n, lam, linear_term)
     linear_norm = math.sqrt(linear @ linear)
-    solve = np.linalg.solve if lam > 0 else _min_norm_solve
     theta = np.zeros(d + 1)
     j_cur, m, e = _evaluate(Zy, theta, ridge, linear)
     iterations = 0
@@ -172,7 +185,9 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
         if iterations == max_iter:
             stop = "cap"
             break
-        step = solve(_hessian(Zy, e, ridge), -g)
+        H = _hessian(Zy, e, ridge, buf)
+        solve = _min_norm_solve if lam <= _EPS * H.diagonal().max() else np.linalg.solve
+        step = solve(H, -g)
         # J's terms sum to at most |J| + 2 |l.theta| in magnitude.
         slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * math.sqrt(theta[:d] @ theta[:d]))
         t = 1.0
@@ -190,7 +205,8 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     return LogisticModel(theta[:d], float(theta[d]), j_cur, iterations, gradient_norm, stop)
 
 
-def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
+def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Raise on malformed inputs; return the labels' ``labels == 1`` mask."""
     if features.ndim != 2:
         raise ValueError(f"features must be a 2-D matrix, got shape {features.shape}")
     if features.shape[0] != labels.shape[0]:
@@ -199,11 +215,12 @@ def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError("need at least 2 training rows")
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
-    classes = np.unique(labels)
-    if not np.all((classes == 0) | (classes == 1)):
-        raise ValueError(f"labels must be in {{0, 1}}, got {classes}")
-    if classes.size < 2:
+    ones = labels == 1
+    if not np.all(ones | (labels == 0)):
+        raise ValueError(f"labels must be in {{0, 1}}, got {np.unique(labels)}")
+    if ones.all() or not ones.any():
         raise ValueError("training data contains a single class")
+    return ones
 
 
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
@@ -218,8 +235,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    _validate_training_inputs(features, labels)
-    y_pm = np.where(labels == 1, 1.0, -1.0)
+    y_pm = np.where(_validate_training_inputs(features, labels), 1.0, -1.0)
     return _fit(features, y_pm, config.lam, config.epochs, linear_term=linear_term)
 
 

@@ -9,7 +9,11 @@
   noisy-argmax vote labels per query (teacher-aggregation scheme; no student
   model is trained). The pipeline answers only the victim-test queries.
 
-:func:`run_pipeline` dispatches on the method once and returns a :class:`Release`.
+:func:`victim_view` gathers the victim rows of a split once, with what every
+budget's release on them shares: the standard-normal input noise and the
+teachers' vote counts. :func:`run_pipeline` dispatches on the method once and
+returns a :class:`Release`: the private test labels and the outputs the audit
+observes, as arrays.
 
 Input and prediction perturbation turn a budget into a noise scale through
 named sensitivities (``_INPUT_SENSITIVITY``; ``_VOTE_SENSITIVITY`` for the
@@ -22,9 +26,8 @@ check the budget's delta; objective perturbation's budget split is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -43,11 +46,14 @@ from .model import LogisticModel, TrainConfig, predict, predict_proba, train
 __all__ = [
     "DpMethod",
     "TeacherEnsemble",
+    "TeacherVotes",
+    "Victim",
     "Release",
+    "victim_view",
+    "draw_input_noise",
     "input_perturb",
     "objective_perturb_train",
     "pate_train",
-    "pate_teachers",
     "pate_predict",
     "pate_vote_fraction",
     "run_pipeline",
@@ -71,17 +77,10 @@ class DpMethod(Enum):
 
 @dataclass(frozen=True)
 class TeacherEnsemble:
-    """Disjoint-shard logistic teachers whose noisy votes are the only release.
-
-    The teachers' vote counts depend only on the query rows, never on the
-    budget, so :meth:`class1_votes` computes them once per distinct query
-    matrix and keeps them: every epsilon of a seed queries the same victim
-    rows, and each cell draws only its noise.
-    """
+    """Disjoint-shard logistic teachers whose noisy votes are the only release."""
 
     teachers: tuple[LogisticModel, ...]
     partition: tuple[np.ndarray, ...]
-    _votes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.teachers) != len(self.partition):
@@ -92,40 +91,90 @@ class TeacherEnsemble:
         return len(self.teachers)
 
     def class1_votes(self, features: np.ndarray) -> np.ndarray:
-        """Per-row count of teachers voting class 1 (read-only). Kept for the
-        ensemble's lifetime, keyed by the query matrix's shape and bytes."""
-        features = np.asarray(features, dtype=float)
-        key = (features.shape, features.tobytes())
-        votes = self._votes.get(key)
-        if votes is None:
-            votes = _teacher_votes(self, features)
-            votes.flags.writeable = False
-            self._votes[key] = votes
+        """Per-row count of teachers voting class 1."""
+        if not self.teachers:
+            raise ValueError("empty teacher ensemble")
+        votes = np.zeros(features.shape[0])
+        for teacher in self.teachers:
+            votes += predict(teacher, features)
         return votes
+
+
+@dataclass(frozen=True)
+class TeacherVotes:
+    """An ensemble's class-1 vote counts on the victim rows. They depend on
+    neither the budget nor the cell, so every epsilon of a seed draws only
+    its noise on them."""
+
+    num_teachers: int
+    train: np.ndarray
+    test: np.ndarray
+
+
+@dataclass(frozen=True)
+class Victim:
+    """The victim half of one split, gathered once, with what every release
+    on it shares whatever the budget (built by :func:`victim_view`).
+
+    ``input_noise`` is the standard-normal draw that input perturbation
+    scales by sigma(epsilon); ``votes`` are the prediction-perturbation
+    teachers' votes. Each is None when it was not asked for, or the
+    exception that building it raised: only the method that needs it fails
+    with it.
+    """
+
+    train_features: np.ndarray
+    train_labels: np.ndarray
+    test_features: np.ndarray
+    test_labels: np.ndarray
+    input_noise: np.ndarray | Exception | None = None
+    votes: TeacherVotes | Exception | None = None
+
+
+def _held(value, missing: str):
+    """``value``, raising it if it is the exception its build raised."""
+    if isinstance(value, Exception):
+        raise value
+    if value is None:
+        raise ValueError(missing)
+    return value
 
 
 @dataclass(frozen=True)
 class Release:
     """One pipeline run's private victim_test labels (for utility), the
-    probability-like output the audit observes on any rows, and the fitted
-    model behind both (None for prediction perturbation, which releases votes)."""
+    probability-like outputs the audit observes on victim_train (members)
+    and victim_test (non-members), and the fitted model behind them (None
+    for prediction perturbation, which releases votes)."""
 
     predictions: np.ndarray
-    proba: Callable[[np.ndarray], np.ndarray]
+    train_proba: np.ndarray
+    test_proba: np.ndarray
     model: LogisticModel | None
 
 
-def input_perturb(train_features: np.ndarray, budget: PrivacyBudget, rng: RngState) -> np.ndarray:
-    """Add i.i.d. Gaussian noise (per-cell sensitivity 1) to normalized features.
-
-    Cells must already lie in [0, 1]; the noised output is deliberately not
-    clipped back, since clipping would bias the mechanism.
-    """
+def draw_input_noise(train_features: np.ndarray, rng: RngState) -> np.ndarray:
+    """The standard-normal noise :func:`input_perturb` scales, one draw per
+    cell of ``train_features``, which must lie in [0, 1]."""
     features = np.asarray(train_features, dtype=float)
     if features.size and (features.min() < -1e-9 or features.max() > 1.0 + 1e-9):
         raise ValueError("input perturbation requires [0, 1]-normalized features")
-    sigma = gaussian_sigma(_INPUT_SENSITIVITY, budget)
-    return features + rng.generator.normal(0.0, sigma, size=features.shape)
+    return rng.generator.standard_normal(features.shape)
+
+
+def input_perturb(train_features: np.ndarray, input_noise: np.ndarray,
+                  budget: PrivacyBudget) -> np.ndarray:
+    """Add i.i.d. Gaussian noise (per-cell sensitivity 1) to normalized features:
+    ``input_noise`` from :func:`draw_input_noise` scaled by sigma(budget).
+
+    ``rng.normal(0, sigma)`` is ``0 + sigma * rng.standard_normal()``, so this
+    is the same release, bit for bit, as drawing it at the budget's scale. The
+    noised output is deliberately not clipped back, since clipping would bias
+    the mechanism.
+    """
+    noised = np.multiply(input_noise, gaussian_sigma(_INPUT_SENSITIVITY, budget))
+    noised += train_features
+    return noised
 
 
 def _erm_noise_budget(epsilon: float, n: int, lam: float) -> tuple[float, float]:
@@ -222,7 +271,7 @@ def pate_train(
     for attempt in range(10):
         order = rng.substream("pate-shuffle", attempt).generator.permutation(n)
         shards = np.array_split(order, num_teachers)
-        if all(np.unique(labels[s]).size == 2 for s in shards):
+        if all(labels[s].min() != labels[s].max() for s in shards):
             break
     else:
         raise ValueError("could not shard the data with both classes per teacher after 10 shuffles")
@@ -233,60 +282,75 @@ def pate_train(
     )
 
 
-def pate_teachers(
+def victim_view(
     dataset: Dataset,
     split: FourWaySplit,
     config: TrainConfig,
-    rng: RngState,
+    noise_rng: RngState | None = None,
+    teacher_rng: RngState | None = None,
     num_teachers: int = 10,
-) -> TeacherEnsemble:
-    """The prediction-perturbation ensemble that run_pipeline releases: teachers
-    on the victim-train rows, sharded by the pipeline stream's "pate-train"
-    substream. It depends on neither the budget nor the query rows, so one
-    ensemble serves every epsilon of a (method, seed) pair.
+) -> Victim:
+    """Gather the victim rows of ``split`` once, with the budget-free parts
+    of the releases on them:
+
+    * with ``noise_rng`` (input perturbation's pipeline stream), the
+      standard-normal input noise from its "input-noise" substream;
+    * with ``teacher_rng`` (prediction perturbation's pipeline stream), the
+      teachers trained on victim_train, sharded by its "pate-train"
+      substream, and their votes on victim_train and victim_test.
     """
-    return pate_train(
-        dataset.features[split.victim_train],
-        dataset.labels[split.victim_train],
-        num_teachers,
-        config,
-        rng.substream("pate-train"),
-    )
+    train_features = _read_only(dataset.features[split.victim_train])
+    train_labels = _read_only(dataset.labels[split.victim_train])
+    input_noise: np.ndarray | Exception | None = None
+    if noise_rng is not None:
+        try:
+            input_noise = _read_only(
+                draw_input_noise(train_features, noise_rng.substream("input-noise")))
+        except ValueError as exc:  # fails the input-perturbation releases only
+            input_noise = exc
+    test_features = _read_only(dataset.features[split.victim_test])
+    votes: TeacherVotes | Exception | None = None
+    if teacher_rng is not None:
+        try:
+            ensemble = pate_train(train_features, train_labels, num_teachers, config,
+                                  teacher_rng.substream("pate-train"))
+            votes = TeacherVotes(num_teachers, _read_only(ensemble.class1_votes(train_features)),
+                                 _read_only(ensemble.class1_votes(test_features)))
+        except Exception as exc:  # fails the prediction-perturbation releases only
+            votes = exc
+    return Victim(train_features, train_labels, test_features,
+                  _read_only(dataset.labels[split.victim_test]), input_noise, votes)
 
 
-def _teacher_votes(ensemble: TeacherEnsemble, features: np.ndarray) -> np.ndarray:
-    """Per-row count of teachers voting class 1."""
-    if not ensemble.teachers:
-        raise ValueError("empty teacher ensemble")
-    votes = np.zeros(features.shape[0])
-    for teacher in ensemble.teachers:
-        votes += predict(teacher, features)
-    return votes
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only: every release of a seed shares it."""
+    array.flags.writeable = False
+    return array
 
 
 def pate_predict(
-    ensemble: TeacherEnsemble,
-    features: np.ndarray,
+    num_teachers: int,
+    class1_votes: np.ndarray,
     budget: PrivacyBudget,
     rng: RngState,
 ) -> np.ndarray:
     """Noisy-argmax label release: per row, add independent Lap(2/eps) to each
-    class's vote count and return the winner (post-noise ties go to class 1).
+    class's vote count (class 0 for all rows, then class 1) and return the
+    winner (post-noise ties go to class 1).
 
     epsilon is spent per query; the caller is responsible for composition
     accounting across queries.
     """
     scale = laplace_scale(_VOTE_SENSITIVITY, budget)
-    n1 = ensemble.class1_votes(features)
-    n0 = ensemble.num_teachers - n1
-    noisy0 = n0 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
-    noisy1 = n1 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
+    rows = class1_votes.shape[0]
+    noisy0 = (num_teachers - class1_votes) + np.asarray(sample_laplace(scale, rng, size=rows))
+    noisy1 = class1_votes + np.asarray(sample_laplace(scale, rng, size=rows))
     return (noisy1 >= noisy0).astype(int)
 
 
 def pate_vote_fraction(
-    ensemble: TeacherEnsemble,
-    features: np.ndarray,
+    num_teachers: int,
+    class1_votes: np.ndarray,
     budget: PrivacyBudget,
     rng: RngState,
 ) -> np.ndarray:
@@ -298,48 +362,52 @@ def pate_vote_fraction(
     :func:`pate_predict` it is pure epsilon-DP per row, so delta must be 0.
     """
     scale = laplace_scale(_CLASS1_COUNT_SENSITIVITY, budget)
-    n1 = ensemble.class1_votes(features)
-    noisy = n1 + np.asarray(sample_laplace(scale, rng, size=n1.shape[0]))
-    return np.clip(noisy / ensemble.num_teachers, 0.0, 1.0)
+    noisy = class1_votes + np.asarray(sample_laplace(scale, rng, size=class1_votes.shape[0]))
+    return np.clip(noisy / num_teachers, 0.0, 1.0)
 
 
 def run_pipeline(
     method: DpMethod,
-    dataset: Dataset,
-    split: FourWaySplit,
+    victim: Victim,
     budget: PrivacyBudget,
     config: TrainConfig,
     rng: RngState,
     audit_rng: RngState,
-    ensemble: TeacherEnsemble | None = None,
 ) -> Release:
-    """Run one DP configuration on the victim half; input and objective
-    perturbation fit on the victim_train rows, and the audit observes the
-    fitted model's sigmoid output.
+    """Run one DP configuration on the victim rows (see :func:`victim_view`);
+    input and objective perturbation fit on victim_train, and the audit
+    observes the fitted model's sigmoid output, computed once per part.
 
-    Prediction perturbation releases noisy votes of ``ensemble``, built by
-    :func:`pate_teachers` from the same ``rng``; the other methods ignore it.
-    It answers only the len(victim_test) queries, so its composed epsilon is
-    epsilon times that count (basic composition). The audit observes the noisy
-    vote fraction, with fresh noise from ``audit_rng``'s "audit-votes" substream.
+    Input perturbation scales ``victim.input_noise``, drawn from ``rng``'s
+    "input-noise" substream, by the budget's sigma. Prediction perturbation
+    releases noisy votes of ``victim.votes``, whose teachers were trained from
+    the same ``rng``. It answers only the len(victim_test) queries, so its
+    composed epsilon is epsilon times that count (basic composition). The
+    audit observes the noisy vote fraction, with fresh noise from
+    ``audit_rng``'s "audit-votes" substream: victim_train rows, then
+    victim_test rows.
     """
     if method is DpMethod.PREDICTION_PERTURBATION:
-        if ensemble is None:
-            raise ValueError("prediction perturbation needs a teacher ensemble (see pate_teachers)")
-        predictions = pate_predict(ensemble, dataset.features[split.victim_test], budget,
-                                   rng.substream("pate-votes"))
+        votes = _held(victim.votes, "prediction perturbation needs the teacher ensemble's votes "
+                                    "(see victim_view)")
+        k = votes.num_teachers
+        predictions = pate_predict(k, votes.test, budget, rng.substream("pate-votes"))
         vote_rng = audit_rng.substream("audit-votes")
-        return Release(predictions, lambda features: pate_vote_fraction(
-            ensemble, features, budget, vote_rng), None)
+        train_proba = pate_vote_fraction(k, votes.train, budget, vote_rng)
+        return Release(predictions, train_proba,
+                       pate_vote_fraction(k, votes.test, budget, vote_rng), None)
 
-    X_train = dataset.features[split.victim_train]
-    y_train = dataset.labels[split.victim_train]
     if method is DpMethod.INPUT_PERTURBATION:
-        model = train(input_perturb(X_train, budget, rng.substream("input-noise")), y_train, config)
+        noise = _held(victim.input_noise, "input perturbation needs the input noise "
+                                          "(see victim_view)")
+        model = train(input_perturb(victim.train_features, noise, budget),
+                      victim.train_labels, config)
     elif method is DpMethod.OBJECTIVE_PERTURBATION:
-        model = objective_perturb_train(X_train, y_train, budget, config,
-                                        rng.substream("erm-noise"))
+        model = objective_perturb_train(victim.train_features, victim.train_labels, budget,
+                                        config, rng.substream("erm-noise"))
     else:
         raise ValueError(f"unknown DP method: {method}")
-    predictions = predict(model, dataset.features[split.victim_test])
-    return Release(predictions, lambda features: predict_proba(model, features), model)
+    test_proba = predict_proba(model, victim.test_features)
+    # predict's rule: ties at 0.5 classify as 1
+    return Release((test_proba >= 0.5).astype(int), predict_proba(model, victim.train_features),
+                   test_proba, model)

@@ -16,13 +16,20 @@ from dp_la.audit import (
 from dp_la.data import Dataset, FourWaySplit, four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, predict_proba, train
-from dp_la.pipelines import DpMethod, pate_teachers, run_pipeline
+from dp_la.pipelines import DpMethod, run_pipeline, victim_view
 
 CFG = TrainConfig()
 
 
 def make_attack(weights, bias) -> AttackModel:
     return AttackModel(LogisticModel(np.asarray(weights, dtype=float), float(bias), 0.0))
+
+
+def attack_model(attack, model, ds, split):
+    """run_mia on ``model``'s probabilities over the split's victim rows."""
+    members, nonmembers = split.victim_train, split.victim_test
+    return run_mia(attack, predict_proba(model, ds.features[members]), ds.labels[members],
+                   predict_proba(model, ds.features[nonmembers]), ds.labels[nonmembers])
 
 
 def outcome(tpr, fpr, member_count=100, nonmember_count=100) -> MiaOutcome:
@@ -95,7 +102,7 @@ class TestTrainAttack:
         non-members as the victim's."""
         as_victim = FourWaySplit(victim_train=split.attack_train, victim_test=split.attack_test,
                                  attack_train=split.attack_train, attack_test=split.attack_test)
-        return run_mia(attack, lambda X: predict_proba(shadow, X), ds, as_victim)
+        return attack_model(attack, shadow, ds, as_victim)
 
     def test_flat_shadow_gives_infinite_threshold_and_flags_nobody(self):
         ds, split, _ = self.degenerate_setup()
@@ -162,25 +169,25 @@ class TestRunMia:
         ds = preprocess(raw, schema)
         split = four_way_split(ds, seed=0)
         victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], CFG)
-        return ds, split, (lambda X: predict_proba(victim, X))
+        return ds, split, victim
 
     def test_always_member_attack(self):
-        ds, split, proba = self.small_setup()
+        ds, split, victim = self.small_setup()
         attack = make_attack([0.0, 0.0, 0.0], 0.0)  # p=0.5 ties classify as member
-        out = run_mia(attack, proba, ds, split)
+        out = attack_model(attack, victim, ds, split)
         assert out.tpr == 1.0 and out.fpr == 1.0
         assert out.true_positive_count == out.member_count
 
     def test_always_nonmember_attack(self):
-        ds, split, proba = self.small_setup()
+        ds, split, victim = self.small_setup()
         attack = make_attack([0.0, 0.0, 0.0], -50.0)
-        out = run_mia(attack, proba, ds, split)
+        out = attack_model(attack, victim, ds, split)
         assert out.tpr == 0.0 and out.fpr == 0.0 and out.true_positive_count == 0
 
     def test_tpr_is_exact_count_ratio(self):
-        ds, split, proba = self.small_setup()
+        ds, split, victim = self.small_setup()
         attack = make_attack([0.3, -0.2, 0.1], -0.05)
-        out = run_mia(attack, proba, ds, split)
+        out = attack_model(attack, victim, ds, split)
         assert out.tpr == out.true_positive_count / out.member_count
         assert -1.0 <= privacy_leakage(out) <= 1.0
         assert out.true_positive_count == round(out.tpr * out.member_count)
@@ -239,7 +246,7 @@ class TestNullCalibration:
             victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], CFG)
             shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], CFG)
             attack = train_attack(shadow, ds, split, CFG)
-            out = run_mia(attack, lambda X: predict_proba(victim, X), ds, split)
+            out = attack_model(attack, victim, ds, split)
             leaks.append(abs(privacy_leakage(out)))
         assert np.median(leaks) < 0.05
 
@@ -255,14 +262,16 @@ class TestOverfitOracle:
             victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], vic_cfg)
             shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], vic_cfg)
             attack = train_attack(shadow, ds, split, vic_cfg)
-            out = run_mia(attack, lambda X: predict_proba(victim, X), ds, split)
+            out = attack_model(attack, victim, ds, split)
             base_leaks.append(privacy_leakage(out))
 
             rng = RngState(seed)
-            teachers = pate_teachers(ds, split, vic_cfg, rng.substream("p"), num_teachers=10)
-            res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(0.1),
-                               vic_cfg, rng.substream("p"), rng.substream("a"), ensemble=teachers)
-            out_p = run_mia(attack, res.proba, ds, split)
+            rows = victim_view(ds, split, vic_cfg, teacher_rng=rng.substream("p"),
+                               num_teachers=10)
+            res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, PrivacyBudget(0.1),
+                               vic_cfg, rng.substream("p"), rng.substream("a"))
+            out_p = run_mia(attack, res.train_proba, rows.train_labels, res.test_proba,
+                            rows.test_labels)
             pate_leaks.append(privacy_leakage(out_p))
         assert np.median(base_leaks) >= 0.05
         assert np.median(pate_leaks) <= np.median(base_leaks) / 2 or np.median(pate_leaks) < 0.05

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from dp_la.experiment import (
     SweepCell,
     SweepResults,
     SynthSpec,
+    _pipeline_rng,
+    _results_csv_lines,
     build_seed_context,
     emit_report,
     enumerate_cells,
@@ -21,8 +27,9 @@ from dp_la.experiment import (
     run_sweep,
     summarize,
 )
+from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma
 from dp_la.model import TrainConfig
-from dp_la.pipelines import DpMethod
+from dp_la.pipelines import _INPUT_SENSITIVITY, DpMethod
 
 SMALL = dict(
     synth=SynthSpec(n=400, separation=2.0, seed=7),
@@ -221,13 +228,13 @@ class TestRunSweep:
 
     def test_teacher_votes_are_computed_once_per_seed(self, monkeypatch):
         calls = []
-        original = pipelines._teacher_votes
+        original = pipelines.TeacherEnsemble.class1_votes
 
         def counting_votes(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pipelines, "_teacher_votes", counting_votes)
+        monkeypatch.setattr(pipelines.TeacherEnsemble, "class1_votes", counting_votes)
         cfg = ExperimentConfig(**{**SMALL, "epsilons": (0.1, 1.0, 100.0)})
         results = run_sweep(cfg)
         assert all(r.status == "ok" for r in results.rows)
@@ -273,10 +280,52 @@ class TestRunSweep:
         cfg, results = small_results
         dataset = load_experiment_dataset(cfg)
         for row in results.rows:
-            context = build_seed_context(cfg, dataset, row.cell.seed_index, with_teachers=True)
-            alone = run_cell(cfg, dataset, row.cell, context)
+            context = build_seed_context(cfg, dataset, row.cell.seed_index)
+            alone = run_cell(cfg, row.cell, context)
             assert alone.status == row.status == "ok"
             assert row.report == alone.report
+
+    def test_reverse_epsilon_order_gives_identical_rows(self, small_results):
+        # cells only read their seed's context, so running a seed's cells
+        # last epsilon first (on a fresh context) changes no byte of a row
+        cfg, results = small_results
+        dataset = load_experiment_dataset(cfg)
+        rows = []
+        for si in range(len(cfg.seeds)):
+            context = build_seed_context(cfg, dataset, si)
+            cells = [c for c in enumerate_cells(cfg) if c.seed_index == si]
+            rows += [run_cell(cfg, cell, context) for cell in reversed(cells)]
+        by_cell = {row.cell: row for row in rows}
+        reversed_results = SweepResults(tuple(by_cell[r.cell] for r in results.rows),
+                                        results.config_fingerprint)
+        assert _results_csv_lines(reversed_results) == _results_csv_lines(results)
+
+    def test_input_noise_is_one_draw_per_seed_scaled_by_sigma(self, monkeypatch):
+        # (X~_eps - X) / sigma(eps) is the same standard-normal draw at every
+        # epsilon of a seed: the seed's "input-noise" stream, drawn once
+        cfg = ExperimentConfig(**{**SMALL, "methods": (DpMethod.INPUT_PERTURBATION,),
+                                  "epsilons": (0.1, 1.0, 100.0)})
+        noised = []
+        original = pipelines.train
+
+        def capture(features, labels, config, linear_term=None):
+            noised.append(features)
+            return original(features, labels, config, linear_term=linear_term)
+
+        monkeypatch.setattr(pipelines, "train", capture)
+        dataset = load_experiment_dataset(cfg)
+        for si in range(len(cfg.seeds)):
+            context = build_seed_context(cfg, dataset, si)
+            X = context.victim.train_features
+            expected = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, si) \
+                .substream("input-noise").generator.standard_normal(X.shape)
+            noised.clear()
+            for cell in (c for c in enumerate_cells(cfg) if c.seed_index == si):
+                assert run_cell(cfg, cell, context).status == "ok"
+            assert len(noised) == len(cfg.epsilons)
+            for eps, released in zip(cfg.epsilons, noised):
+                sigma = gaussian_sigma(_INPUT_SENSITIVITY, PrivacyBudget(eps, cfg.delta))
+                np.testing.assert_allclose((released - X) / sigma, expected, rtol=0, atol=1e-9)
 
     def test_teacher_failure_fails_only_prediction_perturbation(self):
         cfg = ExperimentConfig(**{**SMALL, "num_teachers": 26})  # 100 victim-train rows
@@ -347,6 +396,11 @@ class TestSummarize:
         assert group["n_ok"] == 4
         assert group["median_utility_loss"] == pytest.approx(0.25)
 
+    def test_even_seed_count_median_is_numpys(self):
+        values = {1: 0.1, 2: 0.7, 3: 0.2, 4: 0.30000000000000004}
+        group = summarize(fabricated_results(values))["groups"][0]
+        assert group["median_utility_loss"] == float(np.median(list(values.values())))
+
     def test_empty_group_reported_missing(self):
         results = fabricated_results({1: 0.1}, fail_seeds=(1,))
         group = summarize(results)["groups"][0]
@@ -413,6 +467,22 @@ class TestCli:
         cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_run_never_loads_numpy_ma(self, tmp_path):
+        # numpy.ma's import is a one-time cost of np.unique and np.median,
+        # which the sweep path does not call
+        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"),
+                                methods=[m.value for m in DpMethod])
+        script = ("import sys\nfrom dp_la import cli\n"
+                  f"code = cli.main(['run', '--config', {str(cfg_path)!r}])\n"
+                  "assert code == 0, code\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
 
     def test_missing_config_exit_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -148,6 +148,28 @@ class TestNewton:
             v[-1] = -1.0
             assert abs(v @ theta) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(theta)
 
+    def test_ridge_below_the_hessians_rounding_takes_the_minimum_norm_step(self):
+        # lam = 1e-20 changes no bit of H, so an LU step would wander along the
+        # one-hot/bias null direction; the minimum-norm step stays with lam = 0
+        ds = preprocess(*synth_generate(2000, 5, 2, 1.0, seed=7))
+        X, y = ds.features[:500], ds.labels[:500]
+        exact = train(X, y, TrainConfig(lam=0.0))
+        tiny = train(X, y, TrainConfig(lam=1e-20))
+        assert tiny.stop == exact.stop == "gradient"
+        np.testing.assert_allclose(tiny.weights, exact.weights, rtol=0, atol=1e-8)
+        assert tiny.bias == pytest.approx(exact.bias, rel=0, abs=1e-8)
+
+    def test_hessian_buffer_keeps_the_product_bits(self):
+        rng = np.random.default_rng(8)
+        for n, d in ((500, 11), (2000, 23)):
+            Zy = _design(rng.random((n, d)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+            ridge, _ = _penalties(d, n, 1e-4)
+            e = np.exp(-np.abs(Zy @ rng.normal(size=d + 1)))
+            expected = (Zy.T * (e / (1.0 + e) ** 2)) @ Zy / n
+            expected.flat[:: d + 2] += ridge
+            got = _hessian(Zy, e, ridge, np.empty_like(Zy))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_objective_perturbation_releases_the_exact_minimiser(self, monkeypatch):
         X, y = default_victim_train()
         seen = {}
@@ -216,7 +238,7 @@ class TestGradientAndObjective:
 
         for _ in range(5):
             theta = rng.normal(size=4)
-            H = _hessian(Zy, _evaluate(Zy, theta, ridge, linear)[2], ridge)
+            H = _hessian(Zy, _evaluate(Zy, theta, ridge, linear)[2], ridge, np.empty_like(Zy))
             num = np.column_stack([(gradient(theta + h * u) - gradient(theta - h * u)) / (2 * h)
                                    for u in np.eye(4)])
             np.testing.assert_allclose(H, num, rtol=1e-6, atol=1e-8)

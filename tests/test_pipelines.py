@@ -1,39 +1,52 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dp_la.data import four_way_split, preprocess, synth_generate
-from dp_la.mechanisms import PrivacyBudget, RngState
+from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma
 from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
 from dp_la.pipelines import (
+    _INPUT_SENSITIVITY,
     DpMethod,
     TeacherEnsemble,
     _erm_noise_budget,
+    draw_input_noise,
     input_perturb,
     objective_perturb_train,
     pate_predict,
-    pate_teachers,
     pate_train,
     pate_vote_fraction,
     run_pipeline,
+    victim_view,
 )
 
 CFG = TrainConfig()
 
 
+def view_for(method, ds, split, rng):
+    """The victim view with what ``method`` needs, from its stream ``rng``."""
+    return victim_view(ds, split, CFG,
+                       noise_rng=rng if method is DpMethod.INPUT_PERTURBATION else None,
+                       teacher_rng=rng if method is DpMethod.PREDICTION_PERTURBATION else None)
+
+
 def run_any(method, ds, split, budget, rng):
-    """run_pipeline for any method, building the teachers prediction
-    perturbation needs from the same stream."""
-    ensemble = (pate_teachers(ds, split, CFG, rng)
-                if method is DpMethod.PREDICTION_PERTURBATION else None)
-    return run_pipeline(method, ds, split, budget, CFG, rng, rng.substream("audit"),
-                        ensemble=ensemble)
+    """run_pipeline for any method on a victim view whose input noise or
+    teachers come from the same stream."""
+    return run_pipeline(method, view_for(method, ds, split, rng), budget, CFG, rng,
+                        rng.substream("audit"))
 
 
 def synth_dataset(n=1000, sep=2.0, seed=7):
     raw, schema = synth_generate(n, 5, 2, sep, seed=seed)
     return preprocess(raw, schema)
+
+
+def perturb(X, budget, rng):
+    """input_perturb with noise drawn for ``X`` from ``rng``."""
+    return input_perturb(X, draw_input_noise(X, rng), budget)
 
 
 def constant_vote_ensemble(votes_for_one: int, num_teachers: int = 10) -> TeacherEnsemble:
@@ -48,30 +61,49 @@ def constant_vote_ensemble(votes_for_one: int, num_teachers: int = 10) -> Teache
     )
 
 
+def constant_votes(votes_for_one: int, rows: int) -> np.ndarray:
+    """Class-1 vote counts of ``constant_vote_ensemble(votes_for_one)`` on ``rows`` rows."""
+    return constant_vote_ensemble(votes_for_one).class1_votes(np.zeros((rows, 1)))
+
+
 class TestInputPerturb:
     def test_huge_epsilon_changes_nothing_measurable(self):
         X = RngState(0).generator.random((100, 100))
-        noised = input_perturb(X, PrivacyBudget(1e6, 1e-5), RngState(1))
+        noised = perturb(X, PrivacyBudget(1e6, 1e-5), RngState(1))
         # sigma = 4.84e-6: P(any |noise| > 1e-3) over 1e4 cells is < 1e-9
         assert np.abs(noised - X).max() < 1e-3
 
     def test_noise_standard_deviation_matches_calibration(self):
         X = np.full((1000, 100), 0.5)
-        noised = input_perturb(X, PrivacyBudget(1.0, 1e-5), RngState(2))
+        noised = perturb(X, PrivacyBudget(1.0, 1e-5), RngState(2))
         assert (noised - X).std() == pytest.approx(4.844805262605389, rel=0.05)
 
     def test_input_matrix_not_mutated(self):
         X = np.full((10, 3), 0.25)
-        input_perturb(X, PrivacyBudget(1.0, 1e-5), RngState(0))
+        noise = draw_input_noise(X, RngState(0))
+        kept = noise.copy()
+        input_perturb(X, noise, PrivacyBudget(1.0, 1e-5))
         assert np.array_equal(X, np.full((10, 3), 0.25))
+        assert np.array_equal(noise, kept)
 
     def test_rejects_unnormalized_features(self):
         with pytest.raises(ValueError, match="normalized"):
-            input_perturb(np.array([[1.5]]), PrivacyBudget(1.0, 1e-5), RngState(0))
+            draw_input_noise(np.array([[1.5]]), RngState(0))
 
     def test_rejects_pure_dp_budget(self):
         with pytest.raises(ValueError, match="delta"):
-            input_perturb(np.array([[0.5]]), PrivacyBudget(1.0), RngState(0))
+            input_perturb(np.array([[0.5]]), np.zeros((1, 1)), PrivacyBudget(1.0))
+
+    @pytest.mark.parametrize("epsilon", [0.01, 1.0, 1e4])
+    def test_bits_match_a_draw_at_the_budgets_scale(self, epsilon):
+        # normal(0, sigma) is 0 + sigma * standard_normal, so scaling one
+        # standard-normal draw per cell releases the same bits at every budget
+        X = RngState(3).generator.random((50, 7))
+        budget = PrivacyBudget(epsilon, 1e-5)
+        sigma = gaussian_sigma(_INPUT_SENSITIVITY, budget)
+        expected = X + RngState(4).generator.normal(0.0, sigma, size=X.shape)
+        got = perturb(X, budget, RngState(4))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestObjectivePerturb:
@@ -166,21 +198,18 @@ class TestPateTrain:
 
 class TestPatePredict:
     def test_unanimous_votes_win_at_large_epsilon(self):
-        ensemble = constant_vote_ensemble(0)  # all teachers vote class 0
-        X = np.zeros((10_000, 1))
-        out = pate_predict(ensemble, X, PrivacyBudget(1e4), RngState(7))
+        votes = constant_votes(0, 10_000)  # all teachers vote class 0
+        out = pate_predict(10, votes, PrivacyBudget(1e4), RngState(7))
         # per the Laplace tail bound, P(class 1) < 1e-6 per row
         assert out.sum() == 0
 
     def test_split_votes_are_fair_coin(self):
-        ensemble = constant_vote_ensemble(5)
-        out = pate_predict(ensemble, np.zeros((10_000, 1)), PrivacyBudget(1.0), RngState(8))
+        out = pate_predict(10, constant_votes(5, 10_000), PrivacyBudget(1.0), RngState(8))
         assert out.mean() == pytest.approx(0.5, abs=0.02)
 
     def test_heavy_noise_flip_rate_matches_analytic_tail(self):
         # P(class 1 | votes 10-0) = (1/4)(2 + z/b) exp(-z/b), z=10, b=200
-        ensemble = constant_vote_ensemble(0)
-        out = pate_predict(ensemble, np.zeros((10_000, 1)), PrivacyBudget(0.01), RngState(9))
+        out = pate_predict(10, constant_votes(0, 10_000), PrivacyBudget(0.01), RngState(9))
         expected = 0.25 * (2 + 10 / 200) * math.exp(-10 / 200)
         assert 0.2 < out.mean() < 0.5
         assert out.mean() == pytest.approx(expected, abs=0.02)
@@ -193,32 +222,29 @@ class TestPatePredict:
         rows = ds.features[1000:2000]
         votes = sum(predict(t, rows) for t in ensemble.teachers)
         majority = (votes > 5.5).astype(int)
-        out = pate_predict(ensemble, rows, PrivacyBudget(1e8), RngState(11))
+        out = pate_predict(11, ensemble.class1_votes(rows), PrivacyBudget(1e8), RngState(11))
         np.testing.assert_array_equal(out, majority)
 
     def test_vote_fraction_clipped_to_unit_interval(self):
-        ensemble = constant_vote_ensemble(10)
-        frac = pate_vote_fraction(ensemble, np.zeros((500, 1)), PrivacyBudget(0.01), RngState(12))
+        frac = pate_vote_fraction(10, constant_votes(10, 500), PrivacyBudget(0.01), RngState(12))
         assert frac.min() >= 0.0 and frac.max() <= 1.0
 
     @pytest.mark.parametrize("epsilon", [0.5, 1.0, 4.0])
     def test_vote_fraction_noise_has_scale_one_over_epsilon(self, epsilon):
         # The release is the class-1 count alone, which one record moves by at
         # most 1, so its Laplace scale is 1/eps; median |Lap(b)| = b ln 2.
-        ensemble = constant_vote_ensemble(5)
-        frac = pate_vote_fraction(ensemble, np.zeros((20_000, 1)), PrivacyBudget(epsilon),
+        frac = pate_vote_fraction(10, constant_votes(5, 20_000), PrivacyBudget(epsilon),
                                   RngState(13))
-        noise = frac * ensemble.num_teachers - 5
+        noise = frac * 10 - 5
         assert np.median(np.abs(noise)) == pytest.approx(math.log(2) / epsilon, rel=0.05)
 
     def test_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            pate_predict(constant_vote_ensemble(0), np.zeros((1, 1)), PrivacyBudget(1.0, 1e-5), RngState(0))
+            pate_predict(10, constant_votes(0, 1), PrivacyBudget(1.0, 1e-5), RngState(0))
 
     def test_vote_fraction_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            pate_vote_fraction(constant_vote_ensemble(0), np.zeros((1, 1)),
-                               PrivacyBudget(1.0, 1e-5), RngState(0))
+            pate_vote_fraction(10, constant_votes(0, 1), PrivacyBudget(1.0, 1e-5), RngState(0))
 
 
 @pytest.fixture(scope="module")
@@ -238,39 +264,58 @@ class TestRunPipeline:
 
     def test_release_proba_is_what_the_audit_observes(self, setup):
         ds, split = setup
-        rows = ds.features[split.victim_train]
+        members, nonmembers = ds.features[split.victim_train], ds.features[split.victim_test]
         res = run_any(DpMethod.OBJECTIVE_PERTURBATION, ds, split, PrivacyBudget(1.0), RngState(4))
-        np.testing.assert_array_equal(res.proba(rows), predict_proba(res.model, rows))
+        np.testing.assert_array_equal(res.train_proba, predict_proba(res.model, members))
+        np.testing.assert_array_equal(res.test_proba, predict_proba(res.model, nonmembers))
+        np.testing.assert_array_equal(res.predictions, predict(res.model, nonmembers))
         budget, rng, audit_rng = PrivacyBudget(1.0), RngState(4), RngState(9)
-        ensemble = pate_teachers(ds, split, CFG, rng)
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, budget, CFG, rng,
-                           audit_rng, ensemble=ensemble)
+        victim = view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, budget, CFG, rng, audit_rng)
+        # one noise stream, members then non-members
         vote_rng = audit_rng.substream("audit-votes")
-        for _ in range(2):  # one noise stream across calls, as members then non-members
-            np.testing.assert_array_equal(
-                res.proba(rows), pate_vote_fraction(ensemble, rows, budget, vote_rng))
+        np.testing.assert_array_equal(
+            res.train_proba, pate_vote_fraction(10, victim.votes.train, budget, vote_rng))
+        np.testing.assert_array_equal(
+            res.test_proba, pate_vote_fraction(10, victim.votes.test, budget, vote_rng))
 
     def test_prediction_perturbation_answers_only_test_queries(self, setup):
         ds, split = setup
         budget, rng = PrivacyBudget(1.0), RngState(5)
-        ensemble = pate_teachers(ds, split, CFG, rng)
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, budget, CFG, rng,
-                           RngState(6), ensemble=ensemble)
-        expected = pate_predict(ensemble, ds.features[split.victim_test], budget,
-                                rng.substream("pate-votes"))
+        victim = view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, budget, CFG, rng,
+                           RngState(6))
+        # the view's teachers are sharded by the stream's "pate-train" substream
+        ensemble = pate_train(ds.features[split.victim_train], ds.labels[split.victim_train],
+                              10, CFG, rng.substream("pate-train"))
+        expected = pate_predict(10, ensemble.class1_votes(ds.features[split.victim_test]),
+                                budget, rng.substream("pate-votes"))
         np.testing.assert_array_equal(res.predictions, expected)
 
     def test_gaussian_requires_delta(self, setup):
         ds, split = setup
+        victim = view_for(DpMethod.INPUT_PERTURBATION, ds, split, RngState(0))
         with pytest.raises(ValueError, match="delta"):
-            run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0), CFG,
+            run_pipeline(DpMethod.INPUT_PERTURBATION, victim, PrivacyBudget(1.0), CFG,
                          RngState(0), RngState(1))
 
     def test_prediction_perturbation_requires_an_ensemble(self, setup):
         ds, split = setup
+        victim = view_for(DpMethod.OBJECTIVE_PERTURBATION, ds, split, RngState(0))
         with pytest.raises(ValueError, match="teacher ensemble"):
-            run_pipeline(DpMethod.PREDICTION_PERTURBATION, ds, split, PrivacyBudget(1.0),
+            run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, PrivacyBudget(1.0),
                          CFG, RngState(0), RngState(1))
+
+    def test_unnormalized_rows_fail_only_input_perturbation(self, setup):
+        ds, split = setup
+        scaled = replace(ds, features=ds.features * 2.0)
+        victim = victim_view(scaled, split, CFG, noise_rng=RngState(0), teacher_rng=RngState(0))
+        with pytest.raises(ValueError, match="normalized"):
+            run_pipeline(DpMethod.INPUT_PERTURBATION, victim, PrivacyBudget(1.0, 1e-5), CFG,
+                         RngState(0), RngState(1))
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, PrivacyBudget(1.0), CFG,
+                           RngState(0), RngState(1))
+        assert res.predictions.shape == split.victim_test.shape
 
     def test_deterministic_predictions(self, setup):
         ds, split = setup
@@ -283,8 +328,7 @@ class TestRunPipeline:
     def test_labels_never_touched(self, setup):
         ds, split = setup
         before = ds.labels.copy()
-        run_pipeline(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0, 1e-5), CFG,
-                     RngState(3), RngState(4))
+        run_any(DpMethod.INPUT_PERTURBATION, ds, split, PrivacyBudget(1.0, 1e-5), RngState(3))
         np.testing.assert_array_equal(ds.labels, before)
 
 
