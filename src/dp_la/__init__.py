@@ -55,6 +55,7 @@ from .pipelines import (
     pate_predict,
     pate_train,
     run_pipeline,
+    shared_part,
     victim_view,
 )
 

@@ -29,24 +29,16 @@ def _count_above_half(values) -> float:
     return float(sum(1 for v in values if v > 0.5))
 
 
-def _load_config(args: argparse.Namespace, **overrides) -> ExperimentConfig | None:
+def _load_config(args: argparse.Namespace, **overrides) -> ExperimentConfig:
     """The ``--config`` file with ``--seed`` and every given (not None)
-    override applied, or None after printing the config error."""
+    override applied."""
     overrides["master_seed"] = args.seed
-    try:
-        config = load_config(args.config)
-        return dataclasses.replace(
-            config, **{key: value for key, value in overrides.items() if value is not None})
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None
+    return dataclasses.replace(load_config(args.config), **{
+        key: value for key, value in overrides.items() if value is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args, output_dir=args.out, threads=args.threads)
-    if config is None:
-        return 1
-
     refuse_existing_outputs(config.output_dir, force=args.force)
     results = run_sweep(config)
     written = emit_report(results, summarize(results), config.output_dir, force=args.force)
@@ -92,9 +84,6 @@ def _cmd_check_dp(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if config is None:
-        return 1
-
     # The sweep's first cell, run the way the sweep runs it: its eps_index and
     # seed_index stay 0, so its random streams and split are the full sweep's.
     results = run_sweep(dataclasses.replace(

@@ -1,31 +1,28 @@
 """Sweep orchestration: configuration, deterministic (method, epsilon, seed)
 grid execution, per-cell privacy audits, and report emission.
 
-Work is done once at the level of the grid it depends on. Per seed, a
-:class:`SeedContext` holds the shadow-trained attack with its threshold (fitted
-on the attack half of the seed's four-way split), the victim view and the
-non-private baseline's accuracy. The victim view
-(:class:`~dp_la.pipelines.Victim`) is the victim_train and victim_test rows
-and labels, gathered once, with the parts of each swept method's release
-that do not depend on epsilon: input perturbation's standard-normal noise,
-drawn once and range-checked once, and the PATE teachers' class-1 vote
-counts on both parts (keyed by method and seed, never by epsilon). Each
-(method, epsilon) cell of that seed then does only its epsilon work: it
-scales the input noise by sigma(epsilon) and fits, fits objective
-perturbation, or draws its vote and audit noise; it computes the outputs
-the audit observes once per part; and it runs the membership-inference
-attack on those arrays. A cell only reads the context, so the order in
-which a seed's cells run changes no result. A cell only ever runs on its
-seed's context: ``dp-la audit`` runs the sweep on a config narrowed to its
-first method, epsilon and seed. In ``summary.json`` the context's wall time
-is under ``timings.per_seed``; each cell's own time and its released model's
-fit diagnostics (Newton iterations, final gradient norm, stop reason) are
-under ``timings.per_cell``.
+Work is done once at the level of the grid it depends on: the sweep loops
+seed, then method, then epsilon. Per seed, a :class:`SeedContext` holds the
+shadow-trained attack with its threshold (fitted on the attack half of the
+seed's four-way split), the victim rows (:class:`~dp_la.pipelines.Victim`)
+and the non-private baseline's accuracy. Per (method, seed),
+:func:`~dp_la.pipelines.shared_part` builds what no epsilon changes: input
+perturbation's noise or the PATE teachers' votes; if it fails, only that
+method's cells of the seed fail. Each cell then does only its epsilon work
+(scale the noise and fit, fit objective perturbation, or draw vote and audit
+noise), computes the outputs the audit observes once per part and runs the
+membership-inference attack on them. Cells only read what they share, so the
+order of a seed's cells changes no result; ``dp-la audit`` runs the sweep on
+a config narrowed to its first method, epsilon and seed. In ``summary.json``
+the seed's shared work is timed under ``timings.per_seed``; each cell's own
+time and its released model's fit diagnostics (Newton iterations, final
+gradient norm, stop reason) are under ``timings.per_cell``.
 
-Seeds run one after another. Every cell derives its own random substream from
-the master seed and its grid coordinates, so results are identical regardless
-of execution order, and editing one cell's coordinates never disturbs another
-cell.
+Every random stream is keyed by the master seed and grid coordinates, never
+by call order: the pipeline stream by (method, seed), derived once per group,
+and each cell's audit stream by its full coordinates. So results do not
+depend on execution order, and editing one cell's coordinates never disturbs
+another cell.
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ from .data import (
     synth_generate,
 )
 from .mechanisms import PrivacyBudget, RngState
-from .model import TrainConfig, accuracy, predict, train
-from .pipelines import DpMethod, Victim, run_pipeline, victim_view
+from .model import TrainConfig, _check_field_types, accuracy, predict, train
+from .pipelines import DpMethod, TeacherVotes, Victim, run_pipeline, shared_part, victim_view
 
 __all__ = [
     "SynthSpec",
@@ -101,6 +98,9 @@ class SynthSpec:
     separation: float = 1.0
     seed: int = 7
 
+    def __post_init__(self) -> None:
+        _check_field_types(self)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -119,6 +119,7 @@ class ExperimentConfig:
     threads: int = 1  # accepted for existing configs; seeds always run serially
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if (self.data_path is None) == (self.synth is None):
             raise ValueError("config must specify exactly one of a CSV data path or a synth block")
         if (self.data_path is None) != (self.schema_path is None):
@@ -181,11 +182,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
                        if "synth" in data else None)
     if "train" in kwargs:
         kwargs["train"] = _from_doc(TrainConfig, kwargs["train"], "train")
+    for key in ("methods", "epsilons", "seeds"):
+        if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise ValueError(f"{key} must be a JSON list, got {kwargs[key]!r}")
+            kwargs[key] = tuple(kwargs[key])
     if "methods" in kwargs:
         kwargs["methods"] = tuple(DpMethod(m) for m in kwargs["methods"])
-    for key in ("epsilons", "seeds"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
     return ExperimentConfig(**kwargs)
 
 
@@ -216,7 +219,8 @@ class CellResult:
 
 @dataclass(frozen=True)
 class SeedTiming:
-    """Wall time of one seed's shared context (see :class:`SeedContext`)."""
+    """Wall time of one seed's shared work: its :class:`SeedContext` and each
+    method's :func:`~dp_la.pipelines.shared_part`."""
 
     seed: int
     wall_time_seconds: float
@@ -267,9 +271,9 @@ def _pipeline_rng(master: RngState, method: DpMethod, seed_index: int) -> RngSta
 @dataclass(frozen=True)
 class SeedContext:
     """What every cell of one seed shares, computed once per seed: the
-    shadow-trained attack, the victim rows with the budget-free parts of
-    each method's release (a :class:`~dp_la.pipelines.Victim`) and the
-    non-private baseline's accuracy on them. Cells only read it."""
+    shadow-trained attack, the victim rows (a
+    :class:`~dp_la.pipelines.Victim`) and the non-private baseline's
+    accuracy on them. Cells only read it."""
 
     attack: audit_mod.AttackModel
     victim: Victim
@@ -279,15 +283,11 @@ class SeedContext:
 def build_seed_context(
     config: ExperimentConfig, dataset: Dataset, seed_index: int
 ) -> SeedContext:
-    """The split of one seed, then the shadow-trained attack on its attack
-    half, then the victim view of its victim half (built for the methods in
-    ``config.methods``) and the non-private baseline's accuracy.
-
-    The split is keyed by (master seed, seed). The input noise and the
-    teachers are keyed by the pipeline stream of (master seed, method, seed),
-    the same stream that run_cell draws the rest of the method's noise from.
-    The attack half is fitted before the victim rows are gathered, so its
-    fits never run beside the victim's copies.
+    """The split of one seed, keyed by (master seed, seed), then the
+    shadow-trained attack on its attack half, then the victim view of its
+    victim half and the non-private baseline's accuracy. The attack half is
+    fitted before the victim rows are gathered, so its fits never run beside
+    the victim's copies.
     """
     seed = config.seeds[seed_index]
     split = four_way_split(dataset, _split_seed(config.master_seed, seed),
@@ -297,15 +297,7 @@ def build_seed_context(
                    dataset.labels[split.attack_train], config.train)
     attack = audit_mod.train_attack(shadow, dataset, split, config.train)
 
-    master = RngState(config.master_seed)
-
-    def stream(method: DpMethod) -> RngState | None:
-        return _pipeline_rng(master, method, seed_index) if method in config.methods else None
-
-    victim = victim_view(dataset, split, config.train,
-                         noise_rng=stream(DpMethod.INPUT_PERTURBATION),
-                         teacher_rng=stream(DpMethod.PREDICTION_PERTURBATION),
-                         num_teachers=config.num_teachers)
+    victim = victim_view(dataset, split)
     baseline = train(victim.train_features, victim.train_labels, config.train)
     acc_nonprivate = accuracy(predict(baseline, victim.test_features), victim.test_labels)
     return SeedContext(attack, victim, acc_nonprivate)
@@ -315,28 +307,34 @@ def _failed_status(exc: Exception) -> str:
     return f"failed:{type(exc).__name__}:{exc}"
 
 
-def run_cell(config: ExperimentConfig, cell: SweepCell, context: SeedContext) -> CellResult:
-    """One grid cell on its seed's context (from :func:`build_seed_context`):
-    the epsilon-dependent part of the DP release, the shadow attack on it,
-    metrics. The cell's wall time covers only this work, not the context's.
+def run_cell(
+    config: ExperimentConfig,
+    cell: SweepCell,
+    context: SeedContext,
+    shared: np.ndarray | TeacherVotes | None,
+    pipeline_rng: RngState,
+) -> CellResult:
+    """One grid cell on its seed's context (from :func:`build_seed_context`)
+    and its method's budget-free part ``shared`` (from
+    :func:`~dp_la.pipelines.shared_part` on ``pipeline_rng``): the
+    epsilon-dependent part of the DP release, the shadow attack on it,
+    metrics. The cell's wall time covers only this work.
 
-    The split and the pipeline's noise draws are keyed by (master seed,
-    method, seed) only, so cells along the epsilon axis of one seed share
-    their underlying randomness and differ purely in the noise scale (common
-    random numbers; trend curves are not polluted by resampling jitter).
-    The audit's fresh vote noise is keyed by the full cell coordinates.
+    The split is keyed by (master seed, seed) and the pipeline stream by
+    (master seed, method, seed) only, so cells along the epsilon axis of one
+    seed share their underlying randomness and differ purely in the noise scale (common random
+    numbers; trend curves are not polluted by resampling jitter). The
+    audit's fresh vote noise is keyed by the full cell coordinates.
     """
     start = time.perf_counter()
     try:
-        master = RngState(config.master_seed)
-        pipeline_rng = _pipeline_rng(master, cell.method, cell.seed_index)
-        audit_rng = master.substream(
+        audit_rng = RngState(config.master_seed).substream(
             "audit", cell.method.value, cell.eps_index, cell.seed_index
         )
         victim = context.victim
         delta = config.delta if cell.method is DpMethod.INPUT_PERTURBATION else 0.0
         budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
-        release = run_pipeline(cell.method, victim, budget, config.train,
+        release = run_pipeline(cell.method, victim, shared, budget, config.train,
                                pipeline_rng, audit_rng)
         acc_private = accuracy(release.predictions, victim.test_labels)
         outcome = audit_mod.run_mia(context.attack, release.train_proba, victim.train_labels,
@@ -353,20 +351,40 @@ def run_cell(config: ExperimentConfig, cell: SweepCell, context: SeedContext) ->
         return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))
 
 
+def _failed_cells(cells: list[SweepCell], exc: Exception) -> list[CellResult]:
+    return [CellResult(cell, None, 0.0, _failed_status(exc)) for cell in cells]
+
+
 def _run_seed(
     config: ExperimentConfig, dataset: Dataset, seed_index: int, cells: list[SweepCell]
 ) -> tuple[list[CellResult], SeedTiming]:
-    """Build one seed's context, then run that seed's cells on it. If the
-    context cannot be built, every cell of the seed fails with its error."""
+    """Build one seed's context, then for each method its shared part, then
+    run that method's cells of the seed. If the context cannot be built,
+    every cell of the seed fails with its error; if a shared part cannot,
+    only that method's cells do."""
+    seed = config.seeds[seed_index]
     start = time.perf_counter()
     try:
         context = build_seed_context(config, dataset, seed_index)
     except Exception as exc:  # contained like a cell failure
-        context, status = None, _failed_status(exc)
-    timing = SeedTiming(config.seeds[seed_index], time.perf_counter() - start)
-    if context is None:
-        return [CellResult(cell, None, 0.0, status) for cell in cells], timing
-    return [run_cell(config, cell, context) for cell in cells], timing
+        return _failed_cells(cells, exc), SeedTiming(seed, time.perf_counter() - start)
+    shared_s = time.perf_counter() - start
+
+    master, rows = RngState(config.master_seed), []
+    for method in config.methods:
+        method_cells = [c for c in cells if c.method is method]
+        pipeline_rng = _pipeline_rng(master, method, seed_index)
+        start = time.perf_counter()
+        try:
+            shared = shared_part(method, context.victim, config.train, pipeline_rng,
+                                 config.num_teachers)
+        except Exception as exc:  # contained like a cell failure
+            rows += _failed_cells(method_cells, exc)
+            continue
+        finally:
+            shared_s += time.perf_counter() - start
+        rows += [run_cell(config, cell, context, shared, pipeline_rng) for cell in method_cells]
+    return rows, SeedTiming(seed, shared_s)
 
 
 def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResults:

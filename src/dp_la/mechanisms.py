@@ -127,17 +127,10 @@ def laplace_scale(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
     return sensitivity.value / budget.epsilon
 
 
-def sample_laplace(
-    scale: float, rng: RngState, size: int | tuple[int, ...] | None = None
-) -> float | np.ndarray:
-    """Draw from Lap(0, scale); variance is 2*scale**2.
-
-    Returns a scalar when ``size`` is None, else an array of that shape.
-    """
+def sample_laplace(scale: float, rng: RngState, size: int | tuple[int, ...]) -> np.ndarray:
+    """An array of shape ``size`` drawn from Lap(0, scale); variance is 2*scale**2."""
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    if size is None:
-        return float(rng.generator.laplace(0.0, scale))
     return rng.generator.laplace(0.0, scale, size=size)
 
 
@@ -222,8 +215,8 @@ def empirical_dp_check(
         rng = RngState(0)
 
     scale = laplace_scale(Sensitivity(sensitivity, SensitivityNorm.L1), budget)
-    out_a = float(query(data)) + np.asarray(sample_laplace(scale, rng, size=trials))
-    out_b = float(query(neighbour)) + np.asarray(sample_laplace(scale, rng, size=trials))
+    out_a = float(query(data)) + sample_laplace(scale, rng, size=trials)
+    out_b = float(query(neighbour)) + sample_laplace(scale, rng, size=trials)
 
     lo = min(out_a.min(), out_b.min())
     hi = max(out_a.max(), out_b.max())

@@ -19,7 +19,7 @@ data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,26 @@ _MAX_HALVINGS = 60
 _ROUNDING = 1e-13
 
 
+# The JSON values a config field of each annotation takes: an int fills a
+# float field (JSON writes 10.0 as 10), and a bool is no number.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
+def _check_field_types(config) -> None:
+    """Raise ValueError naming the first field of the config dataclass
+    ``config`` whose value, or for a ``tuple[T, ...]`` field each element,
+    is not of a type in ``_JSON_TYPES``. Values are checked, never
+    converted; fields of other types are built by the config loader."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = f.type.removeprefix("tuple[").removesuffix(", ...]")
+        values = value if kind != f.type and isinstance(value, tuple) else (value,)
+        allowed = _JSON_TYPES.get(kind)
+        if allowed is not None and any(isinstance(v, bool) or not isinstance(v, allowed)
+                                       for v in values):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by every logistic model in the package.
@@ -55,6 +75,7 @@ class TrainConfig:
     learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.epochs < 1:
@@ -251,11 +272,9 @@ def predict_proba(model: LogisticModel, features: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def predict(model: LogisticModel, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels; ties at the threshold classify as 1."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return (predict_proba(model, features) >= threshold).astype(int)
+def predict(model: LogisticModel, features: np.ndarray) -> np.ndarray:
+    """Hard labels; ties at 0.5 classify as 1."""
+    return (predict_proba(model, features) >= 0.5).astype(int)
 
 
 def accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:

@@ -9,11 +9,12 @@
   noisy-argmax vote labels per query (teacher-aggregation scheme; no student
   model is trained). The pipeline answers only the victim-test queries.
 
-:func:`victim_view` gathers the victim rows of a split once, with what every
-budget's release on them shares: the standard-normal input noise and the
-teachers' vote counts. :func:`run_pipeline` dispatches on the method once and
-returns a :class:`Release`: the private test labels and the outputs the audit
-observes, as arrays.
+:func:`victim_view` gathers the victim rows of a split once. :func:`shared_part`
+builds, once per (method, seed), what every budget's release of that method
+shares: input perturbation's standard-normal noise or the teachers' vote
+counts. :func:`run_pipeline` takes that part, dispatches on the method once
+and returns a :class:`Release`: the private test labels and the outputs the
+audit observes, as arrays.
 
 Input and prediction perturbation turn a budget into a noise scale through
 named sensitivities (``_INPUT_SENSITIVITY``; ``_VOTE_SENSITIVITY`` for the
@@ -50,6 +51,7 @@ __all__ = [
     "Victim",
     "Release",
     "victim_view",
+    "shared_part",
     "draw_input_noise",
     "input_perturb",
     "objective_perturb_train",
@@ -113,31 +115,13 @@ class TeacherVotes:
 
 @dataclass(frozen=True)
 class Victim:
-    """The victim half of one split, gathered once, with what every release
-    on it shares whatever the budget (built by :func:`victim_view`).
-
-    ``input_noise`` is the standard-normal draw that input perturbation
-    scales by sigma(epsilon); ``votes`` are the prediction-perturbation
-    teachers' votes. Each is None when it was not asked for, or the
-    exception that building it raised: only the method that needs it fails
-    with it.
-    """
+    """The victim half of one split, gathered once and read only (built by
+    :func:`victim_view`): every release of a seed reads these rows."""
 
     train_features: np.ndarray
     train_labels: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
-    input_noise: np.ndarray | Exception | None = None
-    votes: TeacherVotes | Exception | None = None
-
-
-def _held(value, missing: str):
-    """``value``, raising it if it is the exception its build raised."""
-    if isinstance(value, Exception):
-        raise value
-    if value is None:
-        raise ValueError(missing)
-    return value
 
 
 @dataclass(frozen=True)
@@ -282,44 +266,40 @@ def pate_train(
     )
 
 
-def victim_view(
-    dataset: Dataset,
-    split: FourWaySplit,
-    config: TrainConfig,
-    noise_rng: RngState | None = None,
-    teacher_rng: RngState | None = None,
-    num_teachers: int = 10,
-) -> Victim:
-    """Gather the victim rows of ``split`` once, with the budget-free parts
-    of the releases on them:
+def victim_view(dataset: Dataset, split: FourWaySplit) -> Victim:
+    """Gather the victim_train and victim_test rows and labels of ``split``
+    once, flagged read-only."""
+    return Victim(_read_only(dataset.features[split.victim_train]),
+                  _read_only(dataset.labels[split.victim_train]),
+                  _read_only(dataset.features[split.victim_test]),
+                  _read_only(dataset.labels[split.victim_test]))
 
-    * with ``noise_rng`` (input perturbation's pipeline stream), the
-      standard-normal input noise from its "input-noise" substream;
-    * with ``teacher_rng`` (prediction perturbation's pipeline stream), the
-      teachers trained on victim_train, sharded by its "pate-train"
-      substream, and their votes on victim_train and victim_test.
+
+def shared_part(
+    method: DpMethod,
+    victim: Victim,
+    config: TrainConfig,
+    rng: RngState,
+    num_teachers: int,
+) -> np.ndarray | TeacherVotes | None:
+    """The part of ``method``'s release on ``victim`` that no budget changes,
+    built once per (method, seed) from the method's pipeline stream ``rng``:
+
+    * input perturbation: the standard-normal noise from its "input-noise"
+      substream, which each budget scales by its sigma;
+    * prediction perturbation: the class-1 votes on victim_train and
+      victim_test of teachers trained on victim_train, sharded by its
+      "pate-train" substream;
+    * objective perturbation: None, as its noise is drawn at each budget.
     """
-    train_features = _read_only(dataset.features[split.victim_train])
-    train_labels = _read_only(dataset.labels[split.victim_train])
-    input_noise: np.ndarray | Exception | None = None
-    if noise_rng is not None:
-        try:
-            input_noise = _read_only(
-                draw_input_noise(train_features, noise_rng.substream("input-noise")))
-        except ValueError as exc:  # fails the input-perturbation releases only
-            input_noise = exc
-    test_features = _read_only(dataset.features[split.victim_test])
-    votes: TeacherVotes | Exception | None = None
-    if teacher_rng is not None:
-        try:
-            ensemble = pate_train(train_features, train_labels, num_teachers, config,
-                                  teacher_rng.substream("pate-train"))
-            votes = TeacherVotes(num_teachers, _read_only(ensemble.class1_votes(train_features)),
-                                 _read_only(ensemble.class1_votes(test_features)))
-        except Exception as exc:  # fails the prediction-perturbation releases only
-            votes = exc
-    return Victim(train_features, train_labels, test_features,
-                  _read_only(dataset.labels[split.victim_test]), input_noise, votes)
+    if method is DpMethod.INPUT_PERTURBATION:
+        return _read_only(draw_input_noise(victim.train_features, rng.substream("input-noise")))
+    if method is DpMethod.PREDICTION_PERTURBATION:
+        ensemble = pate_train(victim.train_features, victim.train_labels, num_teachers, config,
+                              rng.substream("pate-train"))
+        return TeacherVotes(num_teachers, _read_only(ensemble.class1_votes(victim.train_features)),
+                            _read_only(ensemble.class1_votes(victim.test_features)))
+    return None
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -343,8 +323,8 @@ def pate_predict(
     """
     scale = laplace_scale(_VOTE_SENSITIVITY, budget)
     rows = class1_votes.shape[0]
-    noisy0 = (num_teachers - class1_votes) + np.asarray(sample_laplace(scale, rng, size=rows))
-    noisy1 = class1_votes + np.asarray(sample_laplace(scale, rng, size=rows))
+    noisy0 = (num_teachers - class1_votes) + sample_laplace(scale, rng, size=rows)
+    noisy1 = class1_votes + sample_laplace(scale, rng, size=rows)
     return (noisy1 >= noisy0).astype(int)
 
 
@@ -362,45 +342,42 @@ def pate_vote_fraction(
     :func:`pate_predict` it is pure epsilon-DP per row, so delta must be 0.
     """
     scale = laplace_scale(_CLASS1_COUNT_SENSITIVITY, budget)
-    noisy = class1_votes + np.asarray(sample_laplace(scale, rng, size=class1_votes.shape[0]))
+    noisy = class1_votes + sample_laplace(scale, rng, size=class1_votes.shape[0])
     return np.clip(noisy / num_teachers, 0.0, 1.0)
 
 
 def run_pipeline(
     method: DpMethod,
     victim: Victim,
+    shared: np.ndarray | TeacherVotes | None,
     budget: PrivacyBudget,
     config: TrainConfig,
     rng: RngState,
     audit_rng: RngState,
 ) -> Release:
-    """Run one DP configuration on the victim rows (see :func:`victim_view`);
-    input and objective perturbation fit on victim_train, and the audit
-    observes the fitted model's sigmoid output, computed once per part.
+    """Run one DP configuration on the victim rows (see :func:`victim_view`)
+    with the method's budget-free part ``shared``, built by
+    :func:`shared_part` from the same pipeline stream ``rng``. Input and
+    objective perturbation fit on victim_train, and the audit observes the
+    fitted model's sigmoid output, computed once per part.
 
-    Input perturbation scales ``victim.input_noise``, drawn from ``rng``'s
-    "input-noise" substream, by the budget's sigma. Prediction perturbation
-    releases noisy votes of ``victim.votes``, whose teachers were trained from
-    the same ``rng``. It answers only the len(victim_test) queries, so its
-    composed epsilon is epsilon times that count (basic composition). The
-    audit observes the noisy vote fraction, with fresh noise from
-    ``audit_rng``'s "audit-votes" substream: victim_train rows, then
-    victim_test rows.
+    Input perturbation scales the noise ``shared`` by the budget's sigma.
+    Prediction perturbation releases noisy votes of the ``shared`` votes. It
+    answers only the len(victim_test) queries, so its composed epsilon is
+    epsilon times that count (basic composition). The audit observes the
+    noisy vote fraction, with fresh noise from ``audit_rng``'s "audit-votes"
+    substream: victim_train rows, then victim_test rows.
     """
     if method is DpMethod.PREDICTION_PERTURBATION:
-        votes = _held(victim.votes, "prediction perturbation needs the teacher ensemble's votes "
-                                    "(see victim_view)")
-        k = votes.num_teachers
-        predictions = pate_predict(k, votes.test, budget, rng.substream("pate-votes"))
+        k = shared.num_teachers
+        predictions = pate_predict(k, shared.test, budget, rng.substream("pate-votes"))
         vote_rng = audit_rng.substream("audit-votes")
-        train_proba = pate_vote_fraction(k, votes.train, budget, vote_rng)
+        train_proba = pate_vote_fraction(k, shared.train, budget, vote_rng)
         return Release(predictions, train_proba,
-                       pate_vote_fraction(k, votes.test, budget, vote_rng), None)
+                       pate_vote_fraction(k, shared.test, budget, vote_rng), None)
 
     if method is DpMethod.INPUT_PERTURBATION:
-        noise = _held(victim.input_noise, "input perturbation needs the input noise "
-                                          "(see victim_view)")
-        model = train(input_perturb(victim.train_features, noise, budget),
+        model = train(input_perturb(victim.train_features, shared, budget),
                       victim.train_labels, config)
     elif method is DpMethod.OBJECTIVE_PERTURBATION:
         model = objective_perturb_train(victim.train_features, victim.train_labels, budget,

@@ -16,7 +16,7 @@ from dp_la.experiment import ExperimentConfig, SynthSpec, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState, empirical_dp_check, sample_laplace
 from dp_la.model import (TrainConfig, _design, _evaluate, _gradient, _penalties, predict_proba,
                          train)
-from dp_la.pipelines import DpMethod, run_pipeline, victim_view
+from dp_la.pipelines import DpMethod, run_pipeline, shared_part, victim_view
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -172,12 +172,14 @@ def test_criterion_8_overfit_mia_and_mitigation():
         shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], vic_cfg)
         attack = train_attack(shadow, ds, split, vic_cfg)
         rng = RngState(seed)
-        rows = victim_view(ds, split, vic_cfg, teacher_rng=rng.substream("p"), num_teachers=10)
+        rows = victim_view(ds, split)
         out = run_mia(attack, predict_proba(victim, rows.train_features), rows.train_labels,
                       predict_proba(victim, rows.test_features), rows.test_labels)
         base_leaks.append(privacy_leakage(out))
 
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, PrivacyBudget(0.1),
+        votes = shared_part(DpMethod.PREDICTION_PERTURBATION, rows, vic_cfg,
+                            rng.substream("p"), 10)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, votes, PrivacyBudget(0.1),
                            vic_cfg, rng.substream("p"), rng.substream("a"))
         out_p = run_mia(attack, res.train_proba, rows.train_labels, res.test_proba,
                         rows.test_labels)

@@ -16,7 +16,7 @@ from dp_la.audit import (
 from dp_la.data import Dataset, FourWaySplit, four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, predict_proba, train
-from dp_la.pipelines import DpMethod, run_pipeline, victim_view
+from dp_la.pipelines import DpMethod, run_pipeline, shared_part, victim_view
 
 CFG = TrainConfig()
 
@@ -266,9 +266,10 @@ class TestOverfitOracle:
             base_leaks.append(privacy_leakage(out))
 
             rng = RngState(seed)
-            rows = victim_view(ds, split, vic_cfg, teacher_rng=rng.substream("p"),
-                               num_teachers=10)
-            res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, PrivacyBudget(0.1),
+            rows = victim_view(ds, split)
+            votes = shared_part(DpMethod.PREDICTION_PERTURBATION, rows, vic_cfg,
+                                rng.substream("p"), 10)
+            res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, votes, PrivacyBudget(0.1),
                                vic_cfg, rng.substream("p"), rng.substream("a"))
             out_p = run_mia(attack, res.train_proba, rows.train_labels, res.test_proba,
                             rows.test_labels)

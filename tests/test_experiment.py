@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,13 +30,20 @@ from dp_la.experiment import (
 )
 from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma
 from dp_la.model import TrainConfig
-from dp_la.pipelines import _INPUT_SENSITIVITY, DpMethod
+from dp_la.pipelines import _INPUT_SENSITIVITY, DpMethod, shared_part
 
 SMALL = dict(
     synth=SynthSpec(n=400, separation=2.0, seed=7),
     epsilons=(1.0, 100.0),
     seeds=(1, 2),
 )
+
+
+def run_alone(cfg, cell, context):
+    """run_cell on ``context`` with its method's shared part built for it alone."""
+    rng = _pipeline_rng(RngState(cfg.master_seed), cell.method, cell.seed_index)
+    shared = shared_part(cell.method, context.victim, cfg.train, rng, cfg.num_teachers)
+    return run_cell(cfg, cell, context, shared, rng)
 
 
 def write_config(tmp_path, **overrides):
@@ -157,6 +165,38 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert f"config error: unknown key(s) in {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(num_teachers=2.5), "num_teachers must be int, got 2.5"),
+        (dict(data={"synth": {"n": "big"}}), "n must be int, got 'big'"),
+        (dict(data={"synth": {"separation": "far"}}), "separation must be float, got 'far'"),
+        (dict(master_seed="x"), "master_seed must be int, got 'x'"),
+        (dict(train={"epochs": 10.0}), "epochs must be int, got 10.0"),
+        (dict(delta=True), "delta must be float, got True"),
+        (dict(epsilons=[1.0, "10"]), "epsilons must be tuple[float, ...], got (1.0, '10')"),
+        (dict(seeds=[1, 2.0]), "seeds must be tuple[int, ...], got (1, 2.0)"),
+        (dict(epsilons="1.0"), "epsilons must be a JSON list, got '1.0'"),
+        (dict(output_dir=1), "output_dir must be str, got 1"),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_float_fields_take_json_integers_unconverted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, epsilons=[1, 100], delta=0.001,
+                                       train={"lam": 1}))
+        assert cfg.epsilons == (1, 100) and cfg.train.lam == 1
+        assert '"epsilons":[1,100]' in cfg.canonical_json()
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```json\n", 1)[1]
+        path = tmp_path / "config.json"
+        path.write_text(block.split("```", 1)[0])
+        assert load_config(path).epsilons == (0.01, 0.1, 1, 10, 100, 1000, 10000)
+
 
 class TestCells:
     def test_enumeration_order(self):
@@ -227,20 +267,48 @@ class TestRunSweep:
         assert len(calls) == seeds * (3 + cfg.num_teachers) + seeds * epsilons * 2
 
     def test_teacher_votes_are_computed_once_per_seed(self, monkeypatch):
-        calls = []
-        original = pipelines.TeacherEnsemble.class1_votes
+        # every budget-free part is built once per (method, seed), not per epsilon
+        calls = {"draw_input_noise": 0, "pate_train": 0, "class1_votes": 0}
 
-        def counting_votes(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(pipelines.TeacherEnsemble, "class1_votes", counting_votes)
+        for name in ("draw_input_noise", "pate_train"):
+            monkeypatch.setattr(pipelines, name, counting(name, getattr(pipelines, name)))
+        monkeypatch.setattr(pipelines.TeacherEnsemble, "class1_votes",
+                            counting("class1_votes", pipelines.TeacherEnsemble.class1_votes))
         cfg = ExperimentConfig(**{**SMALL, "epsilons": (0.1, 1.0, 100.0)})
         results = run_sweep(cfg)
         assert all(r.status == "ok" for r in results.rows)
-        # per seed: the victim-test rows (the released labels and the audit's
-        # non-members) and the victim-train rows (the audit's members)
-        assert len(calls) == 2 * len(cfg.seeds)
+        # per seed: one noise draw, one ensemble, and its votes on the
+        # victim-test rows (the released labels and the audit's non-members)
+        # and the victim-train rows (the audit's members)
+        seeds = len(cfg.seeds)
+        assert calls == {"draw_input_noise": seeds, "pate_train": seeds,
+                         "class1_votes": 2 * seeds}
+
+    def test_shared_part_failure_fails_only_its_method_and_seed(self, small_results,
+                                                                monkeypatch):
+        cfg, healthy = small_results
+        failing = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, 1)
+        original = pipelines.draw_input_noise
+
+        def draw(train_features, rng):
+            if repr(rng) == repr(failing.substream("input-noise")):
+                raise ValueError("no noise for this seed")
+            return original(train_features, rng)
+
+        monkeypatch.setattr(pipelines, "draw_input_noise", draw)
+        results = run_sweep(cfg)
+        for row, expected in zip(results.rows, healthy.rows):
+            if row.cell.method is DpMethod.INPUT_PERTURBATION and row.cell.seed_index == 1:
+                assert row.status == "failed:ValueError:no noise for this seed"
+                assert row.report is None
+            else:
+                assert row.status == "ok" and row.report == expected.report
 
     def test_each_budget_is_calibrated_once_per_cell(self, monkeypatch):
         calls = {"gaussian_sigma": 0, "_erm_noise_budget": 0}
@@ -281,7 +349,7 @@ class TestRunSweep:
         dataset = load_experiment_dataset(cfg)
         for row in results.rows:
             context = build_seed_context(cfg, dataset, row.cell.seed_index)
-            alone = run_cell(cfg, row.cell, context)
+            alone = run_alone(cfg, row.cell, context)
             assert alone.status == row.status == "ok"
             assert row.report == alone.report
 
@@ -294,7 +362,7 @@ class TestRunSweep:
         for si in range(len(cfg.seeds)):
             context = build_seed_context(cfg, dataset, si)
             cells = [c for c in enumerate_cells(cfg) if c.seed_index == si]
-            rows += [run_cell(cfg, cell, context) for cell in reversed(cells)]
+            rows += [run_alone(cfg, cell, context) for cell in reversed(cells)]
         by_cell = {row.cell: row for row in rows}
         reversed_results = SweepResults(tuple(by_cell[r.cell] for r in results.rows),
                                         results.config_fingerprint)
@@ -317,11 +385,13 @@ class TestRunSweep:
         for si in range(len(cfg.seeds)):
             context = build_seed_context(cfg, dataset, si)
             X = context.victim.train_features
-            expected = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, si) \
-                .substream("input-noise").generator.standard_normal(X.shape)
+            rng = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, si)
+            expected = rng.substream("input-noise").generator.standard_normal(X.shape)
+            noise = shared_part(DpMethod.INPUT_PERTURBATION, context.victim, cfg.train, rng,
+                                cfg.num_teachers)
             noised.clear()
             for cell in (c for c in enumerate_cells(cfg) if c.seed_index == si):
-                assert run_cell(cfg, cell, context).status == "ok"
+                assert run_cell(cfg, cell, context, noise, rng).status == "ok"
             assert len(noised) == len(cfg.epsilons)
             for eps, released in zip(cfg.epsilons, noised):
                 sigma = gaussian_sigma(_INPUT_SENSITIVITY, PrivacyBudget(eps, cfg.delta))

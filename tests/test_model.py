@@ -325,15 +325,6 @@ class TestPredict:
         model = make_model([0.0], 0.0)
         np.testing.assert_array_equal(predict(model, np.zeros((4, 1))), np.ones(4, dtype=int))
 
-    def test_threshold(self):
-        model = make_model([0.0], 0.405465)  # sigmoid ~= 0.6
-        assert predict(model, np.zeros((1, 1)), threshold=0.9)[0] == 0
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2])
-    def test_rejects_bad_threshold(self, threshold):
-        with pytest.raises(ValueError):
-            predict(make_model([0.0], 0.0), np.zeros((1, 1)), threshold=threshold)
-
 
 class TestAccuracy:
     @pytest.mark.parametrize(

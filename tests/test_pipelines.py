@@ -19,6 +19,7 @@ from dp_la.pipelines import (
     pate_train,
     pate_vote_fraction,
     run_pipeline,
+    shared_part,
     victim_view,
 )
 
@@ -26,16 +27,14 @@ CFG = TrainConfig()
 
 
 def view_for(method, ds, split, rng):
-    """The victim view with what ``method`` needs, from its stream ``rng``."""
-    return victim_view(ds, split, CFG,
-                       noise_rng=rng if method is DpMethod.INPUT_PERTURBATION else None,
-                       teacher_rng=rng if method is DpMethod.PREDICTION_PERTURBATION else None)
+    """The victim view and ``method``'s shared part on it, from its stream ``rng``."""
+    victim = victim_view(ds, split)
+    return victim, shared_part(method, victim, CFG, rng, 10)
 
 
 def run_any(method, ds, split, budget, rng):
-    """run_pipeline for any method on a victim view whose input noise or
-    teachers come from the same stream."""
-    return run_pipeline(method, view_for(method, ds, split, rng), budget, CFG, rng,
+    """run_pipeline for any method with its shared part from the same stream."""
+    return run_pipeline(method, *view_for(method, ds, split, rng), budget, CFG, rng,
                         rng.substream("audit"))
 
 
@@ -270,22 +269,23 @@ class TestRunPipeline:
         np.testing.assert_array_equal(res.test_proba, predict_proba(res.model, nonmembers))
         np.testing.assert_array_equal(res.predictions, predict(res.model, nonmembers))
         budget, rng, audit_rng = PrivacyBudget(1.0), RngState(4), RngState(9)
-        victim = view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng)
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, budget, CFG, rng, audit_rng)
+        victim, votes = view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, votes, budget, CFG, rng,
+                           audit_rng)
         # one noise stream, members then non-members
         vote_rng = audit_rng.substream("audit-votes")
         np.testing.assert_array_equal(
-            res.train_proba, pate_vote_fraction(10, victim.votes.train, budget, vote_rng))
+            res.train_proba, pate_vote_fraction(10, votes.train, budget, vote_rng))
         np.testing.assert_array_equal(
-            res.test_proba, pate_vote_fraction(10, victim.votes.test, budget, vote_rng))
+            res.test_proba, pate_vote_fraction(10, votes.test, budget, vote_rng))
 
     def test_prediction_perturbation_answers_only_test_queries(self, setup):
         ds, split = setup
         budget, rng = PrivacyBudget(1.0), RngState(5)
-        victim = view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng)
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, budget, CFG, rng,
-                           RngState(6))
-        # the view's teachers are sharded by the stream's "pate-train" substream
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION,
+                           *view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng),
+                           budget, CFG, rng, RngState(6))
+        # the shared part's teachers are sharded by the stream's "pate-train" substream
         ensemble = pate_train(ds.features[split.victim_train], ds.labels[split.victim_train],
                               10, CFG, rng.substream("pate-train"))
         expected = pate_predict(10, ensemble.class1_votes(ds.features[split.victim_test]),
@@ -294,27 +294,20 @@ class TestRunPipeline:
 
     def test_gaussian_requires_delta(self, setup):
         ds, split = setup
-        victim = view_for(DpMethod.INPUT_PERTURBATION, ds, split, RngState(0))
         with pytest.raises(ValueError, match="delta"):
-            run_pipeline(DpMethod.INPUT_PERTURBATION, victim, PrivacyBudget(1.0), CFG,
-                         RngState(0), RngState(1))
-
-    def test_prediction_perturbation_requires_an_ensemble(self, setup):
-        ds, split = setup
-        victim = view_for(DpMethod.OBJECTIVE_PERTURBATION, ds, split, RngState(0))
-        with pytest.raises(ValueError, match="teacher ensemble"):
-            run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, PrivacyBudget(1.0),
-                         CFG, RngState(0), RngState(1))
+            run_pipeline(DpMethod.INPUT_PERTURBATION,
+                         *view_for(DpMethod.INPUT_PERTURBATION, ds, split, RngState(0)),
+                         PrivacyBudget(1.0), CFG, RngState(0), RngState(1))
 
     def test_unnormalized_rows_fail_only_input_perturbation(self, setup):
         ds, split = setup
-        scaled = replace(ds, features=ds.features * 2.0)
-        victim = victim_view(scaled, split, CFG, noise_rng=RngState(0), teacher_rng=RngState(0))
+        victim = victim_view(replace(ds, features=ds.features * 2.0), split)
         with pytest.raises(ValueError, match="normalized"):
-            run_pipeline(DpMethod.INPUT_PERTURBATION, victim, PrivacyBudget(1.0, 1e-5), CFG,
-                         RngState(0), RngState(1))
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, PrivacyBudget(1.0), CFG,
-                           RngState(0), RngState(1))
+            shared_part(DpMethod.INPUT_PERTURBATION, victim, CFG, RngState(0), 10)
+        assert shared_part(DpMethod.OBJECTIVE_PERTURBATION, victim, CFG, RngState(0), 10) is None
+        votes = shared_part(DpMethod.PREDICTION_PERTURBATION, victim, CFG, RngState(0), 10)
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, votes, PrivacyBudget(1.0),
+                           CFG, RngState(0), RngState(1))
         assert res.predictions.shape == split.victim_test.shape
 
     def test_deterministic_predictions(self, setup):
