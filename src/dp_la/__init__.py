@@ -4,17 +4,7 @@ Public surface: DP mechanisms, data handling, the logistic baseline, the three
 DP pipelines, the membership-inference audit, and the sweep runner.
 """
 
-from .audit import (
-    AttackModel,
-    AuditReport,
-    MiaOutcome,
-    attack_features,
-    privacy_leakage,
-    run_mia,
-    train_attack,
-    true_revealed_records,
-    utility_loss,
-)
+from .audit import AttackModel, AuditReport, attack_features, run_mia, train_attack
 from .data import (
     ColumnKind,
     Dataset,

@@ -1,15 +1,18 @@
-"""Privacy audit: shadow-model membership-inference attack and the derived
-metrics (utility loss, privacy leakage, true revealed records).
+"""Privacy audit: a shadow-model membership-inference attack and the per-cell
+report of its raw counts, from which every metric is derived.
 
-The attack half of the four-way split never touches the victim's rows during
-attack training: a shadow model mimicking the victim's architecture is trained
-on attack_train, its confidence vectors over attack_train (members) and
-attack_test (non-members) form the attack classifier's training set, and only
-then is the attack pointed at the victim's released probabilities.
-run_mia takes that release as arrays: the probability-like output the audit
-observes on the victim_train rows (the members) and on the victim_test rows
-(the non-members), each with those rows' true labels. It sees neither the
-dataset nor the split nor the model behind the release.
+Both ends of the attack take arrays; neither sees a dataset, a split or a
+model. train_attack takes a shadow model's outputs: its probabilities on the
+rows it was trained on (the members) and on rows it never saw (the
+non-members), each with those rows' true labels. The shadow mimics the
+victim's architecture and is fitted on the attack half of the four-way
+split, so the victim's rows are never read while the attack is trained.
+run_mia takes the victim's release the same way: the probability-like output
+the audit observes on the victim_train rows (the members) and on the
+victim_test rows (the non-members), with their labels. It returns only the
+counts of members and non-members it flags. An AuditReport stores those
+counts with the pool sizes and the two accuracies, and derives TPR, FPR,
+utility loss, privacy leakage and true revealed records from them.
 
 The attack's operating point is chosen on the shadow as well. A victim row is
 flagged as a member when its attack score (the classifier's member posterior)
@@ -30,21 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FourWaySplit
 from .model import LogisticModel, TrainConfig, predict_proba, train
 
 __all__ = [
     "AttackModel",
-    "MiaOutcome",
     "AuditReport",
     "attack_features",
     "train_attack",
     "wilson_interval",
     "run_mia",
-    "privacy_leakage",
-    "utility_loss",
-    "true_revealed_records",
-    "build_report",
 ]
 
 
@@ -54,45 +51,70 @@ class AttackModel:
 
     A row is flagged as a member when the classifier's member posterior is
     >= threshold; +inf flags no row. train_attack sets the threshold from the
-    shadow's scores; an attack built by hand keeps the 0.5 default, which is
-    the classifier's own hard decision.
+    shadow's scores.
     """
 
     classifier: LogisticModel
-    threshold: float = 0.5
-
-
-@dataclass(frozen=True)
-class MiaOutcome:
-    tpr: float
-    fpr: float
-    true_positive_count: int
-    member_count: int
-    nonmember_count: int
-
-    def __post_init__(self) -> None:
-        if self.true_positive_count > self.member_count:
-            raise ValueError("true positives exceed the member pool")
+    threshold: float
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Metrics for one sweep cell; the cell's coordinates are its CellResult's."""
+    """One cell's audit: the private and non-private accuracies, and the
+    attack's flagged members and non-members out of each pool. Every rate is
+    derived from these; the cell's coordinates are its CellResult's."""
 
     acc_private: float
     acc_nonprivate: float
-    utility_loss: float
-    privacy_leakage: float
-    true_revealed_records: int
-    trr_rate: float
-    tpr: float
-    fpr: float
+    true_positives: int
+    false_positives: int
+    members: int
+    nonmembers: int
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.acc_private <= 1.0 and 0.0 <= self.acc_nonprivate <= 1.0):
+            raise ValueError("accuracies must lie in [0, 1]")
+        if self.true_positives > self.members:
+            raise ValueError("true positives exceed the member pool")
+        if self.false_positives > self.nonmembers:
+            raise ValueError("false positives exceed the non-member pool")
+
+    @property
+    def tpr(self) -> float:
+        return self.true_positives / self.members
+
+    @property
+    def fpr(self) -> float:
+        return self.false_positives / self.nonmembers
+
+    @property
+    def utility_loss(self) -> float:
+        """Non-private minus private accuracy, so positive values mean degradation."""
+        return self.acc_nonprivate - self.acc_private
+
+    @property
+    def privacy_leakage(self) -> float:
+        """TPR - FPR: 0 means the attack leaks nothing, 1 a fully successful
+        attack; negative values mean the attack does worse than chance."""
+        return self.tpr - self.fpr
+
+    @property
+    def true_revealed_records(self) -> int:
+        """Raw count of member rows the attack correctly flags."""
+        return self.true_positives
+
+    @property
+    def trr_rate(self) -> float:
+        """True revealed records over the member pool, which is the TPR."""
+        return self.tpr
 
 
 def attack_features(prediction_probability: np.ndarray | float, true_label: np.ndarray | int) -> np.ndarray:
-    """Per-row attack input [1 - p, p, y]; accepts scalars or vectors."""
+    """Per-row attack input [1 - p, p, y]; accepts scalars or non-empty vectors."""
     p = np.atleast_1d(np.asarray(prediction_probability, dtype=float))
     y = np.atleast_1d(np.asarray(true_label, dtype=float))
+    if p.size == 0:
+        raise ValueError("the attack needs at least one member and one non-member row")
     if p.min() < 0.0 or p.max() > 1.0:
         raise ValueError("prediction probabilities must lie in [0, 1]")
     return np.column_stack([1.0 - p, p, y])
@@ -136,16 +158,15 @@ def _operating_threshold(member_scores: np.ndarray, nonmember_scores: np.ndarray
 
 
 def train_attack(
-    shadow_model: LogisticModel,
-    dataset: Dataset,
-    split: FourWaySplit,
+    member_proba: np.ndarray,
+    member_labels: np.ndarray,
+    nonmember_proba: np.ndarray,
+    nonmember_labels: np.ndarray,
     config: TrainConfig,
 ) -> AttackModel:
-    """Train the membership classifier on the attack half.
-
-    attack_train rows are labeled member=1, attack_test rows member=0, with
-    features taken from the shadow model's probabilities. The victim half is
-    never read here.
+    """Train the membership classifier on a shadow model's outputs: its
+    probabilities on the rows it was fitted on (labelled member=1) and on
+    rows it never saw (member=0), each with the rows' true labels.
 
     The threshold is then chosen on the same shadow rows: among their attack
     scores, the one whose flags (score >= threshold) maximise the member
@@ -154,19 +175,8 @@ def train_attack(
     +inf. The bounds hold per threshold, not jointly over the maximum, so a
     threshold is now and then picked by chance.
     """
-    if shadow_model.weights.shape[0] != dataset.n_features:
-        raise ValueError("shadow model dimension does not match the dataset")
-    if split.attack_train.size == 0 or split.attack_test.size == 0:
-        raise ValueError("attack split must contain both members and non-members")
-
-    member_X = attack_features(
-        predict_proba(shadow_model, dataset.features[split.attack_train]),
-        dataset.labels[split.attack_train],
-    )
-    nonmember_X = attack_features(
-        predict_proba(shadow_model, dataset.features[split.attack_test]),
-        dataset.labels[split.attack_test],
-    )
+    member_X = attack_features(member_proba, member_labels)
+    nonmember_X = attack_features(nonmember_proba, nonmember_labels)
     X = np.vstack([member_X, nonmember_X])
     y = np.concatenate([
         np.ones(member_X.shape[0], dtype=int),
@@ -185,62 +195,15 @@ def run_mia(
     member_labels: np.ndarray,
     nonmember_proba: np.ndarray,
     nonmember_labels: np.ndarray,
-) -> MiaOutcome:
+) -> tuple[int, int]:
     """Attack every victim row from the victim's observed output on it and
     its true label: the members are the victim_train rows, the non-members
     the victim_test rows. A row is flagged when its attack score is
-    >= attack.threshold, so a +inf threshold flags none."""
-    member_count, nonmember_count = len(member_labels), len(nonmember_labels)
-    if member_count == 0 or nonmember_count == 0:
-        raise ValueError("victim split parts must be non-empty")
+    >= attack.threshold, so a +inf threshold flags none. Returns the flagged
+    members and non-members: (true positives, false positives)."""
 
     def flagged(proba: np.ndarray, labels: np.ndarray) -> int:
         scores = predict_proba(attack.classifier, attack_features(proba, labels))
         return int((scores >= attack.threshold).sum())
 
-    tp = flagged(member_proba, member_labels)
-    fp = flagged(nonmember_proba, nonmember_labels)
-    return MiaOutcome(
-        tpr=tp / member_count,
-        fpr=fp / nonmember_count,
-        true_positive_count=tp,
-        member_count=member_count,
-        nonmember_count=nonmember_count,
-    )
-
-
-def privacy_leakage(outcome: MiaOutcome) -> float:
-    """TPR - FPR: 0 means the attack leaks nothing, 1 a fully successful attack;
-    negative values mean the attack does worse than chance."""
-    return outcome.tpr - outcome.fpr
-
-
-def utility_loss(acc_private: float, acc_nonprivate: float) -> float:
-    """Non-private minus private accuracy, so positive values mean degradation."""
-    if not (0.0 <= acc_private <= 1.0 and 0.0 <= acc_nonprivate <= 1.0):
-        raise ValueError("accuracies must lie in [0, 1]")
-    return acc_nonprivate - acc_private
-
-
-def true_revealed_records(outcome: MiaOutcome) -> int:
-    """Raw count of member rows the attack correctly flags."""
-    return outcome.true_positive_count
-
-
-def build_report(
-    *,
-    acc_private: float,
-    acc_nonprivate: float,
-    outcome: MiaOutcome,
-) -> AuditReport:
-    """Assemble the per-cell report; the metric identities live in one place."""
-    return AuditReport(
-        acc_private=acc_private,
-        acc_nonprivate=acc_nonprivate,
-        utility_loss=utility_loss(acc_private, acc_nonprivate),
-        privacy_leakage=privacy_leakage(outcome),
-        true_revealed_records=true_revealed_records(outcome),
-        trr_rate=outcome.true_positive_count / outcome.member_count,
-        tpr=outcome.tpr,
-        fpr=outcome.fpr,
-    )
+    return flagged(member_proba, member_labels), flagged(nonmember_proba, nonmember_labels)

@@ -48,7 +48,7 @@ from .data import (
     synth_generate,
 )
 from .mechanisms import PrivacyBudget, RngState
-from .model import TrainConfig, _check_field_types, accuracy, predict, train
+from .model import TrainConfig, _check_field_types, accuracy, predict, predict_proba, train
 from .pipelines import DpMethod, TeacherVotes, Victim, run_pipeline, shared_part, victim_view
 
 __all__ = [
@@ -102,6 +102,10 @@ class SynthSpec:
         _check_field_types(self)
 
 
+# The config's "data" block names the data-source fields differently.
+_DATA_FIELDS = {"synth": "synth", "path": "data_path", "schema": "schema_path"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data_path: str | None = None
@@ -119,7 +123,7 @@ class ExperimentConfig:
     threads: int = 1  # accepted for existing configs; seeds always run serially
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        _check_field_types(self, {name: f"data.{key}" for key, name in _DATA_FIELDS.items()})
         if (self.data_path is None) == (self.synth is None):
             raise ValueError("config must specify exactly one of a CSV data path or a synth block")
         if (self.data_path is None) != (self.schema_path is None):
@@ -156,8 +160,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
 
 
-# The config's "data" block names the data-source fields differently.
-_DATA_FIELDS = {"synth": "synth", "path": "data_path", "schema": "schema_path"}
 _CONFIG_KEYS = frozenset(
     {f.name for f in fields(ExperimentConfig)} - set(_DATA_FIELDS.values()) | {"data"}
 )
@@ -285,17 +287,22 @@ def build_seed_context(
 ) -> SeedContext:
     """The split of one seed, keyed by (master seed, seed), then the
     shadow-trained attack on its attack half, then the victim view of its
-    victim half and the non-private baseline's accuracy. The attack half is
-    fitted before the victim rows are gathered, so its fits never run beside
-    the victim's copies.
+    victim half and the non-private baseline's accuracy. The shadow is fitted
+    on attack_train, and the attack on the shadow's outputs on attack_train
+    (members) and attack_test (non-members). The attack half is fitted before
+    the victim rows are gathered, so its fits never run beside the victim's
+    copies.
     """
     seed = config.seeds[seed_index]
     split = four_way_split(dataset, _split_seed(config.master_seed, seed),
                            config.inner_train_fraction)
 
-    shadow = train(dataset.features[split.attack_train],
-                   dataset.labels[split.attack_train], config.train)
-    attack = audit_mod.train_attack(shadow, dataset, split, config.train)
+    members, nonmembers = split.attack_train, split.attack_test
+    shadow = train(dataset.features[members], dataset.labels[members], config.train)
+    attack = audit_mod.train_attack(
+        predict_proba(shadow, dataset.features[members]), dataset.labels[members],
+        predict_proba(shadow, dataset.features[nonmembers]), dataset.labels[nonmembers],
+        config.train)
 
     victim = victim_view(dataset, split)
     baseline = train(victim.train_features, victim.train_labels, config.train)
@@ -337,13 +344,13 @@ def run_cell(
         release = run_pipeline(cell.method, victim, shared, budget, config.train,
                                pipeline_rng, audit_rng)
         acc_private = accuracy(release.predictions, victim.test_labels)
-        outcome = audit_mod.run_mia(context.attack, release.train_proba, victim.train_labels,
-                                    release.test_proba, victim.test_labels)
-        report = audit_mod.build_report(
-            acc_private=acc_private,
-            acc_nonprivate=context.acc_nonprivate,
-            outcome=outcome,
-        )
+        true_positives, false_positives = audit_mod.run_mia(
+            context.attack, release.train_proba, victim.train_labels,
+            release.test_proba, victim.test_labels)
+        report = audit_mod.AuditReport(
+            acc_private=acc_private, acc_nonprivate=context.acc_nonprivate,
+            true_positives=true_positives, false_positives=false_positives,
+            members=len(victim.train_labels), nonmembers=len(victim.test_labels))
         model = release.model
         fit = () if model is None else (model.iterations, model.gradient_norm, model.stop)
         return CellResult(cell, report, time.perf_counter() - start, "ok", *fit)

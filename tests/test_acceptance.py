@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from dp_la import cli
-from dp_la.audit import privacy_leakage, run_mia, train_attack
+from dp_la.audit import AuditReport, run_mia, train_attack
 from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.experiment import ExperimentConfig, SynthSpec, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState, empirical_dp_check, sample_laplace
@@ -161,6 +161,12 @@ def test_criterion_7_trr_near_zero(trend_sweep):
     assert ok
 
 
+def leakage(counts: tuple[int, int], members: int, nonmembers: int) -> float:
+    """Privacy leakage of run_mia's (true positives, false positives), as the
+    sweep's AuditReport derives it."""
+    return AuditReport(1.0, 1.0, *counts, members, nonmembers).privacy_leakage
+
+
 def test_criterion_8_overfit_mia_and_mitigation():
     vic_cfg = TrainConfig(lam=0.0, epochs=2000)
     base_leaks, pate_leaks = [], []
@@ -170,12 +176,15 @@ def test_criterion_8_overfit_mia_and_mitigation():
         split = four_way_split(ds, seed)
         victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], vic_cfg)
         shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], vic_cfg)
-        attack = train_attack(shadow, ds, split, vic_cfg)
+        attack = train_attack(
+            predict_proba(shadow, ds.features[split.attack_train]), ds.labels[split.attack_train],
+            predict_proba(shadow, ds.features[split.attack_test]), ds.labels[split.attack_test],
+            vic_cfg)
         rng = RngState(seed)
         rows = victim_view(ds, split)
         out = run_mia(attack, predict_proba(victim, rows.train_features), rows.train_labels,
                       predict_proba(victim, rows.test_features), rows.test_labels)
-        base_leaks.append(privacy_leakage(out))
+        base_leaks.append(leakage(out, len(rows.train_labels), len(rows.test_labels)))
 
         votes = shared_part(DpMethod.PREDICTION_PERTURBATION, rows, vic_cfg,
                             rng.substream("p"), 10)
@@ -183,7 +192,7 @@ def test_criterion_8_overfit_mia_and_mitigation():
                            vic_cfg, rng.substream("p"), rng.substream("a"))
         out_p = run_mia(attack, res.train_proba, rows.train_labels, res.test_proba,
                         rows.test_labels)
-        pate_leaks.append(privacy_leakage(out_p))
+        pate_leaks.append(leakage(out_p, len(rows.train_labels), len(rows.test_labels)))
     base_med = float(np.median(base_leaks))
     pate_med = float(np.median(pate_leaks))
     ok = base_med >= 0.05 and (pate_med <= base_med / 2 or pate_med < 0.05)

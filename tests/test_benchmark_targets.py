@@ -4,13 +4,17 @@ out, and a lost cell-start mark silently moves where ``setup_s`` ends. So
 every name it wraps must resolve to a callable here."""
 
 import importlib
+import json
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from dp_la import cli
+
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
 
 
 def _load_tracing() -> types.ModuleType:
@@ -36,3 +40,38 @@ def test_wrapped_name_resolves_to_a_callable(module_name, attr):
     for part in attr.split("."):  # "Class.method" names a method
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# Computed by the benchmark runner around span_metrics, not from the spans alone.
+RUNNER_METRICS = {"trace.overhead_s", "trace.uncovered_share"}
+
+
+def test_traced_sweep_writes_the_same_results_and_every_per_layer_metric(tmp_path):
+    """A tiny three-method sweep under the benchmark's Tracer: tracing must not
+    change a byte of results.csv, and its spans must yield every per-layer
+    metric that BENCHMARK.json declares and span_metrics computes."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"synth": {"n": 400, "d_numeric": 3, "d_categorical": 1,
+                            "separation": 1.0, "seed": 5}},
+        "epsilons": [1.0, 100.0],
+        "seeds": [1],
+        "num_teachers": 3,
+    }))
+
+    def run(out: Path) -> bytes:
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        return (out / "results.csv").read_bytes()
+
+    untraced = run(tmp_path / "untraced")
+    tracer = tracing.Tracer()
+    try:
+        traced = run(tmp_path / "traced")
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    assert traced == untraced
+
+    declared = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
+    metrics = tracing.span_metrics(tracer.record())
+    assert sorted(declared - RUNNER_METRICS - set(metrics)) == []

@@ -176,6 +176,12 @@ class TestConfig:
         (dict(seeds=[1, 2.0]), "seeds must be tuple[int, ...], got (1, 2.0)"),
         (dict(epsilons="1.0"), "epsilons must be a JSON list, got '1.0'"),
         (dict(output_dir=1), "output_dir must be str, got 1"),
+        (dict(train={"lam": float("nan")}), "lam must be finite, got nan"),
+        (dict(epsilons=[1.0, float("inf")]), "epsilons must be finite, got (1.0, inf)"),
+        (dict(data={"synth": {"separation": float("inf")}}), "separation must be finite, got inf"),
+        (dict(delta=float("-inf")), "delta must be finite, got -inf"),
+        (dict(data={"path": "x.csv", "schema": 5}), "data.schema must be str | None, got 5"),
+        (dict(data={"path": 5, "schema": "s.json"}), "data.path must be str | None, got 5"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -440,11 +446,9 @@ def fabricated_results(values_by_seed, method=DpMethod.OBJECTIVE_PERTURBATION, e
         if seed in fail_seeds:
             rows.append(CellResult(cell, None, 0.0, "failed:synthetic"))
             continue
-        report = AuditReport(
-            acc_private=0.8, acc_nonprivate=0.8 + ul, utility_loss=ul,
-            privacy_leakage=0.0, true_revealed_records=0, trr_rate=0.0,
-            tpr=0.0, fpr=0.0,
-        )
+        # utility_loss is acc_nonprivate - 0.0, which is ul bit for bit
+        report = AuditReport(acc_private=0.0, acc_nonprivate=ul, true_positives=0,
+                             false_positives=0, members=1, nonmembers=1)
         rows.append(CellResult(cell, report, 0.0, "ok"))
     return SweepResults(rows=tuple(rows), config_fingerprint="test")
 
