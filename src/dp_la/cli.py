@@ -84,8 +84,8 @@ def _cmd_check_dp(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    # The sweep's first cell, run the way the sweep runs it: its eps_index and
-    # seed_index stay 0, so its random streams and split are the full sweep's.
+    # The sweep's first cell: its streams are keyed by its grid values, so they
+    # and its split are the full sweep's.
     results = run_sweep(dataclasses.replace(
         config, methods=config.methods[:1], epsilons=config.epsilons[:1], seeds=config.seeds[:1]))
     result = results.rows[0]

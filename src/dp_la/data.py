@@ -325,12 +325,13 @@ def _allocate(counts: list[int], fraction: float, total_target: int) -> list[int
     return base
 
 
-def four_way_split(dataset: Dataset, seed: int, inner_train_fraction: float = 0.5) -> FourWaySplit:
+def four_way_split(dataset: Dataset, rng: RngState,
+                   inner_train_fraction: float = 0.5) -> FourWaySplit:
     """Label-stratified split into victim-train/test and attack-train/test.
 
-    Rows are shuffled by ``seed``; the victim half receives any odd row, and
-    within each half the train part receives any indivisible remainder.
-    Deterministic per (dataset, seed).
+    Rows are shuffled by ``rng``'s "four-way-split" substream; the victim half
+    receives any odd row, and within each half the train part receives any
+    indivisible remainder. Deterministic per (dataset, rng).
     """
     n = dataset.n_rows
     if n < 8:
@@ -338,11 +339,11 @@ def four_way_split(dataset: Dataset, seed: int, inner_train_fraction: float = 0.
     if not (0.0 < inner_train_fraction < 1.0):
         raise ValueError(f"inner_train_fraction must be in (0, 1), got {inner_train_fraction}")
 
-    rng = RngState(seed).substream("four-way-split").generator
+    shuffle = rng.substream("four-way-split").generator
     by_class: list[np.ndarray] = []
     for cls in (0, 1):
         idx = np.flatnonzero(dataset.labels == cls)
-        by_class.append(rng.permutation(idx))
+        by_class.append(shuffle.permutation(idx))
 
     counts = [len(idx) for idx in by_class]
     victim_per_class = _allocate(counts, 0.5, (n + 1) // 2)

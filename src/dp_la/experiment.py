@@ -18,11 +18,12 @@ the seed's shared work is timed under ``timings.per_seed``; each cell's own
 time and its released model's fit diagnostics (Newton iterations, final
 gradient norm, stop reason) are under ``timings.per_cell``.
 
-Every random stream is keyed by the master seed and grid coordinates, never
-by call order: the pipeline stream by (method, seed), derived once per group,
-and each cell's audit stream by its full coordinates. So results do not
-depend on execution order, and editing one cell's coordinates never disturbs
-another cell.
+Every random stream is a substream of ``RngState(master_seed)`` labelled by
+grid values, never by positions in the grid or by call order: the split by
+``("split", seed)``, the pipeline stream by ``("pipeline", method, "seed",
+seed)`` and each cell's audit stream by ``("audit", method, float(epsilon),
+seed)``. So results do not depend on execution order, and adding, dropping or
+reordering grid values never disturbs the cells that remain.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # The config's "data" block names the data-source fields differently.
@@ -132,6 +135,8 @@ class ExperimentConfig:
             raise ValueError("methods must be non-empty")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
@@ -199,8 +204,6 @@ class SweepCell:
     method: DpMethod
     epsilon: float
     seed: int
-    eps_index: int
-    seed_index: int
 
 
 @dataclass(frozen=True)
@@ -238,10 +241,10 @@ class SweepResults:
 def enumerate_cells(config: ExperimentConfig) -> list[SweepCell]:
     """Deterministic cell order: method, then epsilon ascending, then seed."""
     return [
-        SweepCell(method, eps, seed, ei, si)
+        SweepCell(method, eps, seed)
         for method in config.methods
-        for ei, eps in enumerate(config.epsilons)
-        for si, seed in enumerate(config.seeds)
+        for eps in config.epsilons
+        for seed in config.seeds
     ]
 
 
@@ -260,14 +263,9 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     return preprocess(raw, schema)
 
 
-def _split_seed(master_seed: int, seed: int) -> int:
-    key = f"split:{master_seed}:{seed}"
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little") >> 1
-
-
-def _pipeline_rng(master: RngState, method: DpMethod, seed_index: int) -> RngState:
+def _pipeline_rng(master: RngState, method: DpMethod, seed: int) -> RngState:
     """The DP pipeline's stream of one (method, seed); epsilon is not in the key."""
-    return master.substream("pipeline", method.value, "seed", seed_index)
+    return master.substream("pipeline", method.value, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -282,9 +280,7 @@ class SeedContext:
     acc_nonprivate: float
 
 
-def build_seed_context(
-    config: ExperimentConfig, dataset: Dataset, seed_index: int
-) -> SeedContext:
+def build_seed_context(config: ExperimentConfig, dataset: Dataset, seed: int) -> SeedContext:
     """The split of one seed, keyed by (master seed, seed), then the
     shadow-trained attack on its attack half, then the victim view of its
     victim half and the non-private baseline's accuracy. The shadow is fitted
@@ -293,8 +289,7 @@ def build_seed_context(
     the victim rows are gathered, so its fits never run beside the victim's
     copies.
     """
-    seed = config.seeds[seed_index]
-    split = four_way_split(dataset, _split_seed(config.master_seed, seed),
+    split = four_way_split(dataset, RngState(config.master_seed).substream("split", seed),
                            config.inner_train_fraction)
 
     members, nonmembers = split.attack_train, split.attack_test
@@ -327,17 +322,18 @@ def run_cell(
     epsilon-dependent part of the DP release, the shadow attack on it,
     metrics. The cell's wall time covers only this work.
 
-    The split is keyed by (master seed, seed) and the pipeline stream by
-    (master seed, method, seed) only, so cells along the epsilon axis of one
-    seed share their underlying randomness and differ purely in the noise scale (common random
-    numbers; trend curves are not polluted by resampling jitter). The
-    audit's fresh vote noise is keyed by the full cell coordinates.
+    The split is keyed by the seed's value and the pipeline stream by the
+    (method, seed) values only, so cells along the epsilon axis of one seed
+    share their underlying randomness and differ purely in the noise scale
+    (common random numbers; trend curves are not polluted by resampling
+    jitter). The audit's fresh vote noise is keyed by the cell's (method,
+    epsilon, seed) values; ``float(epsilon)`` makes a JSON ``1`` and ``1.0``
+    key the same stream.
     """
     start = time.perf_counter()
     try:
         audit_rng = RngState(config.master_seed).substream(
-            "audit", cell.method.value, cell.eps_index, cell.seed_index
-        )
+            "audit", cell.method.value, float(cell.epsilon), cell.seed)
         victim = context.victim
         delta = config.delta if cell.method is DpMethod.INPUT_PERTURBATION else 0.0
         budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
@@ -363,16 +359,15 @@ def _failed_cells(cells: list[SweepCell], exc: Exception) -> list[CellResult]:
 
 
 def _run_seed(
-    config: ExperimentConfig, dataset: Dataset, seed_index: int, cells: list[SweepCell]
+    config: ExperimentConfig, dataset: Dataset, seed: int, cells: list[SweepCell]
 ) -> tuple[list[CellResult], SeedTiming]:
     """Build one seed's context, then for each method its shared part, then
     run that method's cells of the seed. If the context cannot be built,
     every cell of the seed fails with its error; if a shared part cannot,
     only that method's cells do."""
-    seed = config.seeds[seed_index]
     start = time.perf_counter()
     try:
-        context = build_seed_context(config, dataset, seed_index)
+        context = build_seed_context(config, dataset, seed)
     except Exception as exc:  # contained like a cell failure
         return _failed_cells(cells, exc), SeedTiming(seed, time.perf_counter() - start)
     shared_s = time.perf_counter() - start
@@ -380,7 +375,7 @@ def _run_seed(
     master, rows = RngState(config.master_seed), []
     for method in config.methods:
         method_cells = [c for c in cells if c.method is method]
-        pipeline_rng = _pipeline_rng(master, method, seed_index)
+        pipeline_rng = _pipeline_rng(master, method, seed)
         start = time.perf_counter()
         try:
             shared = shared_part(method, context.victim, config.train, pipeline_rng,
@@ -401,8 +396,8 @@ def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> Sweep
         dataset = load_experiment_dataset(config)
     cells = enumerate_cells(config)
     groups = [
-        _run_seed(config, dataset, si, [c for c in cells if c.seed_index == si])
-        for si in range(len(config.seeds))
+        _run_seed(config, dataset, seed, [c for c in cells if c.seed == seed])
+        for seed in config.seeds
     ]
     by_cell = {row.cell: row for rows, _ in groups for row in rows}
     return SweepResults(

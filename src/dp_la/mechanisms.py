@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -37,9 +38,6 @@ __all__ = [
     "DpCheckReport",
     "empirical_dp_check",
 ]
-
-_MASK64 = (1 << 64) - 1
-
 
 class SensitivityNorm(Enum):
     """Norm in which a query's sensitivity is measured."""
@@ -88,16 +86,19 @@ def _label_hash(label: object) -> int:
 class RngState:
     """Seeded, splittable random state.
 
-    Wraps a counter-based Philox generator keyed by a 64-bit seed plus an
-    optional label path. Identical (seed, path) pairs yield identical sample
-    streams; :meth:`substream` derives independent child streams, so every
-    sweep cell can own a reproducible generator keyed by its coordinates.
+    Wraps a counter-based Philox generator keyed by a non-negative integer
+    seed of any size plus an optional label path. Identical (seed, path)
+    pairs yield identical sample streams; :meth:`substream` derives
+    independent child streams, so every sweep cell can own a reproducible
+    generator keyed by its grid values.
     The generator is built on first use, so a state that only derives
     substreams never hashes its labels or seeds a Philox.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
-        self.seed = int(seed) & _MASK64
+        self.seed = operator.index(seed)  # a float seed is an error, not truncated
+        if self.seed < 0:
+            raise ValueError(f"a seed must be non-negative, got {seed}")
         self._path = tuple(_path)
 
     @cached_property
@@ -186,8 +187,8 @@ def empirical_dp_check(
     budget: PrivacyBudget,
     bins: int = 40,
     trials: int = 100_000,
-    rng: RngState | None = None,
     *,
+    rng: RngState,
     sensitivity: float = 1.0,
     tolerance_factor: float = 1.2,
     min_bin_hits: int = 1000,
@@ -211,8 +212,6 @@ def empirical_dp_check(
         raise ValueError(f"need at least 10_000 trials for a stable estimate, got {trials}")
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    if rng is None:
-        rng = RngState(0)
 
     scale = laplace_scale(Sensitivity(sensitivity, SensitivityNorm.L1), budget)
     out_a = float(query(data)) + sample_laplace(scale, rng, size=trials)

@@ -173,7 +173,7 @@ def test_criterion_8_overfit_mia_and_mitigation():
     for seed in (1, 2, 3, 4, 5):
         raw, schema = synth_generate(240, 40, 0, 0.35, seed=100 + seed)
         ds = preprocess(raw, schema)
-        split = four_way_split(ds, seed)
+        split = four_way_split(ds, RngState(seed))
         victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], vic_cfg)
         shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], vic_cfg)
         attack = train_attack(

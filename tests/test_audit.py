@@ -10,7 +10,7 @@ from dp_la.audit import (
     wilson_interval,
 )
 from dp_la.data import Dataset, FourWaySplit, four_way_split, preprocess, synth_generate
-from dp_la.experiment import (ExperimentConfig, SynthSpec, _split_seed, build_seed_context,
+from dp_la.experiment import (ExperimentConfig, SynthSpec, build_seed_context,
                               load_experiment_dataset)
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, predict_proba, train
@@ -138,7 +138,7 @@ class TestTrainAttack:
     def test_deterministic(self):
         raw, schema = synth_generate(400, 4, 1, 1.0, seed=3)
         ds = preprocess(raw, schema)
-        split = four_way_split(ds, seed=1)
+        split = four_way_split(ds, RngState(1))
         shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], CFG)
         a = train_attack(*shadow_outputs(shadow, ds, split), CFG)
         b = train_attack(*shadow_outputs(shadow, ds, split), CFG)
@@ -148,14 +148,15 @@ class TestTrainAttack:
         cfg = ExperimentConfig(synth=SynthSpec(n=400, d_numeric=4, d_categorical=1, seed=3),
                                seeds=(1,))
         ds = load_experiment_dataset(cfg)
-        context = build_seed_context(cfg, ds, 0)
+        context = build_seed_context(cfg, ds, 1)
 
-        split = four_way_split(ds, _split_seed(cfg.master_seed, 1), cfg.inner_train_fraction)
+        split = four_way_split(ds, RngState(cfg.master_seed).substream("split", 1),
+                               cfg.inner_train_fraction)
         scrambled = ds.features.copy()
         victim_rows = np.concatenate([split.victim_train, split.victim_test])
         scrambled[victim_rows] = RngState(99).generator.random(scrambled[victim_rows].shape)
         ds2 = Dataset(scrambled, ds.labels, ds.feature_names, ds.normalization_bounds)
-        context2 = build_seed_context(cfg, ds2, 0)
+        context2 = build_seed_context(cfg, ds2, 1)
         assert not np.array_equal(context.victim.train_features, context2.victim.train_features)
         np.testing.assert_array_equal(context.attack.classifier.weights,
                                       context2.attack.classifier.weights)
@@ -181,7 +182,7 @@ class TestRunMia:
     def small_setup(self):
         raw, schema = synth_generate(200, 3, 0, 1.0, seed=2)
         ds = preprocess(raw, schema)
-        split = four_way_split(ds, seed=0)
+        split = four_way_split(ds, RngState(0))
         victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], CFG)
         return ds, split, victim
 
@@ -264,7 +265,7 @@ class TestNullCalibration:
         for seed in range(10):
             raw, schema = synth_generate(400, 5, 2, 0.0, seed=50 + seed)
             ds = preprocess(raw, schema)
-            split = four_way_split(ds, seed)
+            split = four_way_split(ds, RngState(seed))
             victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], CFG)
             shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], CFG)
             attack = train_attack(*shadow_outputs(shadow, ds, split), CFG)
@@ -280,7 +281,7 @@ class TestOverfitOracle:
         for seed in (1, 2, 3, 4, 5):
             raw, schema = synth_generate(240, 40, 0, 0.35, seed=100 + seed)
             ds = preprocess(raw, schema)
-            split = four_way_split(ds, seed)
+            split = four_way_split(ds, RngState(seed))
             victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], vic_cfg)
             shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], vic_cfg)
             attack = train_attack(*shadow_outputs(shadow, ds, split), vic_cfg)

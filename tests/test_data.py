@@ -19,6 +19,7 @@ from dp_la.data import (
     synth_generate,
     write_raw_csv,
 )
+from dp_la.mechanisms import RngState
 from dp_la.model import TrainConfig, accuracy, predict, train
 
 
@@ -446,12 +447,12 @@ class TestFourWaySplit:
         return Dataset(features, labels, ("x",), {})
 
     def test_even_quarters(self):
-        split = four_way_split(self.build(100), seed=1)
+        split = four_way_split(self.build(100), RngState(1))
         sizes = [len(v) for v in astuple(split)]
         assert sizes == [25, 25, 25, 25]
 
     def test_odd_remainder_policy(self):
-        split = four_way_split(self.build(101), seed=1)
+        split = four_way_split(self.build(101), RngState(1))
         victim = len(split.victim_train) + len(split.victim_test)
         attack = len(split.attack_train) + len(split.attack_test)
         assert (victim, attack) == (51, 50)
@@ -460,13 +461,13 @@ class TestFourWaySplit:
 
     def test_deterministic(self):
         ds = self.build(64)
-        a, b = four_way_split(ds, seed=9), four_way_split(ds, seed=9)
+        a, b = four_way_split(ds, RngState(9)), four_way_split(ds, RngState(9))
         for pa, pb in zip(astuple(a), astuple(b)):
             np.testing.assert_array_equal(pa, pb)
 
     def test_disjoint_and_covering(self):
         ds = self.build(97)
-        split = four_way_split(ds, seed=3)
+        split = four_way_split(ds, RngState(3))
         combined = np.concatenate(astuple(split))
         assert len(set(combined.tolist())) == 97 == len(combined)
 
@@ -474,28 +475,28 @@ class TestFourWaySplit:
         rng = np.random.default_rng(0)
         labels = (rng.random(500) < 0.3).astype(int)
         ds = Dataset(np.zeros((500, 1)), labels, ("x",), {})
-        split = four_way_split(ds, seed=4)
+        split = four_way_split(ds, RngState(4))
         global_rate = labels.mean()
         for part in astuple(split):
             assert abs(labels[part].mean() - global_rate) <= 0.02
 
     def test_too_small_errors(self):
         with pytest.raises(ValueError):
-            four_way_split(self.build(7), seed=0)
+            four_way_split(self.build(7), RngState(0))
         one_class = Dataset(np.zeros((20, 1)), np.zeros(20, dtype=int), ("x",), {})
         with pytest.raises(ValueError, match="each class"):
-            four_way_split(one_class, seed=0)
+            four_way_split(one_class, RngState(0))
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            four_way_split(self.build(100), seed=0, inner_train_fraction=1.0)
+            four_way_split(self.build(100), RngState(0), inner_train_fraction=1.0)
 
 
 class TestSynthGenerate:
     def test_baseline_learnability_oracle(self):
         raw, schema = synth_generate(1000, 5, 2, 2.0, seed=7)
         ds = preprocess(raw, schema)
-        split = four_way_split(ds, seed=0)
+        split = four_way_split(ds, RngState(0))
         model = train(ds.features[split.victim_train], ds.labels[split.victim_train], TrainConfig())
         acc = accuracy(predict(model, ds.features[split.victim_test]), ds.labels[split.victim_test])
         assert acc > 0.85
@@ -503,7 +504,7 @@ class TestSynthGenerate:
     def test_zero_separation_is_chance_level(self):
         raw, schema = synth_generate(1000, 5, 2, 0.0, seed=7)
         ds = preprocess(raw, schema)
-        split = four_way_split(ds, seed=0)
+        split = four_way_split(ds, RngState(0))
         model = train(ds.features[split.victim_train], ds.labels[split.victim_train], TrainConfig())
         acc = accuracy(predict(model, ds.features[split.victim_test]), ds.labels[split.victim_test])
         assert acc == pytest.approx(0.5, abs=0.06)

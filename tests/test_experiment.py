@@ -41,7 +41,7 @@ SMALL = dict(
 
 def run_alone(cfg, cell, context):
     """run_cell on ``context`` with its method's shared part built for it alone."""
-    rng = _pipeline_rng(RngState(cfg.master_seed), cell.method, cell.seed_index)
+    rng = _pipeline_rng(RngState(cfg.master_seed), cell.method, cell.seed)
     shared = shared_part(cell.method, context.victim, cfg.train, rng, cfg.num_teachers)
     return run_cell(cfg, cell, context, shared, rng)
 
@@ -190,6 +190,22 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("overrides, flags, message", [
+        (dict(master_seed=-1), [], "master_seed must be non-negative, got -1"),
+        ({}, ["--seed", "-1"], "master_seed must be non-negative, got -1"),
+        (dict(data={"synth": {"seed": -1}}), [], "seed must be non-negative, got -1"),
+    ])
+    def test_negative_seed_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                         overrides, flags, message):
+        path = write_config(tmp_path, **overrides)
+
+        def no_sweep(config):
+            raise AssertionError("run_sweep called for an invalid config")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert cli.main(["run", "--config", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_float_fields_take_json_integers_unconverted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, epsilons=[1, 100], delta=0.001,
                                        train={"lam": 1}))
@@ -299,7 +315,7 @@ class TestRunSweep:
     def test_shared_part_failure_fails_only_its_method_and_seed(self, small_results,
                                                                 monkeypatch):
         cfg, healthy = small_results
-        failing = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, 1)
+        failing = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, 2)
         original = pipelines.draw_input_noise
 
         def draw(train_features, rng):
@@ -310,7 +326,7 @@ class TestRunSweep:
         monkeypatch.setattr(pipelines, "draw_input_noise", draw)
         results = run_sweep(cfg)
         for row, expected in zip(results.rows, healthy.rows):
-            if row.cell.method is DpMethod.INPUT_PERTURBATION and row.cell.seed_index == 1:
+            if row.cell.method is DpMethod.INPUT_PERTURBATION and row.cell.seed == 2:
                 assert row.status == "failed:ValueError:no noise for this seed"
                 assert row.report is None
             else:
@@ -354,7 +370,7 @@ class TestRunSweep:
         cfg, results = small_results
         dataset = load_experiment_dataset(cfg)
         for row in results.rows:
-            context = build_seed_context(cfg, dataset, row.cell.seed_index)
+            context = build_seed_context(cfg, dataset, row.cell.seed)
             alone = run_alone(cfg, row.cell, context)
             assert alone.status == row.status == "ok"
             assert row.report == alone.report
@@ -365,9 +381,9 @@ class TestRunSweep:
         cfg, results = small_results
         dataset = load_experiment_dataset(cfg)
         rows = []
-        for si in range(len(cfg.seeds)):
-            context = build_seed_context(cfg, dataset, si)
-            cells = [c for c in enumerate_cells(cfg) if c.seed_index == si]
+        for seed in cfg.seeds:
+            context = build_seed_context(cfg, dataset, seed)
+            cells = [c for c in enumerate_cells(cfg) if c.seed == seed]
             rows += [run_alone(cfg, cell, context) for cell in reversed(cells)]
         by_cell = {row.cell: row for row in rows}
         reversed_results = SweepResults(tuple(by_cell[r.cell] for r in results.rows),
@@ -388,15 +404,15 @@ class TestRunSweep:
 
         monkeypatch.setattr(pipelines, "train", capture)
         dataset = load_experiment_dataset(cfg)
-        for si in range(len(cfg.seeds)):
-            context = build_seed_context(cfg, dataset, si)
+        for seed in cfg.seeds:
+            context = build_seed_context(cfg, dataset, seed)
             X = context.victim.train_features
-            rng = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, si)
+            rng = _pipeline_rng(RngState(cfg.master_seed), DpMethod.INPUT_PERTURBATION, seed)
             expected = rng.substream("input-noise").generator.standard_normal(X.shape)
             noise = shared_part(DpMethod.INPUT_PERTURBATION, context.victim, cfg.train, rng,
                                 cfg.num_teachers)
             noised.clear()
-            for cell in (c for c in enumerate_cells(cfg) if c.seed_index == si):
+            for cell in (c for c in enumerate_cells(cfg) if c.seed == seed):
                 assert run_cell(cfg, cell, context, noise, rng).status == "ok"
             assert len(noised) == len(cfg.epsilons)
             for eps, released in zip(cfg.epsilons, noised):
@@ -422,27 +438,43 @@ class TestRunSweep:
         assert [t.seed for t in results.seed_timings] == list(cfg.seeds)
 
     def test_seed_isolation(self, small_results):
+        # every stream is keyed by grid values, so no grid edit disturbs the
+        # cells it keeps
         cfg, results = small_results
-        # appending an epsilon must not disturb existing cells
-        wider = run_sweep(ExperimentConfig(**{**SMALL, "epsilons": (1.0, 100.0, 1000.0)}))
         base_reports = {(r.cell.method, r.cell.epsilon, r.cell.seed): r.report
                         for r in results.rows}
-        for row in wider.rows:
-            key = (row.cell.method, row.cell.epsilon, row.cell.seed)
-            if key in base_reports:
-                assert row.report == base_reports[key]
-        # replacing the second seed must not disturb the first seed's cells
-        reseeded = run_sweep(ExperimentConfig(**{**SMALL, "seeds": (1, 99)}))
-        for row in reseeded.rows:
-            if row.cell.seed == 1:
-                assert row.report == base_reports[(row.cell.method, row.cell.epsilon, 1)]
+        edits = [
+            {"epsilons": (1.0, 100.0, 1000.0)},  # append an epsilon
+            {"epsilons": (0.1, 1.0, 100.0)},  # add a smaller epsilon in front
+            {"seeds": (1, 99)},  # replace the second seed
+            {"seeds": (3, 1, 2)},  # add a seed in front
+            {"seeds": (2,)},  # drop the first seed
+        ]
+        for edit in edits:
+            edited = run_sweep(ExperimentConfig(**{**SMALL, **edit}))
+            shared = [row for row in edited.rows
+                      if (row.cell.method, row.cell.epsilon, row.cell.seed) in base_reports]
+            assert len(shared) >= len(cfg.methods) * len(cfg.epsilons), edit
+            for row in shared:
+                key = (row.cell.method, row.cell.epsilon, row.cell.seed)
+                assert row.report == base_reports[key], (edit, key)
+
+    def test_integer_and_float_epsilons_key_the_same_streams(self, tmp_path):
+        # JSON 1 and 1.0 load unconverted; the audit stream is keyed by float(epsilon)
+        methods = [m.value for m in DpMethod]
+        for name, epsilons in (("ints", [1, 100]), ("floats", [1.0, 100.0])):
+            path = write_config(tmp_path, epsilons=epsilons, methods=methods,
+                                output_dir=str(tmp_path / name))
+            assert cli.main(["run", "--config", str(path)]) == 0
+        assert ((tmp_path / "ints" / "results.csv").read_bytes()
+                == (tmp_path / "floats" / "results.csv").read_bytes())
 
 
 def fabricated_results(values_by_seed, method=DpMethod.OBJECTIVE_PERTURBATION, epsilon=1.0,
                        fail_seeds=()):
     rows = []
-    for i, (seed, ul) in enumerate(values_by_seed.items()):
-        cell = SweepCell(method, epsilon, seed, 0, i)
+    for seed, ul in values_by_seed.items():
+        cell = SweepCell(method, epsilon, seed)
         if seed in fail_seeds:
             rows.append(CellResult(cell, None, 0.0, "failed:synthetic"))
             continue

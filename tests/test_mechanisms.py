@@ -157,6 +157,17 @@ class TestRngState:
         assert np.array_equal(x, y)
         assert not np.array_equal(x, z)
 
+    def test_rejects_a_negative_or_fractional_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            RngState(-1)
+        with pytest.raises(TypeError):
+            RngState(1.5)
+
+    def test_seeds_past_64_bits_do_not_alias(self):
+        small = RngState(3).substream("split", 1).generator.random(4)
+        large = RngState(3 + 2**64).substream("split", 1).generator.random(4)
+        assert not np.array_equal(small, large)
+
 
 class TestEmpiricalDpCheck:
     DATA = [0.0] * 5 + [1.0] * 5
@@ -204,6 +215,11 @@ class TestEmpiricalDpCheck:
                 count_above_half, self.DATA, self.DATA[:-2], PrivacyBudget(1.0),
                 trials=20_000, rng=RngState(0),
             )
+
+    def test_requires_an_explicit_rng(self):
+        with pytest.raises(TypeError, match="rng"):
+            empirical_dp_check(count_above_half, self.DATA, self.NEIGHBOUR, PrivacyBudget(1.0),
+                               trials=20_000)
 
     def test_rejects_too_few_trials(self):
         with pytest.raises(ValueError, match="trials"):

@@ -57,7 +57,7 @@ class TestTrain:
     def test_matches_independent_convex_solver_on_synth(self):
         raw, schema = synth_generate(1000, 5, 2, 2.0, seed=7)
         ds = preprocess(raw, schema)
-        split = four_way_split(ds, seed=0)
+        split = four_way_split(ds, RngState(0))
         X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
         Xt, yt = ds.features[split.victim_test], ds.labels[split.victim_test]
         cfg = TrainConfig()
@@ -101,7 +101,7 @@ class TestTrain:
 def default_victim_train():
     """Victim-train rows of the default sweep's data (synth n=2000, seed 7)."""
     ds = preprocess(*synth_generate(2000, 5, 2, 1.0, seed=7))
-    split = four_way_split(ds, seed=1)
+    split = four_way_split(ds, RngState(1))
     return ds.features[split.victim_train], ds.labels[split.victim_train]
 
 
@@ -109,7 +109,7 @@ class TestNewton:
     def test_lam_zero_on_separable_data_stays_finite_within_the_cap(self):
         # acceptance criterion 8's overfit victim: 60 rows, 40 features
         ds = preprocess(*synth_generate(240, 40, 0, 0.35, seed=101))
-        split = four_way_split(ds, 1)
+        split = four_way_split(ds, RngState(1))
         X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
         for epochs in (3, 2000):
             model = train(X, y, TrainConfig(lam=0.0, epochs=epochs))

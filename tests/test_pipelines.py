@@ -132,7 +132,7 @@ class TestObjectivePerturb:
 
     def test_huge_epsilon_matches_baseline_accuracy(self):
         ds = synth_dataset(n=4000, sep=2.0)
-        split = four_way_split(ds, seed=0)
+        split = four_way_split(ds, RngState(0))
         X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
         Xt, yt = ds.features[split.victim_test], ds.labels[split.victim_test]
         base = accuracy(predict(train(X, y, CFG), Xt), yt)
@@ -249,7 +249,7 @@ class TestPatePredict:
 @pytest.fixture(scope="module")
 def setup():
     ds = synth_dataset(n=800, sep=2.0)
-    return ds, four_way_split(ds, seed=1)
+    return ds, four_way_split(ds, RngState(1))
 
 
 class TestRunPipeline:
@@ -332,7 +332,7 @@ class TestLargeEpsilonConsistency:
         for method in DpMethod:
             gaps = []
             for seed in (1, 2, 3, 4, 5):
-                split = four_way_split(ds, seed)
+                split = four_way_split(ds, RngState(seed))
                 X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
                 Xt, yt = ds.features[split.victim_test], ds.labels[split.victim_test]
                 base = accuracy(predict(train(X, y, CFG), Xt), yt)
@@ -353,7 +353,7 @@ class TestBudgetMonotonicity:
             for eps in grid:
                 accs = []
                 for seed in (1, 2, 3, 4, 5):
-                    split = four_way_split(ds, seed)
+                    split = four_way_split(ds, RngState(seed))
                     res = run_any(method, ds, split, PrivacyBudget(eps),
                                   RngState(seed).substream("mono", method.value))
                     accs.append(accuracy(res.predictions,
