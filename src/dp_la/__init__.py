@@ -38,7 +38,6 @@ from .model import LogisticModel, TrainConfig, accuracy, predict, predict_proba,
 from .pipelines import (
     DpMethod,
     Release,
-    TeacherEnsemble,
     Victim,
     input_perturb,
     objective_perturb_train,

@@ -48,7 +48,7 @@ from .data import (
     preprocess,
     synth_generate,
 )
-from .mechanisms import PrivacyBudget, RngState
+from .mechanisms import RngState
 from .model import TrainConfig, _check_field_types, accuracy, predict, predict_proba, train
 from .pipelines import DpMethod, TeacherVotes, Victim, run_pipeline, shared_part, victim_view
 
@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError("a CSV data path and a schema path go together")
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must be distinct")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.master_seed < 0:
@@ -335,9 +337,8 @@ def run_cell(
         audit_rng = RngState(config.master_seed).substream(
             "audit", cell.method.value, float(cell.epsilon), cell.seed)
         victim = context.victim
-        delta = config.delta if cell.method is DpMethod.INPUT_PERTURBATION else 0.0
-        budget = PrivacyBudget(epsilon=cell.epsilon, delta=delta)
-        release = run_pipeline(cell.method, victim, shared, budget, config.train,
+        release = run_pipeline(cell.method, victim, shared,
+                               cell.method.budget(cell.epsilon, config.delta), config.train,
                                pipeline_rng, audit_rng)
         acc_private = accuracy(release.predictions, victim.test_labels)
         true_positives, false_positives = audit_mod.run_mia(

@@ -16,12 +16,11 @@ counts. :func:`run_pipeline` takes that part, dispatches on the method once
 and returns a :class:`Release`: the private test labels and the outputs the
 audit observes, as arrays.
 
-Input and prediction perturbation turn a budget into a noise scale through
-named sensitivities (``_INPUT_SENSITIVITY``; ``_VOTE_SENSITIVITY`` for the
-two-count noisy argmax, ``_CLASS1_COUNT_SENSITIVITY`` for the audited vote
-fraction) and the shared calibrations of :mod:`dp_la.mechanisms`, which also
-check the budget's delta; objective perturbation's budget split is
-``_erm_noise_budget``.
+Each :class:`DpMethod` member declares its release's sensitivity and whether
+its budget spends delta, and every noise scale is calibrated from that
+declaration (the audited vote fraction from ``_CLASS1_COUNT_SENSITIVITY``)
+through :mod:`dp_la.mechanisms`, which also checks the budget's delta.
+Objective perturbation's budget split is ``_erm_noise_budget``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .model import LogisticModel, TrainConfig, predict, predict_proba, train
 
 __all__ = [
     "DpMethod",
-    "TeacherEnsemble",
     "TeacherVotes",
     "Victim",
     "Release",
@@ -63,43 +61,34 @@ __all__ = [
 
 # Logistic loss curvature bound used by the private ERM recipe.
 _CURVATURE = 0.25
-# Input perturbation noises each [0, 1]-normalized cell, so one cell moves by at most 1.
-_INPUT_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L2)
-# One record sits in one teacher's shard, so it moves one vote: the two class counts by 2 in L1.
-_VOTE_SENSITIVITY = Sensitivity(2.0, SensitivityNorm.L1)
-# The same moved vote changes the class-1 count alone by at most 1.
+# One record moves one teacher's vote, which changes the audited class-1 count by at most 1.
 _CLASS1_COUNT_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L1)
 
 
 class DpMethod(Enum):
-    INPUT_PERTURBATION = "input_perturbation"
-    OBJECTIVE_PERTURBATION = "objective_perturbation"
-    PREDICTION_PERTURBATION = "prediction_perturbation"
+    """The three DP insertion points. ``.value`` is the config string; each
+    member also declares the ``sensitivity`` of its release and whether its
+    budget ``spends_delta``."""
 
+    # Each [0, 1]-normalized cell moves by at most 1; the Gaussian mechanism spends delta.
+    INPUT_PERTURBATION = ("input_perturbation", Sensitivity(1.0, SensitivityNorm.L2), True)
+    # The summed-gradient bound behind ||b|| ~ Gamma(d, 2/eps'); pure epsilon-DP.
+    OBJECTIVE_PERTURBATION = ("objective_perturbation", Sensitivity(2.0, SensitivityNorm.L2),
+                              False)
+    # One record moves one teacher's vote: the two class counts by 2 in L1; pure epsilon-DP.
+    PREDICTION_PERTURBATION = ("prediction_perturbation", Sensitivity(2.0, SensitivityNorm.L1),
+                               False)
 
-@dataclass(frozen=True)
-class TeacherEnsemble:
-    """Disjoint-shard logistic teachers whose noisy votes are the only release."""
+    def __new__(cls, value: str, sensitivity: Sensitivity, spends_delta: bool) -> "DpMethod":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.sensitivity = sensitivity
+        member.spends_delta = spends_delta
+        return member
 
-    teachers: tuple[LogisticModel, ...]
-    partition: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.teachers) != len(self.partition):
-            raise ValueError("teacher and partition counts disagree")
-
-    @property
-    def num_teachers(self) -> int:
-        return len(self.teachers)
-
-    def class1_votes(self, features: np.ndarray) -> np.ndarray:
-        """Per-row count of teachers voting class 1."""
-        if not self.teachers:
-            raise ValueError("empty teacher ensemble")
-        votes = np.zeros(features.shape[0])
-        for teacher in self.teachers:
-            votes += predict(teacher, features)
-        return votes
+    def budget(self, epsilon: float, delta: float) -> PrivacyBudget:
+        """One release's budget at ``epsilon``: ``delta`` if the method spends it, else 0."""
+        return PrivacyBudget(epsilon, delta if self.spends_delta else 0.0)
 
 
 @dataclass(frozen=True)
@@ -148,15 +137,17 @@ def draw_input_noise(train_features: np.ndarray, rng: RngState) -> np.ndarray:
 
 def input_perturb(train_features: np.ndarray, input_noise: np.ndarray,
                   budget: PrivacyBudget) -> np.ndarray:
-    """Add i.i.d. Gaussian noise (per-cell sensitivity 1) to normalized features:
-    ``input_noise`` from :func:`draw_input_noise` scaled by sigma(budget).
+    """Add i.i.d. Gaussian noise to normalized features: ``input_noise`` from
+    :func:`draw_input_noise` scaled by sigma(budget) at the method's declared
+    sensitivity.
 
     ``rng.normal(0, sigma)`` is ``0 + sigma * rng.standard_normal()``, so this
     is the same release, bit for bit, as drawing it at the budget's scale. The
     noised output is deliberately not clipped back, since clipping would bias
     the mechanism.
     """
-    noised = np.multiply(input_noise, gaussian_sigma(_INPUT_SENSITIVITY, budget))
+    noised = np.multiply(input_noise,
+                         gaussian_sigma(DpMethod.INPUT_PERTURBATION.sensitivity, budget))
     noised += train_features
     return noised
 
@@ -188,10 +179,10 @@ def objective_perturb_train(
     rescaled to unit L2 norm bound (by 1/sqrt(d) when needed), the budget is
     reduced to eps' = eps - 2 ln(1 + c/(n lam)) with curvature bound c = 1/4
     (falling back to extra regularization when eps' <= 0), and a noise vector
-    with ||b|| ~ Gamma(d, 2/eps') in a uniformly random direction is added as
-    (1/n) b.w to the objective before minimizing with the shared trainer,
-    whose Newton solve reaches the exact minimiser (gradient norm < 1e-10)
-    that the guarantee assumes.
+    with ||b|| ~ Gamma(d, S/eps'), S = 2 the method's declared sensitivity, in a
+    uniformly random direction is added as (1/n) b.w to the objective before
+    minimizing with the shared trainer, whose Newton solve reaches the exact
+    minimiser (gradient norm < 1e-10) that the guarantee assumes.
 
     The bias is neither regularized nor perturbed. The recipe's analysis
     (Chaudhuri, Monteleoni & Sarwate 2011) assumes every released parameter
@@ -218,7 +209,8 @@ def objective_perturb_train(
 
     direction = rng.generator.normal(size=d)
     direction /= np.linalg.norm(direction)
-    b_norm = float(rng.generator.gamma(shape=d, scale=2.0 / eps_prime))
+    sensitivity = DpMethod.OBJECTIVE_PERTURBATION.sensitivity.value
+    b_norm = float(rng.generator.gamma(shape=d, scale=sensitivity / eps_prime))
     noise = b_norm * direction
 
     # The recipe is stated on unit-norm-bounded rows x/rescale with weights w'.
@@ -231,22 +223,14 @@ def objective_perturb_train(
                  linear_term=rescale * noise)
 
 
-def pate_train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    num_teachers: int,
-    config: TrainConfig,
-    rng: RngState,
-) -> TeacherEnsemble:
-    """Partition the training rows into disjoint near-equal shards and train
-    one logistic teacher per shard.
+def _pate_shards(labels: np.ndarray, num_teachers: int, rng: RngState) -> list[np.ndarray]:
+    """Partition the row indices of ``labels`` into ``num_teachers`` disjoint
+    near-equal shards in shuffled order.
 
     Shards must each contain both classes; the shuffle is retried up to 10
     times before giving up.
     """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    n = features.shape[0]
+    n = len(labels)
     if num_teachers < 2:
         raise ValueError(f"num_teachers must be at least 2, got {num_teachers}")
     if num_teachers > n / 4:
@@ -256,14 +240,23 @@ def pate_train(
         order = rng.substream("pate-shuffle", attempt).generator.permutation(n)
         shards = np.array_split(order, num_teachers)
         if all(labels[s].min() != labels[s].max() for s in shards):
-            break
-    else:
-        raise ValueError("could not shard the data with both classes per teacher after 10 shuffles")
+            return shards
+    raise ValueError("could not shard the data with both classes per teacher after 10 shuffles")
 
-    return TeacherEnsemble(
-        teachers=tuple(train(features[s], labels[s], config) for s in shards),
-        partition=tuple(np.sort(s) for s in shards),
-    )
+
+def pate_train(
+    features: np.ndarray,
+    labels: np.ndarray,
+    num_teachers: int,
+    config: TrainConfig,
+    rng: RngState,
+) -> tuple[LogisticModel, ...]:
+    """Train one logistic teacher on each of the :func:`_pate_shards` of the
+    training rows; the teachers' noisy votes are the only release."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    return tuple(train(features[s], labels[s], config)
+                 for s in _pate_shards(labels, num_teachers, rng))
 
 
 def victim_view(dataset: Dataset, split: FourWaySplit) -> Victim:
@@ -295,10 +288,11 @@ def shared_part(
     if method is DpMethod.INPUT_PERTURBATION:
         return _read_only(draw_input_noise(victim.train_features, rng.substream("input-noise")))
     if method is DpMethod.PREDICTION_PERTURBATION:
-        ensemble = pate_train(victim.train_features, victim.train_labels, num_teachers, config,
+        teachers = pate_train(victim.train_features, victim.train_labels, num_teachers, config,
                               rng.substream("pate-train"))
-        return TeacherVotes(num_teachers, _read_only(ensemble.class1_votes(victim.train_features)),
-                            _read_only(ensemble.class1_votes(victim.test_features)))
+        votes = [np.sum([predict(t, rows) for t in teachers], axis=0, dtype=float)
+                 for rows in (victim.train_features, victim.test_features)]
+        return TeacherVotes(num_teachers, *map(_read_only, votes))
     return None
 
 
@@ -321,7 +315,7 @@ def pate_predict(
     epsilon is spent per query; the caller is responsible for composition
     accounting across queries.
     """
-    scale = laplace_scale(_VOTE_SENSITIVITY, budget)
+    scale = laplace_scale(DpMethod.PREDICTION_PERTURBATION.sensitivity, budget)
     rows = class1_votes.shape[0]
     noisy0 = (num_teachers - class1_votes) + sample_laplace(scale, rng, size=rows)
     noisy1 = class1_votes + sample_laplace(scale, rng, size=rows)

@@ -75,3 +75,26 @@ def test_traced_sweep_writes_the_same_results_and_every_per_layer_metric(tmp_pat
     declared = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
     metrics = tracing.span_metrics(tracer.record())
     assert sorted(declared - RUNNER_METRICS - set(metrics)) == []
+
+    # A traced function reached through a stored reference escapes its
+    # wrapper and reads 0, so pin the counts from their formulas.
+    seeds, epsilons, teachers = 1, 2, 3
+    cells = 3 * epsilons * seeds  # every method
+    victim_train = victim_test = 100  # the victim half of n=400, split in two
+    expected = {
+        # per seed: baseline, shadow, attack and the teachers; per (seed,
+        # epsilon): one input- and one objective-perturbation fit
+        "model.fit_calls": seeds * (3 + teachers) + seeds * epsilons * 2,
+        "pipelines.teachers_trained": seeds * teachers,
+        # per epsilon: noisy labels and audit vote fractions on victim_test,
+        # audit vote fractions on victim_train
+        "pipelines.vote_queries": epsilons * (2 * victim_test + victim_train),
+        # per seed: the shadow on both attack parts, the attack classifier,
+        # the baseline and each teacher on both victim parts; per cell: the
+        # attack on both victim parts; per (seed, epsilon) and fitted method:
+        # the model on both victim parts
+        "model.predict_calls": seeds * (4 + 2 * teachers) + cells * 2 + seeds * epsilons * 2 * 2,
+        "experiment.cells": cells,
+        "data.split_calls": seeds,
+    }
+    assert {name: metrics[name] for name in expected} == expected

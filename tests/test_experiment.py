@@ -30,7 +30,7 @@ from dp_la.experiment import (
 )
 from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma
 from dp_la.model import TrainConfig
-from dp_la.pipelines import _INPUT_SENSITIVITY, DpMethod, shared_part
+from dp_la.pipelines import DpMethod, shared_part
 
 SMALL = dict(
     synth=SynthSpec(n=400, separation=2.0, seed=7),
@@ -95,6 +95,7 @@ class TestConfig:
             dict(threads=0),
             dict(methods=()),
             dict(seeds=(1, 1)),
+            dict(methods=(DpMethod.OBJECTIVE_PERTURBATION, DpMethod.OBJECTIVE_PERTURBATION)),
             dict(inner_train_fraction=0.0),
             dict(inner_train_fraction=1.5),
             dict(num_teachers=1),
@@ -206,6 +207,17 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path), *flags]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_repeated_method_rejected_before_any_cell_runs(self, tmp_path, capsys,
+                                                           monkeypatch):
+        path = write_config(tmp_path, methods=["objective_perturbation"] * 2)
+
+        def no_sweep(config):
+            raise AssertionError("run_sweep called for an invalid config")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: methods must be distinct\n"
+
     def test_float_fields_take_json_integers_unconverted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, epsilons=[1, 100], delta=0.001,
                                        train={"lam": 1}))
@@ -290,7 +302,7 @@ class TestRunSweep:
 
     def test_teacher_votes_are_computed_once_per_seed(self, monkeypatch):
         # every budget-free part is built once per (method, seed), not per epsilon
-        calls = {"draw_input_noise": 0, "pate_train": 0, "class1_votes": 0}
+        calls = {"draw_input_noise": 0, "pate_train": 0, "predict": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -298,19 +310,17 @@ class TestRunSweep:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("draw_input_noise", "pate_train"):
+        for name in calls:
             monkeypatch.setattr(pipelines, name, counting(name, getattr(pipelines, name)))
-        monkeypatch.setattr(pipelines.TeacherEnsemble, "class1_votes",
-                            counting("class1_votes", pipelines.TeacherEnsemble.class1_votes))
         cfg = ExperimentConfig(**{**SMALL, "epsilons": (0.1, 1.0, 100.0)})
         results = run_sweep(cfg)
         assert all(r.status == "ok" for r in results.rows)
-        # per seed: one noise draw, one ensemble, and its votes on the
-        # victim-test rows (the released labels and the audit's non-members)
-        # and the victim-train rows (the audit's members)
+        # per seed: one noise draw, one ensemble, and each teacher's votes on
+        # the victim-test rows (the released labels and the audit's
+        # non-members) and the victim-train rows (the audit's members)
         seeds = len(cfg.seeds)
         assert calls == {"draw_input_noise": seeds, "pate_train": seeds,
-                         "class1_votes": 2 * seeds}
+                         "predict": 2 * cfg.num_teachers * seeds}
 
     def test_shared_part_failure_fails_only_its_method_and_seed(self, small_results,
                                                                 monkeypatch):
@@ -416,7 +426,8 @@ class TestRunSweep:
                 assert run_cell(cfg, cell, context, noise, rng).status == "ok"
             assert len(noised) == len(cfg.epsilons)
             for eps, released in zip(cfg.epsilons, noised):
-                sigma = gaussian_sigma(_INPUT_SENSITIVITY, PrivacyBudget(eps, cfg.delta))
+                sigma = gaussian_sigma(DpMethod.INPUT_PERTURBATION.sensitivity,
+                                       PrivacyBudget(eps, cfg.delta))
                 np.testing.assert_allclose((released - X) / sigma, expected, rtol=0, atol=1e-9)
 
     def test_teacher_failure_fails_only_prediction_perturbation(self):

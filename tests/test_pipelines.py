@@ -8,10 +8,9 @@ from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma
 from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
 from dp_la.pipelines import (
-    _INPUT_SENSITIVITY,
     DpMethod,
-    TeacherEnsemble,
     _erm_noise_budget,
+    _pate_shards,
     draw_input_noise,
     input_perturb,
     objective_perturb_train,
@@ -48,21 +47,20 @@ def perturb(X, budget, rng):
     return input_perturb(X, draw_input_noise(X, rng), budget)
 
 
-def constant_vote_ensemble(votes_for_one: int, num_teachers: int = 10) -> TeacherEnsemble:
+def class1_votes(teachers, features: np.ndarray) -> np.ndarray:
+    """Per-row count of ``teachers`` voting class 1."""
+    return np.sum([predict(t, features) for t in teachers], axis=0, dtype=float)
+
+
+def constant_vote_ensemble(votes_for_one: int, num_teachers: int = 10) -> tuple:
     """Teachers that deterministically vote class 1 (bias +50) or class 0 (bias -50)."""
-    teachers = []
-    for i in range(num_teachers):
-        bias = 50.0 if i < votes_for_one else -50.0
-        teachers.append(LogisticModel(np.zeros(1), bias, 0.0))
-    return TeacherEnsemble(
-        teachers=tuple(teachers),
-        partition=tuple(np.array([i]) for i in range(num_teachers)),
-    )
+    return tuple(LogisticModel(np.zeros(1), 50.0 if i < votes_for_one else -50.0, 0.0)
+                 for i in range(num_teachers))
 
 
 def constant_votes(votes_for_one: int, rows: int) -> np.ndarray:
     """Class-1 vote counts of ``constant_vote_ensemble(votes_for_one)`` on ``rows`` rows."""
-    return constant_vote_ensemble(votes_for_one).class1_votes(np.zeros((rows, 1)))
+    return class1_votes(constant_vote_ensemble(votes_for_one), np.zeros((rows, 1)))
 
 
 class TestInputPerturb:
@@ -99,7 +97,7 @@ class TestInputPerturb:
         # standard-normal draw per cell releases the same bits at every budget
         X = RngState(3).generator.random((50, 7))
         budget = PrivacyBudget(epsilon, 1e-5)
-        sigma = gaussian_sigma(_INPUT_SENSITIVITY, budget)
+        sigma = gaussian_sigma(DpMethod.INPUT_PERTURBATION.sensitivity, budget)
         expected = X + RngState(4).generator.normal(0.0, sigma, size=X.shape)
         got = perturb(X, budget, RngState(4))
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -161,21 +159,33 @@ class TestObjectivePerturb:
 class TestPateTrain:
     def test_even_shards(self):
         ds = synth_dataset(n=2000, sep=1.0)
-        X, y = ds.features[:1000], ds.labels[:1000]
-        ensemble = pate_train(X, y, 10, CFG, RngState(5))
-        assert [len(p) for p in ensemble.partition] == [100] * 10
+        y = ds.labels[:1000]
+        assert [len(p) for p in _pate_shards(y, 10, RngState(5))] == [100] * 10
 
     def test_remainder_shards(self):
         ds = synth_dataset(n=1010, sep=1.0)
-        X, y = ds.features[:1005], ds.labels[:1005]
-        ensemble = pate_train(X, y, 10, CFG, RngState(5))
-        assert sorted(len(p) for p in ensemble.partition) == [100] * 5 + [101] * 5
+        y = ds.labels[:1005]
+        assert sorted(len(p) for p in _pate_shards(y, 10, RngState(5))) == [100] * 5 + [101] * 5
 
     def test_partition_is_disjoint_covering(self):
         ds = synth_dataset(n=400, sep=1.0)
-        ensemble = pate_train(ds.features, ds.labels, 8, CFG, RngState(6))
-        combined = np.concatenate(ensemble.partition)
+        combined = np.concatenate(_pate_shards(ds.labels, 8, RngState(6)))
         assert len(set(combined.tolist())) == ds.n_rows == len(combined)
+
+    def test_teachers_are_fitted_on_their_shards(self):
+        ds = synth_dataset(n=400, sep=1.0)
+        teachers = pate_train(ds.features, ds.labels, 8, CFG, RngState(6))
+        shards = _pate_shards(ds.labels, 8, RngState(6))
+        assert len(teachers) == len(shards) == 8
+        for teacher, shard in zip(teachers, shards):
+            expected = train(ds.features[shard], ds.labels[shard], CFG)
+            np.testing.assert_array_equal(teacher.weights, expected.weights)
+
+    def test_sharding_gives_up_after_ten_shuffles(self):
+        labels = np.array([1] * 5 + [0] * 35)
+        with pytest.raises(ValueError, match="could not shard the data with both classes per "
+                                             "teacher after 10 shuffles"):
+            pate_train(np.zeros((40, 2)), labels, 10, CFG, RngState(0))
 
     def test_single_teacher_rejected(self):
         ds = synth_dataset(n=400, sep=1.0)
@@ -217,11 +227,11 @@ class TestPatePredict:
         # odd teacher count: no pre-noise vote ties, so the noiseless limit is exact
         ds = synth_dataset(n=2000, sep=1.0)
         X, y = ds.features[:1000], ds.labels[:1000]
-        ensemble = pate_train(X, y, 11, CFG, RngState(10))
+        teachers = pate_train(X, y, 11, CFG, RngState(10))
         rows = ds.features[1000:2000]
-        votes = sum(predict(t, rows) for t in ensemble.teachers)
+        votes = sum(predict(t, rows) for t in teachers)
         majority = (votes > 5.5).astype(int)
-        out = pate_predict(11, ensemble.class1_votes(rows), PrivacyBudget(1e8), RngState(11))
+        out = pate_predict(11, votes, PrivacyBudget(1e8), RngState(11))
         np.testing.assert_array_equal(out, majority)
 
     def test_vote_fraction_clipped_to_unit_interval(self):
@@ -257,8 +267,7 @@ class TestRunPipeline:
     def test_artifact_records_its_method(self, setup):
         ds, split = setup
         for method in DpMethod:
-            delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
-            res = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(1))
+            res = run_any(method, ds, split, method.budget(1.0, 1e-5), RngState(1))
             assert (res.model is None) == (method is DpMethod.PREDICTION_PERTURBATION)
 
     def test_release_proba_is_what_the_audit_observes(self, setup):
@@ -286,11 +295,23 @@ class TestRunPipeline:
                            *view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng),
                            budget, CFG, rng, RngState(6))
         # the shared part's teachers are sharded by the stream's "pate-train" substream
-        ensemble = pate_train(ds.features[split.victim_train], ds.labels[split.victim_train],
+        teachers = pate_train(ds.features[split.victim_train], ds.labels[split.victim_train],
                               10, CFG, rng.substream("pate-train"))
-        expected = pate_predict(10, ensemble.class1_votes(ds.features[split.victim_test]),
+        expected = pate_predict(10, class1_votes(teachers, ds.features[split.victim_test]),
                                 budget, rng.substream("pate-votes"))
         np.testing.assert_array_equal(res.predictions, expected)
+
+    @pytest.mark.parametrize("method", list(DpMethod), ids=lambda m: m.value)
+    def test_declared_delta_rule_matches_the_mechanism(self, setup, method):
+        # the declaration's budget is the one the mechanism accepts, and a
+        # budget with the other delta is refused
+        ds, split = setup
+        assert DpMethod(method.value) is method
+        res = run_any(method, ds, split, method.budget(1.0, 1e-5), RngState(2))
+        assert res.predictions.shape == split.victim_test.shape
+        other = PrivacyBudget(1.0, 0.0 if method.spends_delta else 1e-5)
+        with pytest.raises(ValueError, match="delta"):
+            run_any(method, ds, split, other, RngState(2))
 
     def test_gaussian_requires_delta(self, setup):
         ds, split = setup
@@ -313,9 +334,8 @@ class TestRunPipeline:
     def test_deterministic_predictions(self, setup):
         ds, split = setup
         for method in DpMethod:
-            delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
-            a = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
-            b = run_any(method, ds, split, PrivacyBudget(1.0, delta), RngState(42))
+            a = run_any(method, ds, split, method.budget(1.0, 1e-5), RngState(42))
+            b = run_any(method, ds, split, method.budget(1.0, 1e-5), RngState(42))
             np.testing.assert_array_equal(a.predictions, b.predictions)
 
     def test_labels_never_touched(self, setup):
@@ -336,8 +356,7 @@ class TestLargeEpsilonConsistency:
                 X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
                 Xt, yt = ds.features[split.victim_test], ds.labels[split.victim_test]
                 base = accuracy(predict(train(X, y, CFG), Xt), yt)
-                delta = 1e-5 if method is DpMethod.INPUT_PERTURBATION else 0.0
-                res = run_any(method, ds, split, PrivacyBudget(1e6, delta),
+                res = run_any(method, ds, split, method.budget(1e6, 1e-5),
                               RngState(seed).substream("consistency"))
                 gaps.append(abs(accuracy(res.predictions, yt) - base))
             assert np.median(gaps) < 0.01, f"{method}: median gap {np.median(gaps)}"
