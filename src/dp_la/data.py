@@ -83,7 +83,8 @@ class TabularSchema:
     def from_json(cls, path: str | Path) -> "TabularSchema":
         """Parse ``{"columns": [{"name": ..., "kind": ...}, ...],
         "positive_labels": [...]}``. A key missing or unknown at either level
-        is an error, and ``positive_labels`` must be a list of strings."""
+        is an error, ``positive_labels`` must be a list of strings, and each
+        column ``name`` a string."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         _require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
         labels = doc["positive_labels"]
@@ -94,6 +95,8 @@ class TabularSchema:
         columns = []
         for i, column in enumerate(doc["columns"]):
             _require_exact_keys(column, {"name", "kind"}, f"schema column {i}")
+            if not isinstance(column["name"], str):
+                raise ValueError(f"schema column {i} name must be a string")
             columns.append((column["name"], ColumnKind(column["kind"])))
         return cls(columns=tuple(columns), positive_labels=frozenset(labels))
 

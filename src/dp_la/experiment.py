@@ -295,9 +295,10 @@ def build_seed_context(config: ExperimentConfig, dataset: Dataset, seed: int) ->
                            config.inner_train_fraction)
 
     members, nonmembers = split.attack_train, split.attack_test
-    shadow = train(dataset.features[members], dataset.labels[members], config.train)
+    member_features, member_labels = dataset.features[members], dataset.labels[members]
+    shadow = train(member_features, member_labels, config.train)
     attack = audit_mod.train_attack(
-        predict_proba(shadow, dataset.features[members]), dataset.labels[members],
+        predict_proba(shadow, member_features), member_labels,
         predict_proba(shadow, dataset.features[nonmembers]), dataset.labels[nonmembers],
         config.train)
 

@@ -9,11 +9,13 @@ with y in {-1, +1} and an unregularized bias. With d features a Newton step
 is one (d+1) x (d+1) solve -- by LU when lam > 0, where the Hessian is
 positive definite, and by minimum-norm least squares when lam = 0 (or lies
 below the rounding of the Hessian's diagonal), where it can be singular --
-so training reaches ||grad J|| < 1e-10 in a handful of iterations. It
-starts from zero, never lets the objective rise by more than its rounding
-error, and is bit-reproducible. ``TrainConfig.epochs`` caps the iterations,
-which matters only when no finite minimiser exists (lam = 0 on separable
-data).
+so training reaches ||grad J|| < 1e-10 in a handful of iterations. The
+signed design matrix is stored feature-major, (d+1) x n, and the Hessian is
+summed over cache-sized blocks of records, each block's product a symmetric
+rank-k update (BLAS syrk). It starts from zero, never lets the objective
+rise by more than its rounding error, and is bit-reproducible.
+``TrainConfig.epochs`` caps the iterations, which matters only when no
+finite minimiser exists (lam = 0 on separable data).
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _EPS = float(np.finfo(float).eps)
 _MAX_HALVINGS = 60
 # Relative rounding error allowed when comparing objectives (about 450 ulp).
 _ROUNDING = 1e-13
+# Records per block of the design matrix's transpose and of the Hessian's
+# product: a (d+1) x 4096 block of float64 is 786 KB at d = 23, so it stays
+# in a 4 MiB L2 cache between its weighting and its product.
+_BLOCK = 4096
 
 
 # The JSON values a config field of each annotation takes: an int fills a
@@ -109,13 +115,20 @@ class LogisticModel:
 
 
 def _design(X: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
-    """The signed design matrix Zy = y * [X, 1]: row i is y_i (x_i, 1), so the
-    margins y_i (w.x_i + b) at theta = (w, b) are Zy @ theta."""
+    """The signed design matrix stored feature-major, ZT = (y * [X, 1])^T of
+    shape (d+1, n): column i is y_i (x_i, 1), so the margins y_i (w.x_i + b)
+    at theta = (w, b) are theta @ ZT. Each row of ZT is one feature over all
+    records, contiguous, so the margin and gradient products stream it once
+    and ``_hessian`` can weight a block of records in one pass. X is read
+    transposed ``_BLOCK`` rows at a time, so each block's rows stay in cache
+    while their columns are written out."""
     n, d = X.shape
-    Zy = np.empty((n, d + 1))
-    np.multiply(X, y_pm[:, None], out=Zy[:, :d])
-    Zy[:, d] = y_pm
-    return Zy
+    ZT = np.empty((d + 1, n))
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        np.multiply(X[rows].T, y_pm[rows], out=ZT[:d, rows])
+    ZT[d] = y_pm
+    return ZT
 
 
 def _penalties(d: int, n: int, lam: float,
@@ -131,11 +144,11 @@ def _penalties(d: int, n: int, lam: float,
     return ridge, linear
 
 
-def _evaluate(Zy: np.ndarray, theta: np.ndarray, ridge: np.ndarray,
+def _evaluate(ZT: np.ndarray, theta: np.ndarray, ridge: np.ndarray,
               linear: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """J at theta, with the margins m = Zy theta and e = exp(-|m|) that the
+    """J at theta, with the margins m = theta @ ZT and e = exp(-|m|) that the
     gradient and Hessian at theta reuse."""
-    m = Zy @ theta
+    m = theta @ ZT
     e = np.exp(-np.abs(m))
     # log(1 + exp(-m)) = log1p(exp(-|m|)) + max(-m, 0), without overflow;
     # sum / n is np.mean's arithmetic without its call overhead
@@ -143,24 +156,35 @@ def _evaluate(Zy: np.ndarray, theta: np.ndarray, ridge: np.ndarray,
     return loss + 0.5 * float(theta @ (ridge * theta)) + float(linear @ theta), m, e
 
 
-def _gradient(Zy: np.ndarray, theta: np.ndarray, m: np.ndarray, e: np.ndarray,
+def _gradient(ZT: np.ndarray, theta: np.ndarray, m: np.ndarray, e: np.ndarray,
               ridge: np.ndarray, linear: np.ndarray) -> np.ndarray:
     """Gradient of J over theta = (w, b) from the margins m and e = exp(-|m|)
-    at theta: r * theta + l - Zy^T sigmoid(-m) / n."""
+    at theta: r * theta + l - ZT @ sigmoid(-m) / n."""
     # sigmoid(-m) = 1/(1+exp(m)): e/(1+e) for m >= 0, 1/(1+e) for m < 0
     sigmoid_neg = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
-    return ridge * theta + linear - Zy.T @ sigmoid_neg / Zy.shape[0]
+    return ridge * theta + linear - ZT @ sigmoid_neg / ZT.shape[1]
 
 
-def _hessian(Zy: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Hessian of J over theta = (w, b): Zy^T diag(s) Zy / n + diag(r) with
-    s = sigmoid(m) sigmoid(-m) = e/(1+e)^2. The signs of Zy cancel in it.
+def _hessian(ZT: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Hessian of J over theta = (w, b): W W^T / n + diag(r) with
+    W = ZT diag(sqrt(s)) and s = sigmoid(m) sigmoid(-m) = e/(1+e)^2, so
+    sqrt(s) = sqrt(e)/(1+e). The signs of ZT cancel in it.
 
-    ``buf`` (Zy's shape) receives diag(s) Zy, so a fit allocates that product
-    once rather than per iteration; ``buf.T`` has the layout of ``Zy.T * s``,
-    so the matrix product and its bits are the same."""
-    np.multiply(Zy, (e / (1.0 + e) ** 2)[:, None], out=buf)
-    H = buf.T @ Zy / Zy.shape[0]
+    The records are taken ``_BLOCK`` at a time: ``buf`` (d+1 rows and at
+    least min(n, ``_BLOCK``) columns, allocated once per fit) receives a
+    block's W, and the block's W @ W.T -- which numpy computes as a BLAS
+    syrk, half the flops of a general product and exactly symmetric -- is
+    added to H. A table of at most ``_BLOCK`` records is one block."""
+    n = ZT.shape[1]
+    root_s = np.sqrt(e) / (1.0 + e)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        W = np.multiply(ZT[:, start:stop], root_s[start:stop], out=buf[:, : stop - start])
+        if start == 0:
+            H = W @ W.T
+        else:
+            H += W @ W.T
+    H /= n
     H.flat[:: H.shape[0] + 1] += ridge
     return H
 
@@ -175,9 +199,10 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
          linear_term: np.ndarray | None = None) -> LogisticModel:
     """Damped Newton on theta = (w, b) from zero.
 
-    The signed design matrix, the Hessian's product buffer, the ridge and
-    the linear vectors are built once per fit. Each trial point costs one
-    margin product and one exp; the accepted point's margins serve its
+    The feature-major signed design matrix ZT ((d+1) x n), the Hessian's
+    block buffer ((d+1) x min(n, ``_BLOCK``)), the ridge and the linear
+    vectors are built once per fit. Each trial point costs one margin
+    product theta @ ZT and one exp; the accepted point's margins serve its
     gradient and Hessian.
 
     With lam > 0 the Hessian is positive definite -- for v = (u, c),
@@ -197,15 +222,15 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     ``stop`` names which.
     """
     n, d = X.shape
-    Zy = _design(X, y_pm)
-    buf = np.empty_like(Zy)
+    ZT = _design(X, y_pm)
+    buf = np.empty((d + 1, min(n, _BLOCK)))
     ridge, linear = _penalties(d, n, lam, linear_term)
     linear_norm = math.sqrt(linear @ linear)
     theta = np.zeros(d + 1)
-    j_cur, m, e = _evaluate(Zy, theta, ridge, linear)
+    j_cur, m, e = _evaluate(ZT, theta, ridge, linear)
     iterations = 0
     while True:
-        g = _gradient(Zy, theta, m, e, ridge, linear)
+        g = _gradient(ZT, theta, m, e, ridge, linear)
         gradient_norm = math.sqrt(g @ g)  # np.linalg.norm's arithmetic
         if gradient_norm < _GRADIENT_TOL:
             stop = "gradient"
@@ -213,7 +238,7 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
         if iterations == max_iter:
             stop = "cap"
             break
-        H = _hessian(Zy, e, ridge, buf)
+        H = _hessian(ZT, e, ridge, buf)
         solve = _min_norm_solve if lam <= _EPS * H.diagonal().max() else np.linalg.solve
         step = solve(H, -g)
         # J's terms sum to at most |J| + 2 |l.theta| in magnitude.
@@ -221,7 +246,7 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             theta_new = theta + t * step
-            j_new, m_new, e_new = _evaluate(Zy, theta_new, ridge, linear)
+            j_new, m_new, e_new = _evaluate(ZT, theta_new, ridge, linear)
             if j_new <= j_cur + slack:
                 break
             t *= 0.5

@@ -82,6 +82,8 @@ class TestSchema:
                          "list of strings", id="label-not-a-string"),
             pytest.param(lambda doc: doc.update(columns={"age": "numeric"}),
                          "columns must be a list", id="columns-as-object"),
+            pytest.param(lambda doc: doc["columns"][1].update(name=5),
+                         "schema column 1 name must be a string", id="column-name-not-a-string"),
         ],
     )
     def test_from_json_is_strict(self, tmp_path, edit, message):

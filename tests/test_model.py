@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,6 +10,7 @@ from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import (
     LogisticModel,
     TrainConfig,
+    _BLOCK,
     _design,
     _evaluate,
     _gradient,
@@ -162,13 +165,71 @@ class TestNewton:
     def test_hessian_buffer_keeps_the_product_bits(self):
         rng = np.random.default_rng(8)
         for n, d in ((500, 11), (2000, 23)):
-            Zy = _design(rng.random((n, d)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+            ZT = _design(rng.random((n, d)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
             ridge, _ = _penalties(d, n, 1e-4)
-            e = np.exp(-np.abs(Zy @ rng.normal(size=d + 1)))
-            expected = (Zy.T * (e / (1.0 + e) ** 2)) @ Zy / n
+            e = np.exp(-np.abs(rng.normal(size=d + 1) @ ZT))
+            W = ZT * (np.sqrt(e) / (1.0 + e))
+            expected = W @ W.T / n
             expected.flat[:: d + 2] += ridge
-            got = _hessian(Zy, e, ridge, np.empty_like(Zy))
+            buf = np.empty_like(ZT)
+            _hessian(ZT, e[::-1], ridge, buf)  # a reused buffer changes no bit
+            got = _hessian(ZT, e, ridge, buf)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_blocked_hessian_matches_the_row_major_product(self, n):
+        rng = np.random.default_rng(n)
+        d = 11
+        X = rng.normal(size=(n, d))
+        y_pm = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        ridge, _ = _penalties(d, n, 1e-4)
+        ZT = _design(X, y_pm)
+        e = np.exp(-np.abs(rng.normal(size=d + 1) @ ZT))
+        # the row-major reference, written out: row i of Zy is y_i (x_i, 1)
+        Zy = y_pm[:, None] * np.column_stack([X, np.ones(n)])
+        expected = (Zy.T * (e / (1.0 + e) ** 2)) @ Zy / n + np.diag(ridge)
+        got = _hessian(ZT, e, ridge, np.empty((d + 1, min(n, _BLOCK))))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+        assert np.array_equal(got, got.T)
+
+    def test_fit_spanning_three_blocks_reaches_the_minimiser(self):
+        n, d, lam = 2 * _BLOCK + 500, 6, 1e-4
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(n, d))
+        y = (X @ rng.normal(size=d) + rng.logistic(size=n) > 0).astype(int)
+        model = train(X, y, TrainConfig(lam=lam))
+        assert model.stop == "gradient"
+
+        # independent solve of the same objective, written out here
+        y_pm = np.where(y == 1, 1.0, -1.0)
+
+        def objective_and_gradient(z):
+            w, b = z[:d], z[d]
+            margins = y_pm * (X @ w + b)
+            value = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * lam * w @ w
+            coef = -y_pm * np.exp(-np.logaddexp(0.0, margins)) / n
+            return value, np.append(X.T @ coef + lam * w, coef.sum())
+
+        res = minimize(objective_and_gradient, np.zeros(d + 1), jac=True, method="BFGS",
+                       options={"gtol": 1e-12, "maxiter": 10_000})
+        assert np.linalg.norm(res.jac) < 1e-8  # the reference itself is converged
+        ours = np.append(model.weights, model.bias)
+        assert np.linalg.norm(ours - res.x) / np.linalg.norm(res.x) < 1e-6
+
+    def test_training_allocates_no_second_design_matrix(self):
+        # the design matrix ZT holds n (d+1) floats; the Hessian's buffer
+        # must not hold another n (d+1)
+        n, d = 20_000, 23
+        rng = np.random.default_rng(5)
+        X = rng.random((n, d))
+        y = (X @ rng.normal(size=d) + rng.logistic(size=n) > 0).astype(int)
+        tracemalloc.start()
+        try:
+            train(X, y, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * (d + 1) * 8
 
     def test_objective_perturbation_releases_the_exact_minimiser(self, monkeypatch):
         X, y = default_victim_train()
