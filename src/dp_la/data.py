@@ -173,7 +173,9 @@ def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
     and a numeric cell that fails to parse (the first bad row of the first
     such column, in schema order). Parse failures are recorded as the blocks
     go and raised only after the last row, so a short row is reported even
-    when an earlier row holds a bad number.
+    when an earlier row holds a bad number. A line the csv module cannot
+    parse, such as a field over its size limit, is reported with its line
+    number when its block is read.
     """
     # Ingest allocates one list per row and no reference cycles, so the
     # collector's passes over those lists find nothing. Pause it until the
@@ -194,13 +196,23 @@ def load_csv(path: str | Path, schema: TabularSchema) -> RawTable:
 _BLOCK_ROWS = 4096
 
 
+def _read_rows(path: Path, reader, count: int) -> list[list[str]]:
+    """Up to ``count`` more rows of ``reader``. A line the csv module cannot
+    parse, such as a field over its size limit, is a ValueError naming the
+    file and the line."""
+    try:
+        return list(islice(reader, count))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _load_columns(path: Path, schema: TabularSchema) -> RawTable:
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
+        first = _read_rows(path, reader, 1)
+        if not first:
+            raise ValueError(f"{path}: file is empty")
+        header = first[0]
 
         for name, kind in schema.columns:
             if kind is ColumnKind.DROP:
@@ -219,7 +231,7 @@ def _load_columns(path: Path, schema: TabularSchema) -> RawTable:
         pools: dict[str, dict[str, str]] = {name: {} for name in texts}
         failures: dict[str, ValueError] = {}  # a numeric column's first parse error
         n_rows = 0
-        while block := list(islice(reader, _BLOCK_ROWS)):
+        while block := _read_rows(path, reader, _BLOCK_ROWS):
             if set(map(len, block)) != {width}:
                 k = next(i for i, row in enumerate(block) if len(row) != width)
                 raise ValueError(

@@ -6,14 +6,16 @@ seed, then method, then epsilon. Per seed, a :class:`SeedContext` holds the
 shadow-trained attack with its threshold (fitted on the attack half of the
 seed's four-way split), the victim rows (:class:`~dp_la.pipelines.Victim`)
 and the non-private baseline's accuracy. Per (method, seed),
-:func:`~dp_la.pipelines.shared_part` builds what no epsilon changes: input
-perturbation's noise or the PATE teachers' votes; if it fails, only that
-method's cells of the seed fail. Each cell then does only its epsilon work
-(scale the noise and fit, fit objective perturbation, or draw vote and audit
-noise), computes the outputs the audit observes once per part and runs the
-membership-inference attack on them. Cells only read what they share, so the
-order of a seed's cells changes no result; ``dp-la audit`` runs the sweep on
-a config narrowed to its first method, epsilon and seed. In ``summary.json``
+:func:`~dp_la.pipelines.shared_part` builds what no epsilon changes, and it is
+the only reader of the (method, seed) pipeline stream: input perturbation's
+noise, objective perturbation's noise direction and standard length, or the
+PATE teachers' votes with the label release's standard noise; if it fails,
+only that method's cells of the seed fail. Each cell then does only its
+epsilon work (scale that draw and fit, or scale the label noise and draw the
+audit's vote noise), computes the outputs the audit observes once per part and
+runs the membership-inference attack on them. Cells only read what they share,
+so the order of a seed's cells changes no result; ``dp-la audit`` runs the
+sweep on a config narrowed to its first method, epsilon and seed. In ``summary.json``
 the seed's shared work is timed under ``timings.per_seed``; each cell's own
 time and its released model's fit diagnostics (Newton iterations, final
 gradient norm, stop reason) are under ``timings.per_cell``.
@@ -50,7 +52,8 @@ from .data import (
 )
 from .mechanisms import RngState
 from .model import TrainConfig, _check_field_types, accuracy, predict, predict_proba, train
-from .pipelines import DpMethod, TeacherVotes, Victim, run_pipeline, shared_part, victim_view
+from .pipelines import (DpMethod, ObjectiveNoise, TeacherVotes, Victim, run_pipeline,
+                        shared_part, victim_view)
 
 __all__ = [
     "SynthSpec",
@@ -181,7 +184,8 @@ def _from_doc(cls: type, doc: dict, where: str):
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config JSON document; an unknown key at any level
     is an error, so a typo never silently falls back to a default. A key left
-    out takes the dataclass's default."""
+    out takes the dataclass's default, except ``data``: the document must name
+    its data source."""
     kwargs = json.loads(Path(path).read_text(encoding="utf-8"))
     _reject_unknown_keys(kwargs, _CONFIG_KEYS, "config")
     data = kwargs.pop("data", {})
@@ -316,22 +320,21 @@ def run_cell(
     config: ExperimentConfig,
     cell: SweepCell,
     context: SeedContext,
-    shared: np.ndarray | TeacherVotes | None,
-    pipeline_rng: RngState,
+    shared: np.ndarray | ObjectiveNoise | TeacherVotes,
 ) -> CellResult:
     """One grid cell on its seed's context (from :func:`build_seed_context`)
     and its method's budget-free part ``shared`` (from
-    :func:`~dp_la.pipelines.shared_part` on ``pipeline_rng``): the
-    epsilon-dependent part of the DP release, the shadow attack on it,
-    metrics. The cell's wall time covers only this work.
+    :func:`~dp_la.pipelines.shared_part`): the epsilon-dependent part of the
+    DP release, the shadow attack on it, metrics. The cell's wall time covers
+    only this work.
 
-    The split is keyed by the seed's value and the pipeline stream by the
-    (method, seed) values only, so cells along the epsilon axis of one seed
-    share their underlying randomness and differ purely in the noise scale
-    (common random numbers; trend curves are not polluted by resampling
-    jitter). The audit's fresh vote noise is keyed by the cell's (method,
-    epsilon, seed) values; ``float(epsilon)`` makes a JSON ``1`` and ``1.0``
-    key the same stream.
+    The split is keyed by the seed's value and the shared part is drawn once
+    from the pipeline stream of the (method, seed) values, which the cell
+    never reads, so cells along the epsilon axis of one seed share their
+    underlying randomness and differ purely in the noise scale (common random
+    numbers; trend curves are not polluted by resampling jitter). The audit's
+    fresh vote noise is keyed by the cell's (method, epsilon, seed) values;
+    ``float(epsilon)`` makes a JSON ``1`` and ``1.0`` key the same stream.
     """
     start = time.perf_counter()
     try:
@@ -340,7 +343,7 @@ def run_cell(
         victim = context.victim
         release = run_pipeline(cell.method, victim, shared,
                                cell.method.budget(cell.epsilon, config.delta), config.train,
-                               pipeline_rng, audit_rng)
+                               audit_rng)
         acc_private = accuracy(release.predictions, victim.test_labels)
         true_positives, false_positives = audit_mod.run_mia(
             context.attack, release.train_proba, victim.train_labels,
@@ -363,10 +366,10 @@ def _failed_cells(cells: list[SweepCell], exc: Exception) -> list[CellResult]:
 def _run_seed(
     config: ExperimentConfig, dataset: Dataset, seed: int, cells: list[SweepCell]
 ) -> tuple[list[CellResult], SeedTiming]:
-    """Build one seed's context, then for each method its shared part, then
-    run that method's cells of the seed. If the context cannot be built,
-    every cell of the seed fails with its error; if a shared part cannot,
-    only that method's cells do."""
+    """Build one seed's context, then for each method its shared part from the
+    method's pipeline stream, then run that method's cells of the seed. If the
+    context cannot be built, every cell of the seed fails with its error; if a
+    shared part cannot, only that method's cells do."""
     start = time.perf_counter()
     try:
         context = build_seed_context(config, dataset, seed)
@@ -377,17 +380,16 @@ def _run_seed(
     master, rows = RngState(config.master_seed), []
     for method in config.methods:
         method_cells = [c for c in cells if c.method is method]
-        pipeline_rng = _pipeline_rng(master, method, seed)
         start = time.perf_counter()
         try:
-            shared = shared_part(method, context.victim, config.train, pipeline_rng,
-                                 config.num_teachers)
+            shared = shared_part(method, context.victim, config.train,
+                                 _pipeline_rng(master, method, seed), config.num_teachers)
         except Exception as exc:  # contained like a cell failure
             rows += _failed_cells(method_cells, exc)
             continue
         finally:
             shared_s += time.perf_counter() - start
-        rows += [run_cell(config, cell, context, shared, pipeline_rng) for cell in method_cells]
+        rows += [run_cell(config, cell, context, shared) for cell in method_cells]
     return rows, SeedTiming(seed, shared_s)
 
 
@@ -543,10 +545,13 @@ def emit_report(
     }
 
     summary_doc = dict(summary)
+    # platform.platform() would spawn `uname -p` for a field it then drops
     summary_doc["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "system": platform.system(),
+        "release": platform.release(),
+        "machine": platform.machine(),
     }
     summary_doc["timings"] = {
         "total_wall_time_seconds": sum(t.wall_time_seconds for t in results.seed_timings)

@@ -11,10 +11,11 @@
 
 :func:`victim_view` gathers the victim rows of a split once. :func:`shared_part`
 builds, once per (method, seed), what every budget's release of that method
-shares: input perturbation's standard-normal noise or the teachers' vote
-counts. :func:`run_pipeline` takes that part, dispatches on the method once
-and returns a :class:`Release`: the private test labels and the outputs the
-audit observes, as arrays.
+shares, as the only reader of its pipeline stream: each release's noise at
+scale 1 and the teachers' vote counts. :func:`run_pipeline` takes that part,
+scales its noise by the budget, dispatches on the method once and returns a
+:class:`Release`: the private test labels and the outputs the audit
+observes, as arrays.
 
 Each :class:`DpMethod` member declares its release's sensitivity and whether
 its budget spends delta, and every noise scale is calibrated from that
@@ -46,12 +47,14 @@ from .model import LogisticModel, TrainConfig, predict, predict_proba, train
 __all__ = [
     "DpMethod",
     "TeacherVotes",
+    "ObjectiveNoise",
     "Victim",
     "Release",
     "victim_view",
     "shared_part",
     "draw_input_noise",
     "input_perturb",
+    "draw_objective_noise",
     "objective_perturb_train",
     "pate_train",
     "pate_predict",
@@ -93,13 +96,24 @@ class DpMethod(Enum):
 
 @dataclass(frozen=True)
 class TeacherVotes:
-    """An ensemble's class-1 vote counts on the victim rows. They depend on
-    neither the budget nor the cell, so every epsilon of a seed draws only
-    its noise on them."""
+    """An ensemble's class-1 vote counts on the victim rows, and the label
+    release's standard Laplace draws on victim_test (class 0, then class 1).
+    No budget changes them: every epsilon of a seed only scales the noise."""
 
     num_teachers: int
     train: np.ndarray
     test: np.ndarray
+    label_noise: np.ndarray
+
+
+@dataclass(frozen=True)
+class ObjectiveNoise:
+    """Objective perturbation's budget-free draw (:func:`draw_objective_noise`):
+    the row rescale, a unit ``direction`` and a standard Gamma(d, 1) ``length``."""
+
+    rescale: float
+    direction: np.ndarray
+    length: float
 
 
 @dataclass(frozen=True)
@@ -166,12 +180,31 @@ def _erm_noise_budget(epsilon: float, n: int, lam: float) -> tuple[float, float]
     return epsilon / 2.0, delta_lam
 
 
+def draw_objective_noise(train_features: np.ndarray, rng: RngState) -> ObjectiveNoise:
+    """The noise :func:`objective_perturb_train` scales: the rescale that
+    bounds every row of ``train_features`` by unit L2 norm, then a uniformly
+    random unit direction and a standard Gamma(d, 1) length from ``rng``."""
+    features = np.asarray(train_features, dtype=float)
+    n, d = features.shape
+    if n == 0 or d == 0:
+        raise ValueError("empty training matrix")
+    max_norm = float(np.sqrt(np.einsum("ij,ij->i", features, features)).max())
+    rescale = math.sqrt(d) if max_norm > 1.0 else 1.0
+    if max_norm / rescale > 1.0 + 1e-9:
+        raise ValueError(
+            "row norms exceed 1 even after the 1/sqrt(d) rescale; features must be [0, 1]-normalized"
+        )
+    direction = rng.generator.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    return ObjectiveNoise(rescale, _read_only(direction), float(rng.generator.standard_gamma(d)))
+
+
 def objective_perturb_train(
     features: np.ndarray,
     labels: np.ndarray,
     budget: PrivacyBudget,
     config: TrainConfig,
-    rng: RngState,
+    noise: ObjectiveNoise,
 ) -> LogisticModel:
     """Train logistic regression privately via a noisy linear objective term.
 
@@ -184,6 +217,10 @@ def objective_perturb_train(
     minimizing with the shared trainer, whose Newton solve reaches the exact
     minimiser (gradient norm < 1e-10) that the guarantee assumes.
 
+    ``noise`` is :func:`draw_objective_noise` on ``features``. numpy draws
+    ``gamma(d, s)`` as ``s * standard_gamma(d)``, so scaling its length by
+    S/eps' releases the bits of a draw at the budget's scale.
+
     The bias is neither regularized nor perturbed. The recipe's analysis
     (Chaudhuri, Monteleoni & Sarwate 2011) assumes every released parameter
     is, so the epsilon guarantee does not cover the bias.
@@ -193,25 +230,10 @@ def objective_perturb_train(
     if config.lam <= 0:
         raise ValueError("objective perturbation requires a strictly positive regularizer")
     features = np.asarray(features, dtype=float)
-    n, d = features.shape
-    if n == 0 or d == 0:
-        raise ValueError("empty training matrix")
-
-    max_norm = float(np.sqrt(np.einsum("ij,ij->i", features, features)).max())
-    rescale = math.sqrt(d) if max_norm > 1.0 else 1.0
-    if max_norm / rescale > 1.0 + 1e-9:
-        raise ValueError(
-            "row norms exceed 1 even after the 1/sqrt(d) rescale; features must be [0, 1]-normalized"
-        )
-
-    eps_prime, delta_lam = _erm_noise_budget(budget.epsilon, n, config.lam)
+    eps_prime, delta_lam = _erm_noise_budget(budget.epsilon, features.shape[0], config.lam)
     lam_eff = config.lam + delta_lam
-
-    direction = rng.generator.normal(size=d)
-    direction /= np.linalg.norm(direction)
     sensitivity = DpMethod.OBJECTIVE_PERTURBATION.sensitivity.value
-    b_norm = float(rng.generator.gamma(shape=d, scale=sensitivity / eps_prime))
-    noise = b_norm * direction
+    b_norm = (sensitivity / eps_prime) * noise.length
 
     # The recipe is stated on unit-norm-bounded rows x/rescale with weights w'.
     # Substituting w' = rescale * w turns it into an equivalent objective on the
@@ -219,8 +241,8 @@ def objective_perturb_train(
     # rescale * b, which the shared trainer minimizes exactly, like the
     # non-private baseline (so the only difference at huge epsilon is the
     # slightly stronger regularizer).
-    return train(features, labels, replace(config, lam=lam_eff * rescale**2),
-                 linear_term=rescale * noise)
+    return train(features, labels, replace(config, lam=lam_eff * noise.rescale**2),
+                 linear_term=noise.rescale * (b_norm * noise.direction))
 
 
 def _pate_shards(labels: np.ndarray, num_teachers: int, rng: RngState) -> list[np.ndarray]:
@@ -274,16 +296,19 @@ def shared_part(
     config: TrainConfig,
     rng: RngState,
     num_teachers: int,
-) -> np.ndarray | TeacherVotes | None:
+) -> np.ndarray | ObjectiveNoise | TeacherVotes:
     """The part of ``method``'s release on ``victim`` that no budget changes,
-    built once per (method, seed) from the method's pipeline stream ``rng``:
+    built once per (method, seed) from its pipeline stream ``rng``, which
+    nothing else reads; each budget only scales the noise in it:
 
     * input perturbation: the standard-normal noise from its "input-noise"
-      substream, which each budget scales by its sigma;
+      substream;
+    * objective perturbation: the :class:`ObjectiveNoise` on victim_train
+      from its "erm-noise" substream;
     * prediction perturbation: the class-1 votes on victim_train and
       victim_test of teachers trained on victim_train, sharded by its
-      "pate-train" substream;
-    * objective perturbation: None, as its noise is drawn at each budget.
+      "pate-train" substream, and the label noise from its "pate-votes"
+      substream.
     """
     if method is DpMethod.INPUT_PERTURBATION:
         return _read_only(draw_input_noise(victim.train_features, rng.substream("input-noise")))
@@ -292,8 +317,10 @@ def shared_part(
                               rng.substream("pate-train"))
         votes = [np.sum([predict(t, rows) for t in teachers], axis=0, dtype=float)
                  for rows in (victim.train_features, victim.test_features)]
-        return TeacherVotes(num_teachers, *map(_read_only, votes))
-    return None
+        label_noise = sample_laplace(1.0, rng.substream("pate-votes"),
+                                     (2, len(victim.test_features)))
+        return TeacherVotes(num_teachers, *map(_read_only, (*votes, label_noise)))
+    return draw_objective_noise(victim.train_features, rng.substream("erm-noise"))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -306,19 +333,21 @@ def pate_predict(
     num_teachers: int,
     class1_votes: np.ndarray,
     budget: PrivacyBudget,
-    rng: RngState,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """Noisy-argmax label release: per row, add independent Lap(2/eps) to each
-    class's vote count (class 0 for all rows, then class 1) and return the
-    winner (post-noise ties go to class 1).
+    class's vote count and return the winner (post-noise ties go to class 1).
+
+    ``noise`` is Lap(1) draws of shape (2, rows), class 0 then class 1. numpy
+    draws ``laplace(0, s)`` as ``0 ± s * log(...)``, so scaling it by 2/eps
+    releases the bits of a draw at the budget's scale.
 
     epsilon is spent per query; the caller is responsible for composition
     accounting across queries.
     """
     scale = laplace_scale(DpMethod.PREDICTION_PERTURBATION.sensitivity, budget)
-    rows = class1_votes.shape[0]
-    noisy0 = (num_teachers - class1_votes) + sample_laplace(scale, rng, size=rows)
-    noisy1 = class1_votes + sample_laplace(scale, rng, size=rows)
+    noisy0 = (num_teachers - class1_votes) + scale * noise[0]
+    noisy1 = class1_votes + scale * noise[1]
     return (noisy1 >= noisy0).astype(int)
 
 
@@ -343,28 +372,29 @@ def pate_vote_fraction(
 def run_pipeline(
     method: DpMethod,
     victim: Victim,
-    shared: np.ndarray | TeacherVotes | None,
+    shared: np.ndarray | ObjectiveNoise | TeacherVotes,
     budget: PrivacyBudget,
     config: TrainConfig,
-    rng: RngState,
     audit_rng: RngState,
 ) -> Release:
     """Run one DP configuration on the victim rows (see :func:`victim_view`)
     with the method's budget-free part ``shared``, built by
-    :func:`shared_part` from the same pipeline stream ``rng``. Input and
-    objective perturbation fit on victim_train, and the audit observes the
-    fitted model's sigmoid output, computed once per part.
+    :func:`shared_part`, whose noise it only scales by ``budget``: it reads
+    no pipeline stream. Input and objective perturbation fit on victim_train,
+    and the audit observes the fitted model's sigmoid output, computed once
+    per part.
 
-    Input perturbation scales the noise ``shared`` by the budget's sigma.
-    Prediction perturbation releases noisy votes of the ``shared`` votes. It
-    answers only the len(victim_test) queries, so its composed epsilon is
-    epsilon times that count (basic composition). The audit observes the
-    noisy vote fraction, with fresh noise from ``audit_rng``'s "audit-votes"
-    substream: victim_train rows, then victim_test rows.
+    Input perturbation scales the noise ``shared`` by the budget's sigma, and
+    objective perturbation its noise length by S/eps'. Prediction
+    perturbation releases noisy votes of the ``shared`` votes. It answers
+    only the len(victim_test) queries, so its composed epsilon is epsilon
+    times that count (basic composition). The audit observes the noisy vote
+    fraction, with fresh noise from ``audit_rng``'s "audit-votes" substream:
+    victim_train rows, then victim_test rows.
     """
     if method is DpMethod.PREDICTION_PERTURBATION:
         k = shared.num_teachers
-        predictions = pate_predict(k, shared.test, budget, rng.substream("pate-votes"))
+        predictions = pate_predict(k, shared.test, budget, shared.label_noise)
         vote_rng = audit_rng.substream("audit-votes")
         train_proba = pate_vote_fraction(k, shared.train, budget, vote_rng)
         return Release(predictions, train_proba,
@@ -375,7 +405,7 @@ def run_pipeline(
                       victim.train_labels, config)
     elif method is DpMethod.OBJECTIVE_PERTURBATION:
         model = objective_perturb_train(victim.train_features, victim.train_labels, budget,
-                                        config, rng.substream("erm-noise"))
+                                        config, shared)
     else:
         raise ValueError(f"unknown DP method: {method}")
     test_proba = predict_proba(model, victim.test_features)

@@ -79,18 +79,18 @@ def test_criterion_3_gradient_check():
     y_pm = np.where(rng.random(50) < 0.5, 1.0, -1.0)
     lam = 1e-4
     h = 1e-5
-    Zy = _design(X, y_pm)
+    ZT = _design(X, y_pm)
     ridge, linear = _penalties(5, 50, lam)
 
     def objective(w, b):
-        return _evaluate(Zy, np.append(w, b), ridge, linear)[0]
+        return _evaluate(ZT, np.append(w, b), ridge, linear)[0]
 
     worst = 0.0
     for _ in range(20):
         w = rng.normal(scale=0.8, size=5)
         b = float(rng.normal())
         theta = np.append(w, b)
-        analytic = _gradient(Zy, theta, *_evaluate(Zy, theta, ridge, linear)[1:], ridge, linear)
+        analytic = _gradient(ZT, theta, *_evaluate(ZT, theta, ridge, linear)[1:], ridge, linear)
         num = np.empty(6)
         for i in range(5):
             e = np.zeros(5)
@@ -189,7 +189,7 @@ def test_criterion_8_overfit_mia_and_mitigation():
         votes = shared_part(DpMethod.PREDICTION_PERTURBATION, rows, vic_cfg,
                             rng.substream("p"), 10)
         res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, votes, PrivacyBudget(0.1),
-                           vic_cfg, rng.substream("p"), rng.substream("a"))
+                           vic_cfg, rng.substream("a"))
         out_p = run_mia(attack, res.train_proba, rows.train_labels, res.test_proba,
                         rows.test_labels)
         pate_leaks.append(leakage(out_p, len(rows.train_labels), len(rows.test_labels)))

@@ -293,7 +293,7 @@ class TestOverfitOracle:
             votes = shared_part(DpMethod.PREDICTION_PERTURBATION, rows, vic_cfg,
                                 rng.substream("p"), 10)
             res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, rows, votes, PrivacyBudget(0.1),
-                               vic_cfg, rng.substream("p"), rng.substream("a"))
+                               vic_cfg, rng.substream("a"))
             out_p = run_mia(attack, res.train_proba, rows.train_labels, res.test_proba,
                             rows.test_labels)
             pate_leaks.append(counts_report(out_p, len(rows.train_labels),

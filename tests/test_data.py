@@ -129,6 +129,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2 has 4 cells, expected 3"):
             load_csv(p, schema_age_region_result())
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_overlong_field_is_a_value_error_naming_the_file(self, tmp_path, line):
+        # the csv module refuses a field over its 131072-character limit
+        lines = ["age,region,result", "30,east,pass", "40,west,fail"]
+        lines[line - 1] = lines[line - 1].replace("e", "e" * 200_000, 1)
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as raised:
+            load_csv(p, schema_age_region_result())
+        assert str(raised.value).startswith(f"{p}: line {line}: field larger than field limit")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

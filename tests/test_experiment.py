@@ -1,8 +1,11 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,7 @@ def run_alone(cfg, cell, context):
     """run_cell on ``context`` with its method's shared part built for it alone."""
     rng = _pipeline_rng(RngState(cfg.master_seed), cell.method, cell.seed)
     shared = shared_part(cell.method, context.victim, cfg.train, rng, cfg.num_teachers)
-    return run_cell(cfg, cell, context, shared, rng)
+    return run_cell(cfg, cell, context, shared)
 
 
 def write_config(tmp_path, **overrides):
@@ -322,6 +325,32 @@ class TestRunSweep:
         assert calls == {"draw_input_noise": seeds, "pate_train": seeds,
                          "predict": 2 * cfg.num_teachers * seeds}
 
+    def test_pipeline_streams_are_read_only_by_the_shared_parts(self, monkeypatch):
+        # every (method, seed) pipeline substream builds its generator once, in
+        # shared_part; cells only scale its draws, and the audit's vote noise
+        # stays per cell
+        built = Counter()
+        original = RngState.generator
+
+        def generator(self):
+            built[self._path] += 1
+            return original.func(self)
+
+        counted = cached_property(generator)
+        counted.__set_name__(RngState, "generator")
+        monkeypatch.setattr(RngState, "generator", counted)
+        cfg = ExperimentConfig()
+        results = run_sweep(cfg)
+        assert all(r.status == "ok" for r in results.rows)
+        pipeline = [path for path in built if path[0] == "pipeline"]
+        assert all(built[path] == 1 for path in pipeline)
+        labels = Counter(path[4] for path in pipeline)
+        seeds, cells_per_method = len(cfg.seeds), len(cfg.seeds) * len(cfg.epsilons)
+        assert {label: labels[label] for label in ("input-noise", "erm-noise", "pate-votes")} \
+            == {"input-noise": seeds, "erm-noise": seeds, "pate-votes": seeds}
+        assert sum(n for path, n in built.items() if path[-1] == "audit-votes") \
+            == cells_per_method
+
     def test_shared_part_failure_fails_only_its_method_and_seed(self, small_results,
                                                                 monkeypatch):
         cfg, healthy = small_results
@@ -423,7 +452,7 @@ class TestRunSweep:
                                 cfg.num_teachers)
             noised.clear()
             for cell in (c for c in enumerate_cells(cfg) if c.seed == seed):
-                assert run_cell(cfg, cell, context, noise, rng).status == "ok"
+                assert run_cell(cfg, cell, context, noise).status == "ok"
             assert len(noised) == len(cfg.epsilons)
             for eps, released in zip(cfg.epsilons, noised):
                 sigma = gaussian_sigma(DpMethod.INPUT_PERTURBATION.sensitivity,
@@ -556,6 +585,19 @@ class TestEmitReport:
         assert doc["groups"][0]["n_ok"] == 2
         assert "environment" in doc and "timings" in doc
 
+    def test_environment_stamp_spawns_no_process(self, tmp_path, monkeypatch):
+        # platform.platform() runs `uname -p` in a subprocess for its processor field
+        def spawning():
+            raise AssertionError("platform.platform() spawns a process")
+
+        monkeypatch.setattr("dp_la.experiment.platform.platform", spawning)
+        results = fabricated_results({1: 0.1})
+        emit_report(results, summarize(results), tmp_path)
+        environment = json.loads((tmp_path / "summary.json").read_text())["environment"]
+        assert environment == {"python": platform.python_version(), "numpy": np.__version__,
+                               "system": platform.system(), "release": platform.release(),
+                               "machine": platform.machine()}
+
     def test_timings_add_per_seed_to_per_cell(self, tmp_path):
         results = fabricated_results({1: 0.1, 2: 0.2})
         results = SweepResults(results.rows, results.config_fingerprint,
@@ -655,6 +697,21 @@ class TestCli:
                             output_dir=str(tmp_path / "out"))
         assert cli.main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_overlong_csv_field_exit_one(self, tmp_path, capsys):
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--n", "100", "--out", str(synth_dir)]) == 0
+        data = synth_dir / "data.csv"
+        header, first, *rest = data.read_text().splitlines()
+        cells = first.split(",")
+        cells[0] = "9" * 200_000
+        data.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        path = write_config(tmp_path, data={"path": str(data),
+                                            "schema": str(synth_dir / "schema.json")},
+                            output_dir=str(tmp_path / "out"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"config error: {data}: line 2: field larger than "
+                                           "field limit (131072)\n")
 
     def test_synth_onto_a_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "taken"

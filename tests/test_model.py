@@ -29,16 +29,16 @@ def make_model(weights, bias):
 
 def objective_and_gradient(X, y_pm, lam):
     """J(w, b) and its gradient over (w, b), through the trainer's own helpers."""
-    Zy = _design(X, y_pm)
+    ZT = _design(X, y_pm)
     ridge, linear = _penalties(X.shape[1], X.shape[0], lam)
 
     def objective(w, b):
-        return _evaluate(Zy, np.append(w, b), ridge, linear)[0]
+        return _evaluate(ZT, np.append(w, b), ridge, linear)[0]
 
     def gradient(w, b):
         theta = np.append(w, b)
-        _, m, e = _evaluate(Zy, theta, ridge, linear)
-        g = _gradient(Zy, theta, m, e, ridge, linear)
+        _, m, e = _evaluate(ZT, theta, ridge, linear)
+        g = _gradient(ZT, theta, m, e, ridge, linear)
         return g[:-1], float(g[-1])
 
     return objective, gradient
@@ -241,8 +241,9 @@ class TestNewton:
             return original(features, labels, config, linear_term=linear_term)
 
         monkeypatch.setattr(pipelines, "train", capture)
+        noise = pipelines.draw_objective_noise(X, RngState(0).substream("erm-noise"))
         released = pipelines.objective_perturb_train(X, y, PrivacyBudget(10.0), TrainConfig(),
-                                                     RngState(0).substream("erm-noise"))
+                                                     noise)
 
         # independent solve of the same perturbed objective, written out here
         n, d = X.shape
@@ -290,16 +291,17 @@ class TestGradientAndObjective:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         y_pm = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        Zy = _design(X, y_pm)
+        ZT = _design(X, y_pm)
         ridge, linear = _penalties(3, 40, 0.1, linear_term=rng.normal(size=3))
         h = 1e-6
 
         def gradient(theta):
-            return _gradient(Zy, theta, *_evaluate(Zy, theta, ridge, linear)[1:], ridge, linear)
+            return _gradient(ZT, theta, *_evaluate(ZT, theta, ridge, linear)[1:], ridge, linear)
 
         for _ in range(5):
             theta = rng.normal(size=4)
-            H = _hessian(Zy, _evaluate(Zy, theta, ridge, linear)[2], ridge, np.empty_like(Zy))
+            H = _hessian(ZT, _evaluate(ZT, theta, ridge, linear)[2], ridge,
+                         np.empty((X.shape[1] + 1, min(len(X), _BLOCK))))
             num = np.column_stack([(gradient(theta + h * u) - gradient(theta - h * u)) / (2 * h)
                                    for u in np.eye(4)])
             np.testing.assert_allclose(H, num, rtol=1e-6, atol=1e-8)

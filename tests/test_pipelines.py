@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from dp_la.data import four_way_split, preprocess, synth_generate
-from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma
+from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma, sample_laplace
 from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
 from dp_la.pipelines import (
     DpMethod,
     _erm_noise_budget,
     _pate_shards,
     draw_input_noise,
+    draw_objective_noise,
     input_perturb,
     objective_perturb_train,
     pate_predict,
@@ -33,7 +34,7 @@ def view_for(method, ds, split, rng):
 
 def run_any(method, ds, split, budget, rng):
     """run_pipeline for any method with its shared part from the same stream."""
-    return run_pipeline(method, *view_for(method, ds, split, rng), budget, CFG, rng,
+    return run_pipeline(method, *view_for(method, ds, split, rng), budget, CFG,
                         rng.substream("audit"))
 
 
@@ -103,6 +104,27 @@ class TestInputPerturb:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("scale", [1e-4, 0.02, 1.0, 7.5, 2e4])
+def test_a_scaled_standard_draw_is_the_draw_at_that_scale(scale):
+    # Each release draws its noise once at scale 1 and every budget scales it.
+    # That gives the bits of a draw at the budget's scale, in the sign of zero
+    # too, only because numpy draws gamma(d, scale) as scale * standard_gamma(d)
+    # and laplace(0, scale) as 0 +- scale * log(...); a numpy that computes
+    # them otherwise fails here before results.csv changes.
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    one, other = RngState(21).generator, RngState(21).generator
+    for d in (1, 5, 11, 23):
+        assert bits(scale * one.standard_gamma(d, 500)).tolist() == \
+            bits(other.gamma(d, scale, 500)).tolist()
+        assert bits(scale * one.standard_gamma(d)) == bits(other.gamma(d, scale))
+    # one (2, rows) draw is class 0's noise, then class 1's
+    labels = one.laplace(0.0, 1.0, (2, 5000))
+    for row in labels:
+        assert bits(scale * row).tolist() == bits(other.laplace(0.0, scale, 5000)).tolist()
+
+
 class TestObjectivePerturb:
     def test_budget_reduction_formula(self):
         eps_prime, delta_lam = _erm_noise_budget(1.0, 10_000, 1e-4)
@@ -125,7 +147,8 @@ class TestObjectivePerturb:
         eps_prime, delta_lam = _erm_noise_budget(0.01, 100, 1e-4)
         assert eps_prime == 0.005 and delta_lam > 0
         model = objective_perturb_train(ds.features[:100], ds.labels[:100],
-                                        PrivacyBudget(0.01), CFG, RngState(3))
+                                        PrivacyBudget(0.01), CFG,
+                                        draw_objective_noise(ds.features[:100], RngState(3)))
         assert np.all(np.isfinite(model.weights)) and math.isfinite(model.bias)
 
     def test_huge_epsilon_matches_baseline_accuracy(self):
@@ -134,26 +157,30 @@ class TestObjectivePerturb:
         X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
         Xt, yt = ds.features[split.victim_test], ds.labels[split.victim_test]
         base = accuracy(predict(train(X, y, CFG), Xt), yt)
-        priv_model = objective_perturb_train(X, y, PrivacyBudget(1e6), CFG, RngState(4))
+        priv_model = objective_perturb_train(X, y, PrivacyBudget(1e6), CFG,
+                                             draw_objective_noise(X, RngState(4)))
         priv = accuracy(predict(priv_model, Xt), yt)
         assert abs(base - priv) < 0.01
 
     def test_rejects_zero_regularization(self):
         with pytest.raises(ValueError, match="regulariz"):
             objective_perturb_train(np.zeros((4, 2)), np.array([0, 1, 0, 1]),
-                                    PrivacyBudget(1.0), TrainConfig(lam=0.0), RngState(0))
+                                    PrivacyBudget(1.0), TrainConfig(lam=0.0),
+                                    draw_objective_noise(np.zeros((4, 2)), RngState(0)))
 
     def test_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
             objective_perturb_train(np.zeros((4, 2)), np.array([0, 1, 0, 1]),
-                                    PrivacyBudget(1.0, 1e-5), CFG, RngState(0))
+                                    PrivacyBudget(1.0, 1e-5), CFG,
+                                    draw_objective_noise(np.zeros((4, 2)), RngState(0)))
 
     def test_rejects_non_finite_feature(self):
         ds = synth_dataset(n=200, sep=1.0)
         X = ds.features[:100].copy()
         X[3, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            objective_perturb_train(X, ds.labels[:100], PrivacyBudget(1.0), CFG, RngState(0))
+            objective_perturb_train(X, ds.labels[:100], PrivacyBudget(1.0), CFG,
+                                    draw_objective_noise(X, RngState(0)))
 
 
 class TestPateTrain:
@@ -208,17 +235,20 @@ class TestPateTrain:
 class TestPatePredict:
     def test_unanimous_votes_win_at_large_epsilon(self):
         votes = constant_votes(0, 10_000)  # all teachers vote class 0
-        out = pate_predict(10, votes, PrivacyBudget(1e4), RngState(7))
+        out = pate_predict(10, votes, PrivacyBudget(1e4),
+                           sample_laplace(1.0, RngState(7), (2, 10_000)))
         # per the Laplace tail bound, P(class 1) < 1e-6 per row
         assert out.sum() == 0
 
     def test_split_votes_are_fair_coin(self):
-        out = pate_predict(10, constant_votes(5, 10_000), PrivacyBudget(1.0), RngState(8))
+        out = pate_predict(10, constant_votes(5, 10_000), PrivacyBudget(1.0),
+                           sample_laplace(1.0, RngState(8), (2, 10_000)))
         assert out.mean() == pytest.approx(0.5, abs=0.02)
 
     def test_heavy_noise_flip_rate_matches_analytic_tail(self):
         # P(class 1 | votes 10-0) = (1/4)(2 + z/b) exp(-z/b), z=10, b=200
-        out = pate_predict(10, constant_votes(0, 10_000), PrivacyBudget(0.01), RngState(9))
+        out = pate_predict(10, constant_votes(0, 10_000), PrivacyBudget(0.01),
+                           sample_laplace(1.0, RngState(9), (2, 10_000)))
         expected = 0.25 * (2 + 10 / 200) * math.exp(-10 / 200)
         assert 0.2 < out.mean() < 0.5
         assert out.mean() == pytest.approx(expected, abs=0.02)
@@ -231,7 +261,8 @@ class TestPatePredict:
         rows = ds.features[1000:2000]
         votes = sum(predict(t, rows) for t in teachers)
         majority = (votes > 5.5).astype(int)
-        out = pate_predict(11, votes, PrivacyBudget(1e8), RngState(11))
+        out = pate_predict(11, votes, PrivacyBudget(1e8),
+                           sample_laplace(1.0, RngState(11), (2, len(votes))))
         np.testing.assert_array_equal(out, majority)
 
     def test_vote_fraction_clipped_to_unit_interval(self):
@@ -249,7 +280,8 @@ class TestPatePredict:
 
     def test_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            pate_predict(10, constant_votes(0, 1), PrivacyBudget(1.0, 1e-5), RngState(0))
+            pate_predict(10, constant_votes(0, 1), PrivacyBudget(1.0, 1e-5),
+                         sample_laplace(1.0, RngState(0), (2, 1)))
 
     def test_vote_fraction_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
@@ -279,7 +311,7 @@ class TestRunPipeline:
         np.testing.assert_array_equal(res.predictions, predict(res.model, nonmembers))
         budget, rng, audit_rng = PrivacyBudget(1.0), RngState(4), RngState(9)
         victim, votes = view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng)
-        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, votes, budget, CFG, rng,
+        res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, votes, budget, CFG,
                            audit_rng)
         # one noise stream, members then non-members
         vote_rng = audit_rng.substream("audit-votes")
@@ -293,12 +325,13 @@ class TestRunPipeline:
         budget, rng = PrivacyBudget(1.0), RngState(5)
         res = run_pipeline(DpMethod.PREDICTION_PERTURBATION,
                            *view_for(DpMethod.PREDICTION_PERTURBATION, ds, split, rng),
-                           budget, CFG, rng, RngState(6))
+                           budget, CFG, RngState(6))
         # the shared part's teachers are sharded by the stream's "pate-train" substream
         teachers = pate_train(ds.features[split.victim_train], ds.labels[split.victim_train],
                               10, CFG, rng.substream("pate-train"))
         expected = pate_predict(10, class1_votes(teachers, ds.features[split.victim_test]),
-                                budget, rng.substream("pate-votes"))
+                                budget, sample_laplace(1.0, rng.substream("pate-votes"),
+                                                       (2, len(split.victim_test))))
         np.testing.assert_array_equal(res.predictions, expected)
 
     @pytest.mark.parametrize("method", list(DpMethod), ids=lambda m: m.value)
@@ -318,17 +351,18 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="delta"):
             run_pipeline(DpMethod.INPUT_PERTURBATION,
                          *view_for(DpMethod.INPUT_PERTURBATION, ds, split, RngState(0)),
-                         PrivacyBudget(1.0), CFG, RngState(0), RngState(1))
+                         PrivacyBudget(1.0), CFG, RngState(1))
 
     def test_unnormalized_rows_fail_only_input_perturbation(self, setup):
         ds, split = setup
         victim = victim_view(replace(ds, features=ds.features * 2.0), split)
         with pytest.raises(ValueError, match="normalized"):
             shared_part(DpMethod.INPUT_PERTURBATION, victim, CFG, RngState(0), 10)
-        assert shared_part(DpMethod.OBJECTIVE_PERTURBATION, victim, CFG, RngState(0), 10) is None
+        with pytest.raises(ValueError, match="row norms"):
+            shared_part(DpMethod.OBJECTIVE_PERTURBATION, victim, CFG, RngState(0), 10)
         votes = shared_part(DpMethod.PREDICTION_PERTURBATION, victim, CFG, RngState(0), 10)
         res = run_pipeline(DpMethod.PREDICTION_PERTURBATION, victim, votes, PrivacyBudget(1.0),
-                           CFG, RngState(0), RngState(1))
+                           CFG, RngState(1))
         assert res.predictions.shape == split.victim_test.shape
 
     def test_deterministic_predictions(self, setup):
