@@ -1,51 +1,20 @@
 """Differentially private tabular learning pipelines with a privacy audit.
 
-Public surface: DP mechanisms, data handling, the logistic baseline, the three
-DP pipelines, the membership-inference audit, and the sweep runner.
+Public surface: every name in the ``__all__`` of each module (DP mechanisms,
+data handling, the logistic baseline, the three DP pipelines with their noise
+draws, the membership-inference audit, and the sweep runner with its report
+writer ``emit_report(results, output_dir, force=False)``), re-exported here.
 """
 
-from .audit import AttackModel, AuditReport, attack_features, run_mia, train_attack
-from .data import (
-    ColumnKind,
-    Dataset,
-    FourWaySplit,
-    TabularSchema,
-    four_way_split,
-    load_csv,
-    preprocess,
-    synth_generate,
-)
-from .experiment import (
-    ExperimentConfig,
-    SweepResults,
-    SynthSpec,
-    emit_report,
-    load_config,
-    run_sweep,
-    summarize,
-)
-from .mechanisms import (
-    PrivacyBudget,
-    RngState,
-    Sensitivity,
-    SensitivityNorm,
-    empirical_dp_check,
-    gaussian_sigma,
-    laplace_scale,
-    sample_laplace,
-)
-from .model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
-from .pipelines import (
-    DpMethod,
-    Release,
-    Victim,
-    input_perturb,
-    objective_perturb_train,
-    pate_predict,
-    pate_train,
-    run_pipeline,
-    shared_part,
-    victim_view,
-)
+from . import audit, data, experiment, mechanisms, model, pipelines
+from .audit import *
+from .data import *
+from .experiment import *
+from .mechanisms import *
+from .model import *
+from .pipelines import *
+
+__all__ = (audit.__all__ + data.__all__ + experiment.__all__ + mechanisms.__all__
+           + model.__all__ + pipelines.__all__)
 
 __version__ = "0.1.0"

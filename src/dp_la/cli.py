@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .data import synth_generate, write_raw_csv
 from .experiment import (ExperimentConfig, emit_report, load_config, refuse_existing_outputs,
-                         run_sweep, summarize)
-from .mechanisms import PrivacyBudget, RngState, empirical_dp_check
+                         run_sweep)
+from .mechanisms import DP_CHECK_TOLERANCE, PrivacyBudget, RngState, empirical_dp_check
 
 
 def _count_above_half(values) -> float:
@@ -41,7 +41,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args, output_dir=args.out, threads=args.threads)
     refuse_existing_outputs(config.output_dir, force=args.force)
     results = run_sweep(config)
-    written = emit_report(results, summarize(results), config.output_dir, force=args.force)
+    written = emit_report(results, config.output_dir, force=args.force)
     for path in written:
         print(f"wrote {path}")
     failed = [r for r in results.rows if r.status != "ok"]
@@ -76,8 +76,8 @@ def _cmd_check_dp(args: argparse.Namespace) -> int:
         _count_above_half, data, neighbour, budget,
         bins=args.bins, trials=args.trials, rng=RngState(args.seed),
     )
-    bound = math.exp(budget.epsilon) * report.tolerance_factor
-    print(f"epsilon={budget.epsilon} trials={report.trials} eligible_bins={report.eligible_bins}")
+    bound = math.exp(budget.epsilon) * DP_CHECK_TOLERANCE
+    print(f"epsilon={budget.epsilon} trials={args.trials} eligible_bins={report.eligible_bins}")
     print(f"max_ratio={report.max_ratio:.6f} bound={bound:.6f} passed={report.passed}")
     return 0 if report.passed else 2
 

@@ -47,6 +47,15 @@ def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``; a file that is not UTF-8
+    or not JSON is a ValueError that starts with the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _require_exact_keys(doc: dict, keys: set[str], where: str) -> None:
     _reject_unknown_keys(doc, keys, where)
     missing = sorted(keys - set(doc))
@@ -85,7 +94,7 @@ class TabularSchema:
         "positive_labels": [...]}``. A key missing or unknown at either level
         is an error, ``positive_labels`` must be a list of strings, and each
         column ``name`` a string."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _read_json(path)
         _require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
         labels = doc["positive_labels"]
         if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
@@ -199,11 +208,14 @@ _BLOCK_ROWS = 4096
 def _read_rows(path: Path, reader, count: int) -> list[list[str]]:
     """Up to ``count`` more rows of ``reader``. A line the csv module cannot
     parse, such as a field over its size limit, is a ValueError naming the
-    file and the line."""
+    file and the line. So is a byte that is not UTF-8; the decoder reads ahead
+    of the parser, so the line given is only a lower bound for that byte's."""
     try:
         return list(islice(reader, count))
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 after line {reader.line_num}: {exc}") from None
 
 
 def _load_columns(path: Path, schema: TabularSchema) -> RawTable:

@@ -30,7 +30,9 @@ reordering grid values never disturbs the cells that remain.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
@@ -44,6 +46,7 @@ from . import audit as audit_mod
 from .data import (
     Dataset,
     TabularSchema,
+    _read_json,
     _reject_unknown_keys,
     four_way_split,
     load_csv,
@@ -77,21 +80,12 @@ __all__ = [
 DEFAULT_EPSILONS = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
-RESULT_COLUMNS = (
-    "method",
-    "epsilon",
-    "seed",
-    "acc_nonprivate",
-    "acc_private",
-    "utility_loss",
-    "tpr",
-    "fpr",
-    "privacy_leakage",
-    "true_revealed_records",
-    "trr_rate",
-    "wall_time_seconds",
-    "status",
-)
+# The AuditReport attributes results.csv reports, in column order, and those
+# summary.json takes medians of, in key order.
+_REPORT_METRICS = ("acc_nonprivate", "acc_private", "utility_loss", "tpr", "fpr",
+                   "privacy_leakage", "true_revealed_records", "trr_rate")
+_SUMMARY_METRICS = ("utility_loss", "privacy_leakage", "true_revealed_records", "trr_rate")
+RESULT_COLUMNS = ("method", "epsilon", "seed", *_REPORT_METRICS, "wall_time_seconds", "status")
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     is an error, so a typo never silently falls back to a default. A key left
     out takes the dataclass's default, except ``data``: the document must name
     its data source."""
-    kwargs = json.loads(Path(path).read_text(encoding="utf-8"))
+    kwargs = _read_json(path)
     _reject_unknown_keys(kwargs, _CONFIG_KEYS, "config")
     data = kwargs.pop("data", {})
     _reject_unknown_keys(data, set(_DATA_FIELDS), "data")
@@ -424,26 +418,17 @@ def summarize(results: SweepResults) -> dict:
     Groups with no successful cell are reported as missing rather than zero.
     """
     groups: dict[tuple[str, float], list[audit_mod.AuditReport]] = {}
-    order: list[tuple[str, float]] = []
     for row in results.rows:
-        key = (row.cell.method.value, row.cell.epsilon)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        reports = groups.setdefault((row.cell.method.value, row.cell.epsilon), [])
         if row.report is not None:
-            groups[key].append(row.report)
+            reports.append(row.report)
 
     summary = []
-    for method, epsilon in order:
-        reports = groups[(method, epsilon)]
+    for (method, epsilon), reports in groups.items():
         entry: dict = {"method": method, "epsilon": epsilon, "n_ok": len(reports)}
         if reports:
-            entry.update(
-                median_utility_loss=_median([r.utility_loss for r in reports]),
-                median_privacy_leakage=_median([r.privacy_leakage for r in reports]),
-                median_true_revealed_records=_median([r.true_revealed_records for r in reports]),
-                median_trr_rate=_median([r.trr_rate for r in reports]),
-            )
+            entry.update({f"median_{name}": _median([getattr(r, name) for r in reports])
+                          for name in _SUMMARY_METRICS})
         else:
             entry["missing"] = True
         summary.append(entry)
@@ -451,68 +436,59 @@ def summarize(results: SweepResults) -> dict:
 
 
 def _fmt(value: float) -> str:
-    """Deterministic 12-significant-digit float formatting for CSV output."""
+    """Deterministic 12-significant-digit float formatting for CSV output; a
+    count below 10**12 prints as ``str`` prints it."""
     return format(float(value), ".12g")
 
 
-def _results_csv_lines(results: SweepResults) -> list[str]:
-    lines = [",".join(RESULT_COLUMNS)]
+def _results_table(results: SweepResults) -> list[list[str]]:
+    """results.csv as rows of cells, header first; a failed cell's metrics are blank."""
+    table = [list(RESULT_COLUMNS)]
     for row in results.rows:
-        r = row.report
-        values = [row.cell.method.value, _fmt(row.cell.epsilon), str(row.cell.seed)]
-        if r is None:
-            values += [""] * 8
-        else:
-            values += [
-                _fmt(r.acc_nonprivate),
-                _fmt(r.acc_private),
-                _fmt(r.utility_loss),
-                _fmt(r.tpr),
-                _fmt(r.fpr),
-                _fmt(r.privacy_leakage),
-                str(r.true_revealed_records),
-                _fmt(r.trr_rate),
-            ]
+        cell, report = row.cell, row.report
+        metrics = ([""] * len(_REPORT_METRICS) if report is None
+                   else [_fmt(getattr(report, name)) for name in _REPORT_METRICS])
         # wall time is kept out of results.csv so reruns are byte-identical
-        values += ["", _csv_escape(row.status)]
-        lines.append(",".join(values))
-    return lines
+        table.append([cell.method.value, _fmt(cell.epsilon), str(cell.seed), *metrics, "",
+                      row.status])
+    return table
 
 
-def _csv_escape(value: str) -> str:
-    if any(c in value for c in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-def _fig_series_lines(summary: dict, metric: str) -> list[str]:
-    """One row per epsilon, one column per method, of ``metric``'s medians."""
+def _fig_table(summary: dict, metric: str) -> list[list[str]]:
+    """One row per epsilon, one column per method, of ``metric``'s medians; a
+    (method, epsilon) group with no completed cell is blank."""
     table = {(g["method"], g["epsilon"]): g for g in summary["groups"]}
     methods = list(dict.fromkeys(method for method, _ in table))
-    epsilons = sorted({epsilon for _, epsilon in table})
-    lines = [",".join(["epsilon"] + methods)]
-    for eps in epsilons:
-        cells = []
-        for m in methods:
-            g = table.get((m, eps))
-            if g is None or g.get("missing"):
-                cells.append("")
-            else:
-                cells.append(_fmt(g[f"median_{metric}"]))
-        lines.append(",".join([_fmt(eps)] + cells))
-    return lines
+    key = f"median_{metric}"
+    rows = [["epsilon", *methods]]
+    for eps in sorted({epsilon for _, epsilon in table}):
+        groups = (table.get((m, eps), {}) for m in methods)
+        rows.append([_fmt(eps), *(_fmt(g[key]) if key in g else "" for g in groups)])
+    return rows
 
 
-_REPORT_FILES = ("results.csv", "fig_utility_loss.csv", "fig_privacy_leakage.csv",
-                 "fig_trr.csv", "summary.json")
+def _csv_text(table: list[list[str]]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(table)
+    return out.getvalue()
+
+
+# Each figure-series CSV and the summary metric whose medians it plots.
+_FIGURES = {"fig_utility_loss.csv": "utility_loss", "fig_privacy_leakage.csv": "privacy_leakage",
+            "fig_trr.csv": "trr_rate"}
+_REPORT_FILES = ("results.csv", *_FIGURES, "summary.json")
 
 
 def refuse_existing_outputs(output_dir: str | Path, force: bool = False) -> None:
     """Raise FileExistsError if any of ``_REPORT_FILES`` already exists in
-    ``output_dir``, unless ``force`` is set. ``dp-la run`` calls it before the
-    sweep, so a refused run does no work; ``emit_report`` calls it again at
-    write time."""
+    ``output_dir``, unless ``force`` is set, and NotADirectoryError if the
+    nearest existing path at or above ``output_dir`` is not a directory.
+    ``dp-la run`` calls it before the sweep, so a refused run does no work;
+    ``emit_report`` calls it again at write time."""
     out = Path(output_dir)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise NotADirectoryError(f"{nearest} is not a directory, so {out} cannot hold outputs")
     existing = [name for name in _REPORT_FILES if (out / name).exists()]
     if existing and not force:
         raise FileExistsError(
@@ -520,29 +496,19 @@ def refuse_existing_outputs(output_dir: str | Path, force: bool = False) -> None
         )
 
 
-def emit_report(
-    results: SweepResults,
-    summary: dict,
-    output_dir: str | Path,
-    force: bool = False,
-) -> list[Path]:
-    """Write results.csv, summary.json and the three figure-series CSVs; the
-    figure series are the per-(method, epsilon) medians of ``summary`` (see
-    :func:`summarize`).
+def emit_report(results: SweepResults, output_dir: str | Path, force: bool = False) -> list[Path]:
+    """Write results.csv, the three figure-series CSVs and summary.json; the
+    figure series and summary.json's groups are the per-(method, epsilon)
+    medians of :func:`summarize`, which this computes from ``results``.
 
     Refuses to overwrite existing outputs unless ``force`` is set. Each file
     is written to a temporary name in ``output_dir`` and then renamed onto its
     own, so no output is ever left half-written.
     """
+    summary = summarize(results)
     out = Path(output_dir)
     refuse_existing_outputs(out, force)
     out.mkdir(parents=True, exist_ok=True)
-    targets = {
-        "results.csv": "\n".join(_results_csv_lines(results)) + "\n",
-        "fig_utility_loss.csv": "\n".join(_fig_series_lines(summary, "utility_loss")) + "\n",
-        "fig_privacy_leakage.csv": "\n".join(_fig_series_lines(summary, "privacy_leakage")) + "\n",
-        "fig_trr.csv": "\n".join(_fig_series_lines(summary, "trr_rate")) + "\n",
-    }
 
     summary_doc = dict(summary)
     # platform.platform() would spawn `uname -p` for a field it then drops
@@ -575,9 +541,10 @@ def emit_report(
         ],
     }
 
-    targets["summary.json"] = json.dumps(summary_doc, indent=2) + "\n"
+    tables = [_results_table(results), *(_fig_table(summary, m) for m in _FIGURES.values())]
+    contents = [*map(_csv_text, tables), json.dumps(summary_doc, indent=2) + "\n"]
     written = []
-    for name, content in targets.items():
+    for name, content in zip(_REPORT_FILES, contents):
         path = out / name
         _write_atomic(path, content)
         written.append(path)

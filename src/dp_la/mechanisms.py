@@ -36,6 +36,7 @@ __all__ = [
     "sample_laplace",
     "gaussian_sigma",
     "DpCheckReport",
+    "DP_CHECK_TOLERANCE",
     "empirical_dp_check",
 ]
 
@@ -140,6 +141,10 @@ def gaussian_sigma(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
 
     The classical (epsilon, delta) calibration; undefined for delta = 0,
     hence requires an approximate-DP budget and an L2 sensitivity.
+
+    Known limit: the calibration is proven only for epsilon < 1. At
+    delta = 1e-5 the exact delta of this sigma (Balle & Wang 2018, Thm 8) is
+    2.27e-5 at epsilon = 10, and about 1 from epsilon = 100 up.
     """
     if sensitivity.norm is not SensitivityNorm.L2:
         raise ValueError("Gaussian calibration requires an L2 sensitivity")
@@ -156,10 +161,15 @@ class DpCheckReport:
 
     max_ratio: float
     passed: bool
-    epsilon: float
-    tolerance_factor: float
     eligible_bins: int
-    trials: int
+
+
+# empirical_dp_check's fixed settings: the noised query's L1 sensitivity, the
+# slack on exp(epsilon) that absorbs the ratio's sampling error, and the hits
+# both histograms need in a bin before its ratio is compared.
+_DP_CHECK_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L1)
+DP_CHECK_TOLERANCE = 1.2
+_DP_CHECK_MIN_BIN_HITS = 1000
 
 
 def _neighbour_kind(data: Sequence[float], neighbour: Sequence[float]) -> str:
@@ -189,20 +199,18 @@ def empirical_dp_check(
     trials: int = 100_000,
     *,
     rng: RngState,
-    sensitivity: float = 1.0,
-    tolerance_factor: float = 1.2,
-    min_bin_hits: int = 1000,
 ) -> DpCheckReport:
-    """Empirically test the epsilon bound of a Laplace-noised query.
+    """Empirically test the epsilon bound of a Laplace-noised query of L1
+    sensitivity 1.
 
-    Runs the query + Lap(sensitivity/epsilon) release ``trials`` times on each
-    of two neighbouring datasets, histograms both output samples over shared
-    bin edges, and takes the worst two-sided frequency ratio across bins where
-    both histograms record at least ``min_bin_hits`` outcomes (low-count bins
-    are excluded because finite-sample ratio estimates blow up there). The
-    check passes when
+    Runs the query + Lap(1/epsilon) release ``trials`` times on each of two
+    neighbouring datasets, histograms both output samples over shared bin
+    edges, and takes the worst two-sided frequency ratio across bins where
+    both histograms record at least ``_DP_CHECK_MIN_BIN_HITS`` outcomes
+    (low-count bins are excluded because finite-sample ratio estimates blow
+    up there). The check passes when
 
-        max_ratio <= exp(epsilon) * tolerance_factor.
+        max_ratio <= exp(epsilon) * DP_CHECK_TOLERANCE.
 
     Raises if the datasets are not neighbours, ``trials`` < 10_000, or no bin
     reaches the hit threshold.
@@ -213,7 +221,7 @@ def empirical_dp_check(
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
 
-    scale = laplace_scale(Sensitivity(sensitivity, SensitivityNorm.L1), budget)
+    scale = laplace_scale(_DP_CHECK_SENSITIVITY, budget)
     out_a = float(query(data)) + sample_laplace(scale, rng, size=trials)
     out_b = float(query(neighbour)) + sample_laplace(scale, rng, size=trials)
 
@@ -223,7 +231,7 @@ def empirical_dp_check(
     hist_a, _ = np.histogram(out_a, bins=edges)
     hist_b, _ = np.histogram(out_b, bins=edges)
 
-    eligible = (hist_a >= min_bin_hits) & (hist_b >= min_bin_hits)
+    eligible = (hist_a >= _DP_CHECK_MIN_BIN_HITS) & (hist_b >= _DP_CHECK_MIN_BIN_HITS)
     n_eligible = int(eligible.sum())
     if n_eligible == 0:
         raise ValueError("no histogram bin reached the minimum hit count; increase trials or reduce bins")
@@ -232,12 +240,5 @@ def empirical_dp_check(
     pb = hist_b[eligible].astype(float)
     ratios = np.maximum(pa / pb, pb / pa)
     max_ratio = float(ratios.max())
-    passed = max_ratio <= math.exp(budget.epsilon) * tolerance_factor
-    return DpCheckReport(
-        max_ratio=max_ratio,
-        passed=passed,
-        epsilon=budget.epsilon,
-        tolerance_factor=tolerance_factor,
-        eligible_bins=n_eligible,
-        trials=trials,
-    )
+    passed = max_ratio <= math.exp(budget.epsilon) * DP_CHECK_TOLERANCE
+    return DpCheckReport(max_ratio=max_ratio, passed=passed, eligible_bins=n_eligible)

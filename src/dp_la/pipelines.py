@@ -159,6 +159,11 @@ def input_perturb(train_features: np.ndarray, input_noise: np.ndarray,
     is the same release, bit for bit, as drawing it at the budget's scale. The
     noised output is deliberately not clipped back, since clipping would bias
     the mechanism.
+
+    Known limit: the declared L2 sensitivity of 1 bounds one cell, not one
+    record. On the default synth table one record moves 5 numeric cells and
+    2 one-hot pairs, an L2 distance of up to 3, so sigma is too small for the
+    record-level claim.
     """
     noised = np.multiply(input_noise,
                          gaussian_sigma(DpMethod.INPUT_PERTURBATION.sensitivity, budget))
@@ -309,6 +314,8 @@ def shared_part(
       victim_test of teachers trained on victim_train, sharded by its
       "pate-train" substream, and the label noise from its "pate-votes"
       substream.
+
+    Any other ``method`` is a ValueError, as in :func:`run_pipeline`.
     """
     if method is DpMethod.INPUT_PERTURBATION:
         return _read_only(draw_input_noise(victim.train_features, rng.substream("input-noise")))
@@ -320,7 +327,9 @@ def shared_part(
         label_noise = sample_laplace(1.0, rng.substream("pate-votes"),
                                      (2, len(victim.test_features)))
         return TeacherVotes(num_teachers, *map(_read_only, (*votes, label_noise)))
-    return draw_objective_noise(victim.train_features, rng.substream("erm-noise"))
+    if method is DpMethod.OBJECTIVE_PERTURBATION:
+        return draw_objective_noise(victim.train_features, rng.substream("erm-noise"))
+    raise ValueError(f"unknown DP method: {method}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dp_la.experiment import (
     SweepResults,
     SynthSpec,
     _pipeline_rng,
-    _results_csv_lines,
+    _results_table,
     build_seed_context,
     emit_report,
     enumerate_cells,
@@ -282,8 +282,8 @@ class TestRunSweep:
     def test_thread_count_does_not_change_results(self, small_results, tmp_path):
         cfg, results = small_results
         threaded = run_sweep(ExperimentConfig(**{**SMALL, "threads": 4}))
-        a = emit_report(results, summarize(results), tmp_path / "a")
-        b = emit_report(threaded, summarize(threaded), tmp_path / "b")
+        a = emit_report(results, tmp_path / "a")
+        b = emit_report(threaded, tmp_path / "b")
         assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
 
     def test_each_distinct_model_is_fitted_once(self, monkeypatch):
@@ -393,7 +393,7 @@ class TestRunSweep:
     def test_default_config_fits_reach_the_minimiser(self, tmp_path):
         cfg = ExperimentConfig()
         results = run_sweep(cfg)
-        emit_report(results, summarize(results), tmp_path)
+        emit_report(results, tmp_path)
         per_cell = json.loads((tmp_path / "summary.json").read_text())["timings"]["per_cell"]
         assert len(per_cell) == 105
         for entry in per_cell:
@@ -427,7 +427,7 @@ class TestRunSweep:
         by_cell = {row.cell: row for row in rows}
         reversed_results = SweepResults(tuple(by_cell[r.cell] for r in results.rows),
                                         results.config_fingerprint)
-        assert _results_csv_lines(reversed_results) == _results_csv_lines(results)
+        assert _results_table(reversed_results) == _results_table(results)
 
     def test_input_noise_is_one_draw_per_seed_scaled_by_sigma(self, monkeypatch):
         # (X~_eps - X) / sigma(eps) is the same standard-normal draw at every
@@ -557,7 +557,7 @@ class TestEmitReport:
     def test_files_and_shapes(self, tmp_path):
         cfg = ExperimentConfig(**SMALL)
         results = run_sweep(cfg)
-        written = emit_report(results, summarize(results), tmp_path / "out")
+        written = emit_report(results, tmp_path / "out")
         names = {p.name for p in written}
         assert names == {"results.csv", "summary.json", "fig_utility_loss.csv",
                          "fig_privacy_leakage.csv", "fig_trr.csv"}
@@ -572,14 +572,14 @@ class TestEmitReport:
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         results = fabricated_results({1: 0.1})
-        emit_report(results, summarize(results), tmp_path)
+        emit_report(results, tmp_path)
         with pytest.raises(FileExistsError, match="force"):
-            emit_report(results, summarize(results), tmp_path)
-        emit_report(results, summarize(results), tmp_path, force=True)
+            emit_report(results, tmp_path)
+        emit_report(results, tmp_path, force=True)
 
     def test_summary_json_round_trips(self, tmp_path):
         results = fabricated_results({1: 0.1, 2: 0.2})
-        emit_report(results, summarize(results), tmp_path)
+        emit_report(results, tmp_path)
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["config_fingerprint"] == "test"
         assert doc["groups"][0]["n_ok"] == 2
@@ -592,7 +592,7 @@ class TestEmitReport:
 
         monkeypatch.setattr("dp_la.experiment.platform.platform", spawning)
         results = fabricated_results({1: 0.1})
-        emit_report(results, summarize(results), tmp_path)
+        emit_report(results, tmp_path)
         environment = json.loads((tmp_path / "summary.json").read_text())["environment"]
         assert environment == {"python": platform.python_version(), "numpy": np.__version__,
                                "system": platform.system(), "release": platform.release(),
@@ -602,7 +602,7 @@ class TestEmitReport:
         results = fabricated_results({1: 0.1, 2: 0.2})
         results = SweepResults(results.rows, results.config_fingerprint,
                                (SeedTiming(1, 0.25), SeedTiming(2, 0.5)))
-        emit_report(results, summarize(results), tmp_path)
+        emit_report(results, tmp_path)
         timings = json.loads((tmp_path / "summary.json").read_text())["timings"]
         assert timings["per_seed"] == [{"seed": 1, "wall_time_seconds": 0.25},
                                        {"seed": 2, "wall_time_seconds": 0.5}]
@@ -613,11 +613,39 @@ class TestEmitReport:
         assert [t.seed for t in results.seed_timings] == list(cfg.seeds)
         assert all(t.wall_time_seconds > 0 for t in results.seed_timings)
 
+    def test_output_bytes_are_pinned(self, tmp_path):
+        # an ok row, a failed row whose status needs quoting, and a (method,
+        # epsilon) group with no ok row, which each figure leaves blank
+        obj, pred = DpMethod.OBJECTIVE_PERTURBATION, DpMethod.PREDICTION_PERTURBATION
+        rows = (
+            CellResult(SweepCell(obj, 1.0, 1), AuditReport(
+                acc_private=0.7, acc_nonprivate=0.9, true_positives=1, false_positives=0,
+                members=3, nonmembers=3), 0.5, "ok"),
+            CellResult(SweepCell(obj, 1.0, 2), None, 0.0, 'failed:ValueError:a, "b"\nc'),
+            CellResult(SweepCell(obj, 10.0, 1), None, 0.0, "failed:RuntimeError:x"),
+            CellResult(SweepCell(pred, 1.0, 1), AuditReport(
+                acc_private=0.5, acc_nonprivate=0.75, true_positives=2, false_positives=1,
+                members=4, nonmembers=4), 0.5, "ok"),
+        )
+        emit_report(SweepResults(rows, "test"), tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == (
+            b"method,epsilon,seed,acc_nonprivate,acc_private,utility_loss,tpr,fpr,"
+            b"privacy_leakage,true_revealed_records,trr_rate,wall_time_seconds,status\n"
+            b"objective_perturbation,1,1,0.9,0.7,0.2,0.333333333333,0,0.333333333333,1,"
+            b"0.333333333333,,ok\n"
+            b'objective_perturbation,1,2,,,,,,,,,,"failed:ValueError:a, ""b""\nc"\n'
+            b"objective_perturbation,10,1,,,,,,,,,,failed:RuntimeError:x\n"
+            b"prediction_perturbation,1,1,0.75,0.5,0.25,0.5,0.25,0.25,2,0.5,,ok\n")
+        assert (tmp_path / "fig_trr.csv").read_bytes() == (
+            b"epsilon,objective_perturbation,prediction_perturbation\n"
+            b"1,0.333333333333,0.5\n"
+            b"10,,\n")
+
     def test_no_temporary_file_left_behind(self, tmp_path):
         results = fabricated_results({1: 0.1})
-        written = emit_report(results, summarize(results), tmp_path)
+        written = emit_report(results, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
-        emit_report(results, summarize(results), tmp_path, force=True)
+        emit_report(results, tmp_path, force=True)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
 
 
@@ -675,6 +703,19 @@ class TestCli:
         assert "refusing to overwrite fig_privacy_leakage.csv, fig_trr.csv" in capsys.readouterr().err
         assert (tmp_path / "out" / "results.csv").read_bytes() == before
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_onto_or_under_a_file_runs_no_sweep(self, tmp_path, monkeypatch, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path)
+
+        def no_sweep(config):
+            raise AssertionError("run_sweep called for an output under a file")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert cli.main(["run", "--config", str(path), "--out", str(taken / below)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {taken} is not a directory")
+
     def test_master_seed_override_changes_results(self, tmp_path):
         path = write_config(tmp_path)
         out1, out2, out3 = (str(tmp_path / d) for d in ("o1", "o2", "o3"))
@@ -712,6 +753,31 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (f"config error: {data}: line 2: field larger than "
                                            "field limit (131072)\n")
+
+    @pytest.mark.parametrize("broken", ["schema", "config", "config_bytes", "data"])
+    def test_unreadable_input_error_names_its_file(self, tmp_path, capsys, broken):
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--n", "400", "--out", str(synth_dir)]) == 0
+        data, schema = synth_dir / "data.csv", synth_dir / "schema.json"
+        path = write_config(tmp_path, data={"path": str(data), "schema": str(schema)},
+                            output_dir=str(tmp_path / "out"))
+        if broken == "schema":
+            schema.write_text("{bad json")
+        elif broken == "config":
+            path.write_text("{bad json")
+        elif broken == "config_bytes":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            lines = data.read_bytes().split(b"\n")
+            lines[300] = lines[300].replace(b",", b",\xe9", 1)  # a Latin-1 byte on line 301
+            data.write_bytes(b"\n".join(lines))
+        named = {"schema": schema, "data": data}.get(broken, path)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}: "), err
+        if broken == "data":
+            assert err.startswith(f"config error: {data}: not UTF-8 after line "), err
 
     def test_synth_onto_a_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "taken"

@@ -365,6 +365,12 @@ class TestRunPipeline:
                            CFG, RngState(1))
         assert res.predictions.shape == split.victim_test.shape
 
+    def test_shared_part_rejects_an_unknown_method(self, setup):
+        # a method's string value is not a DpMethod: refused as run_pipeline refuses it
+        ds, split = setup
+        with pytest.raises(ValueError, match="unknown DP method"):
+            shared_part("input_perturbation", victim_view(ds, split), CFG, RngState(0), 10)
+
     def test_deterministic_predictions(self, setup):
         ds, split = setup
         for method in DpMethod:
