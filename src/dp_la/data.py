@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -47,13 +48,26 @@ def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+@contextmanager
 def _read_json(path: str | Path):
-    """The JSON document in the UTF-8 file ``path``; a file that is not UTF-8
-    or not JSON is a ValueError that starts with the path."""
+    """Yield the JSON document in the UTF-8 file ``path``. Every ValueError
+    raised while reading it or inside the ``with`` block (a file that is not
+    UTF-8 or not JSON, or a bad value in the document) is re-raised with the
+    path as its prefix."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        yield json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _enum_member(enum: type[Enum], value, key: str):
+    """The member of ``enum`` whose value is ``value``; otherwise a ValueError
+    naming ``key`` and every allowed value."""
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in enum)
+        raise ValueError(f"{key} must be one of {allowed}, got {value!r}") from None
 
 
 def _require_exact_keys(doc: dict, keys: set[str], where: str) -> None:
@@ -93,21 +107,23 @@ class TabularSchema:
         """Parse ``{"columns": [{"name": ..., "kind": ...}, ...],
         "positive_labels": [...]}``. A key missing or unknown at either level
         is an error, ``positive_labels`` must be a list of strings, and each
-        column ``name`` a string."""
-        doc = _read_json(path)
-        _require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
-        labels = doc["positive_labels"]
-        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-            raise ValueError("schema positive_labels must be a list of strings")
-        if not isinstance(doc["columns"], list):
-            raise ValueError("schema columns must be a list")
-        columns = []
-        for i, column in enumerate(doc["columns"]):
-            _require_exact_keys(column, {"name", "kind"}, f"schema column {i}")
-            if not isinstance(column["name"], str):
-                raise ValueError(f"schema column {i} name must be a string")
-            columns.append((column["name"], ColumnKind(column["kind"])))
-        return cls(columns=tuple(columns), positive_labels=frozenset(labels))
+        column ``name`` a string. Every ValueError starts with ``path``."""
+        with _read_json(path) as doc:
+            _require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
+            labels = doc["positive_labels"]
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise ValueError("schema positive_labels must be a list of strings")
+            if not isinstance(doc["columns"], list):
+                raise ValueError("schema columns must be a list")
+            columns = []
+            for i, column in enumerate(doc["columns"]):
+                where = f"schema column {i}"
+                _require_exact_keys(column, {"name", "kind"}, where)
+                if not isinstance(column["name"], str):
+                    raise ValueError(f"{where} name must be a string")
+                columns.append((column["name"],
+                                _enum_member(ColumnKind, column["kind"], f"{where} kind")))
+            return cls(columns=tuple(columns), positive_labels=frozenset(labels))
 
     def to_json(self, path: str | Path) -> None:
         doc = {

@@ -1,24 +1,31 @@
 """Sweep orchestration: configuration, deterministic (method, epsilon, seed)
 grid execution, per-cell privacy audits, and report emission.
 
-Work is done once at the level of the grid it depends on: the sweep loops
-seed, then method, then epsilon. Per seed, a :class:`SeedContext` holds the
-shadow-trained attack with its threshold (fitted on the attack half of the
-seed's four-way split), the victim rows (:class:`~dp_la.pipelines.Victim`)
-and the non-private baseline's accuracy. Per (method, seed),
-:func:`~dp_la.pipelines.shared_part` builds what no epsilon changes, and it is
-the only reader of the (method, seed) pipeline stream: input perturbation's
-noise, objective perturbation's noise direction and standard length, or the
-PATE teachers' votes with the label release's standard noise; if it fails,
-only that method's cells of the seed fail. Each cell then does only its
-epsilon work (scale that draw and fit, or scale the label noise and draw the
-audit's vote noise), computes the outputs the audit observes once per part and
-runs the membership-inference attack on them. Cells only read what they share,
-so the order of a seed's cells changes no result; ``dp-la audit`` runs the
-sweep on a config narrowed to its first method, epsilon and seed. In ``summary.json``
-the seed's shared work is timed under ``timings.per_seed``; each cell's own
-time and its released model's fit diagnostics (Newton iterations, final
-gradient norm, stop reason) are under ``timings.per_cell``.
+:func:`run_sweep` is the one walk of the grid, and it does each piece of work
+once, at the level of the grid it depends on: per seed, then per method, then
+per epsilon. Per seed, a :class:`SeedContext` holds the shadow-trained attack
+with its threshold (fitted on the attack half of the seed's four-way split),
+the victim rows (:class:`~dp_la.pipelines.Victim`) and the non-private
+baseline's accuracy. Per (method, seed), :func:`~dp_la.pipelines.shared_part`
+builds what no epsilon changes, and it is the only reader of the (method,
+seed) pipeline stream: input perturbation's noise, objective perturbation's
+noise direction and standard length, or the PATE teachers' votes with the
+label release's standard noise. Per (method, epsilon, seed), :func:`run_cell`
+does only its epsilon work (scale that draw and fit, or scale the label noise
+and draw the audit's vote noise), computes the outputs the audit observes
+once per part and runs the membership-inference attack on them.
+
+A failure fails exactly the cells under it, each with status
+``failed:<exception type>:<message>``: a context that cannot be built fails
+every cell of its seed, and no shared part of that seed is attempted; a shared
+part that cannot be built fails every cell of its (method, seed); a cell that
+raises fails its own row. Cells only read what they share, so the order of a
+seed's cells changes no result; ``dp-la audit`` runs the sweep on a config
+narrowed to its first method, epsilon and seed. In ``summary.json`` the seed's
+shared work, its context and every shared part, is timed under
+``timings.per_seed``; each cell's own time and its released model's fit
+diagnostics (Newton iterations, final gradient norm, stop reason) are under
+``timings.per_cell``.
 
 Every random stream is a substream of ``RngState(master_seed)`` labelled by
 grid values, never by positions in the grid or by call order: the split by
@@ -46,6 +53,7 @@ from . import audit as audit_mod
 from .data import (
     Dataset,
     TabularSchema,
+    _enum_member,
     _read_json,
     _reject_unknown_keys,
     four_way_split,
@@ -179,24 +187,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config JSON document; an unknown key at any level
     is an error, so a typo never silently falls back to a default. A key left
     out takes the dataclass's default, except ``data``: the document must name
-    its data source."""
-    kwargs = _read_json(path)
-    _reject_unknown_keys(kwargs, _CONFIG_KEYS, "config")
-    data = kwargs.pop("data", {})
-    _reject_unknown_keys(data, set(_DATA_FIELDS), "data")
-    kwargs.update({_DATA_FIELDS[key]: value for key, value in data.items()})
-    kwargs["synth"] = (_from_doc(SynthSpec, data["synth"], "data.synth")
-                       if "synth" in data else None)
-    if "train" in kwargs:
-        kwargs["train"] = _from_doc(TrainConfig, kwargs["train"], "train")
-    for key in ("methods", "epsilons", "seeds"):
-        if key in kwargs:
-            if not isinstance(kwargs[key], list):
-                raise ValueError(f"{key} must be a JSON list, got {kwargs[key]!r}")
-            kwargs[key] = tuple(kwargs[key])
-    if "methods" in kwargs:
-        kwargs["methods"] = tuple(DpMethod(m) for m in kwargs["methods"])
-    return ExperimentConfig(**kwargs)
+    its data source. Every ValueError starts with ``path``."""
+    with _read_json(path) as kwargs:
+        _reject_unknown_keys(kwargs, _CONFIG_KEYS, "config")
+        data = kwargs.pop("data", {})
+        _reject_unknown_keys(data, set(_DATA_FIELDS), "data")
+        kwargs.update({_DATA_FIELDS[key]: value for key, value in data.items()})
+        kwargs["synth"] = (_from_doc(SynthSpec, data["synth"], "data.synth")
+                           if "synth" in data else None)
+        if "train" in kwargs:
+            kwargs["train"] = _from_doc(TrainConfig, kwargs["train"], "train")
+        for key in ("methods", "epsilons", "seeds"):
+            if key in kwargs:
+                if not isinstance(kwargs[key], list):
+                    raise ValueError(f"{key} must be a JSON list, got {kwargs[key]!r}")
+                kwargs[key] = tuple(kwargs[key])
+        if "methods" in kwargs:
+            kwargs["methods"] = tuple(_enum_member(DpMethod, m, "methods")
+                                      for m in kwargs["methods"])
+        return ExperimentConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,7 @@ def enumerate_cells(config: ExperimentConfig) -> list[SweepCell]:
 
 
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
+    """The config's table, preprocessed; a target of one class is a ValueError."""
     if config.synth is not None:
         raw, schema = synth_generate(
             config.synth.n,
@@ -260,7 +270,12 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     else:
         schema = TabularSchema.from_json(config.schema_path)
         raw = load_csv(config.data_path, schema)
-    return preprocess(raw, schema)
+    dataset = preprocess(raw, schema)
+    if dataset.labels.min() == dataset.labels.max():
+        raise ValueError(
+            f"target column {schema.target_column!r} has one class: its positive_labels "
+            f"{sorted(schema.positive_labels)} match {'every' if dataset.labels[0] else 'no'} row")
+    return dataset
 
 
 def _pipeline_rng(master: RngState, method: DpMethod, seed: int) -> RngState:
@@ -320,16 +335,7 @@ def run_cell(
     and its method's budget-free part ``shared`` (from
     :func:`~dp_la.pipelines.shared_part`): the epsilon-dependent part of the
     DP release, the shadow attack on it, metrics. The cell's wall time covers
-    only this work.
-
-    The split is keyed by the seed's value and the shared part is drawn once
-    from the pipeline stream of the (method, seed) values, which the cell
-    never reads, so cells along the epsilon axis of one seed share their
-    underlying randomness and differ purely in the noise scale (common random
-    numbers; trend curves are not polluted by resampling jitter). The audit's
-    fresh vote noise is keyed by the cell's (method, epsilon, seed) values;
-    ``float(epsilon)`` makes a JSON ``1`` and ``1.0`` key the same stream.
-    """
+    only this work. Its audit stream is keyed as the module docstring states."""
     start = time.perf_counter()
     try:
         audit_rng = RngState(config.master_seed).substream(
@@ -353,56 +359,39 @@ def run_cell(
         return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))
 
 
-def _failed_cells(cells: list[SweepCell], exc: Exception) -> list[CellResult]:
-    return [CellResult(cell, None, 0.0, _failed_status(exc)) for cell in cells]
-
-
-def _run_seed(
-    config: ExperimentConfig, dataset: Dataset, seed: int, cells: list[SweepCell]
-) -> tuple[list[CellResult], SeedTiming]:
-    """Build one seed's context, then for each method its shared part from the
-    method's pipeline stream, then run that method's cells of the seed. If the
-    context cannot be built, every cell of the seed fails with its error; if a
-    shared part cannot, only that method's cells do."""
-    start = time.perf_counter()
-    try:
-        context = build_seed_context(config, dataset, seed)
-    except Exception as exc:  # contained like a cell failure
-        return _failed_cells(cells, exc), SeedTiming(seed, time.perf_counter() - start)
-    shared_s = time.perf_counter() - start
-
-    master, rows = RngState(config.master_seed), []
-    for method in config.methods:
-        method_cells = [c for c in cells if c.method is method]
-        start = time.perf_counter()
-        try:
-            shared = shared_part(method, context.victim, config.train,
-                                 _pipeline_rng(master, method, seed), config.num_teachers)
-        except Exception as exc:  # contained like a cell failure
-            rows += _failed_cells(method_cells, exc)
-            continue
-        finally:
-            shared_s += time.perf_counter() - start
-        rows += [run_cell(config, cell, context, shared) for cell in method_cells]
-    return rows, SeedTiming(seed, shared_s)
-
-
 def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResults:
-    """Execute the full grid, one seed group after another; rows come back in
-    cell order. ``config.threads`` is accepted but does not change scheduling."""
+    """Walk the grid and contain its failures as the module docstring states;
+    rows come back in :func:`enumerate_cells` order. ``config.threads`` is
+    accepted but does not change scheduling."""
     if dataset is None:
         dataset = load_experiment_dataset(config)
-    cells = enumerate_cells(config)
-    groups = [
-        _run_seed(config, dataset, seed, [c for c in cells if c.seed == seed])
-        for seed in config.seeds
-    ]
-    by_cell = {row.cell: row for rows, _ in groups for row in rows}
-    return SweepResults(
-        rows=tuple(by_cell[c] for c in cells),
-        config_fingerprint=config.fingerprint(),
-        seed_timings=tuple(timing for _, timing in groups),
-    )
+    master, rows, timings = RngState(config.master_seed), {}, []
+    for seed in config.seeds:
+        start = time.perf_counter()
+        try:
+            context = build_seed_context(config, dataset, seed)
+        except Exception as exc:  # contained like a cell failure
+            context = exc
+        shared_s = time.perf_counter() - start
+        for method in config.methods:
+            shared = context  # rebound per method: its own part or the failure above it
+            if not isinstance(context, Exception):
+                start = time.perf_counter()
+                try:
+                    shared = shared_part(method, context.victim, config.train,
+                                         _pipeline_rng(master, method, seed), config.num_teachers)
+                except Exception as exc:  # contained like a cell failure
+                    shared = exc
+                shared_s += time.perf_counter() - start
+            for epsilon in config.epsilons:
+                cell = SweepCell(method, epsilon, seed)
+                rows[cell] = (CellResult(cell, None, 0.0, _failed_status(shared))
+                              if isinstance(shared, Exception)
+                              else run_cell(config, cell, context, shared))
+        timings.append(SeedTiming(seed, shared_s))
+        del context, shared  # freed before the next seed builds its own
+    return SweepResults(tuple(rows[c] for c in enumerate_cells(config)),
+                        config.fingerprint(), tuple(timings))
 
 
 def _median(values: list[float]) -> float:

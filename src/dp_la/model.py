@@ -55,23 +55,31 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str
 def _check_field_types(config, keys: dict[str, str] | None = None) -> None:
     """Raise ValueError naming the first field of the config dataclass
     ``config`` whose value, or for a ``tuple[T, ...]`` field each element,
-    is not of a type in ``_JSON_TYPES`` or is a NaN or infinite float (JSON
-    parses ``NaN`` and ``Infinity``). A field is named by its config key:
-    ``keys`` maps the fields whose key differs from their name. Values are
-    checked, never converted; fields of other types are built by the config
-    loader."""
+    is not of a type in ``_JSON_TYPES``, or is a float field's value that is
+    not a finite float (JSON parses ``NaN`` and ``Infinity``, and an integer
+    may be too large for a float). A field is named by its config key:
+    ``keys`` maps the fields whose key differs from their name. A float
+    field's value is stored as a float, so ``1`` and ``1.0`` make one config;
+    fields of other types are built by the config loader."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removeprefix("tuple[").removesuffix(", ...]")
-        values = value if kind != f.type and isinstance(value, tuple) else (value,)
+        is_tuple = kind != f.type and isinstance(value, tuple)
+        values = value if is_tuple else (value,)
         allowed = _JSON_TYPES.get(kind)
         if allowed is None:
             continue
         key = (keys or {}).get(f.name, f.name)
         if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
             raise ValueError(f"{key} must be {f.type}, got {value!r}")
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ValueError(f"{key} must be finite, got {value!r}")
+        if kind == "float":
+            try:
+                values = tuple(map(float, values))
+            except OverflowError:  # an integer too large for a float
+                values = (math.inf,)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            object.__setattr__(config, f.name, values if is_tuple else values[0])
 
 
 @dataclass(frozen=True)

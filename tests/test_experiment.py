@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dp_la import cli, model, pipelines
+from dp_la import cli, experiment, model, pipelines
 from dp_la.audit import AuditReport
 from dp_la.experiment import (
     CellResult,
@@ -167,7 +167,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}$"):
             load_config(path)
         assert cli.main(["run", "--config", str(path)]) == 1
-        assert f"config error: unknown key(s) in {where}" in capsys.readouterr().err
+        assert f"config error: {path}: unknown key(s) in {where}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(num_teachers=2.5), "num_teachers must be int, got 2.5"),
@@ -189,15 +189,15 @@ class TestConfig:
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, **overrides)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_config(path)
         assert cli.main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
     @pytest.mark.parametrize("overrides, flags, message", [
-        (dict(master_seed=-1), [], "master_seed must be non-negative, got -1"),
+        (dict(master_seed=-1), [], "{path}: master_seed must be non-negative, got -1"),
         ({}, ["--seed", "-1"], "master_seed must be non-negative, got -1"),
-        (dict(data={"synth": {"seed": -1}}), [], "seed must be non-negative, got -1"),
+        (dict(data={"synth": {"seed": -1}}), [], "{path}: seed must be non-negative, got -1"),
     ])
     def test_negative_seed_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
                                                          overrides, flags, message):
@@ -208,7 +208,7 @@ class TestConfig:
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
         assert cli.main(["run", "--config", str(path), *flags]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
     def test_repeated_method_rejected_before_any_cell_runs(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -219,13 +219,30 @@ class TestConfig:
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
         assert cli.main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "config error: methods must be distinct\n"
+        assert capsys.readouterr().err == f"config error: {path}: methods must be distinct\n"
 
-    def test_float_fields_take_json_integers_unconverted(self, tmp_path):
+    def test_float_fields_store_json_integers_as_floats(self, tmp_path):
         cfg = load_config(write_config(tmp_path, epsilons=[1, 100], delta=0.001,
                                        train={"lam": 1}))
-        assert cfg.epsilons == (1, 100) and cfg.train.lam == 1
-        assert '"epsilons":[1,100]' in cfg.canonical_json()
+        assert [type(v) for v in (*cfg.epsilons, cfg.train.lam)] == [float] * 3
+        assert '"epsilons":[1.0,100.0]' in cfg.canonical_json()
+
+    def test_integer_and_float_configs_have_one_fingerprint(self):
+        ints = ExperimentConfig(epsilons=(1, 10), synth=SynthSpec(separation=1))
+        floats = ExperimentConfig(epsilons=(1.0, 10.0), synth=SynthSpec(separation=1.0))
+        assert ints.canonical_json() == floats.canonical_json()
+        assert ints.fingerprint() == floats.fingerprint()
+
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(data={"synth": {"separation": 10 ** 400}}), "separation"),
+        (dict(epsilons=[1.0, 10 ** 400]), "epsilons"),
+    ])
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys, overrides, key):
+        path = write_config(tmp_path, output_dir=str(tmp_path / "out"), **overrides)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {key} must be finite, got "), err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -477,6 +494,29 @@ class TestRunSweep:
             "failed:ValueError:dataset too small: part 'victim_test' lacks a row of each class"}
         assert [t.seed for t in results.seed_timings] == list(cfg.seeds)
 
+    def test_failed_seed_context_fails_only_its_seed(self, small_results, monkeypatch):
+        cfg, healthy = small_results
+        original = experiment.build_seed_context
+
+        def build(config, dataset, seed):
+            if seed == 2:
+                raise ValueError("no context for seed 2")
+            return original(config, dataset, seed)
+
+        monkeypatch.setattr(experiment, "build_seed_context", build)
+        results = run_sweep(cfg)
+        assert [r.cell for r in results.rows] == enumerate_cells(cfg)
+        assert [t.seed for t in results.seed_timings] == [1, 2]
+        for row, expected in zip(results.rows, healthy.rows):
+            if row.cell.seed == 2:
+                assert (row.status, row.report, row.wall_time_seconds) == (
+                    "failed:ValueError:no context for seed 2", None, 0.0)
+            else:
+                outcome = (row.status, row.report, row.fit_iterations, row.fit_gradient_norm,
+                           row.fit_stop)
+                assert outcome == (expected.status, expected.report, expected.fit_iterations,
+                                   expected.fit_gradient_norm, expected.fit_stop)
+
     def test_seed_isolation(self, small_results):
         # every stream is keyed by grid values, so no grid edit disturbs the
         # cells it keeps
@@ -500,7 +540,7 @@ class TestRunSweep:
                 assert row.report == base_reports[key], (edit, key)
 
     def test_integer_and_float_epsilons_key_the_same_streams(self, tmp_path):
-        # JSON 1 and 1.0 load unconverted; the audit stream is keyed by float(epsilon)
+        # a JSON 1 loads as 1.0, so both key the same audit stream
         methods = [m.value for m in DpMethod]
         for name, epsilons in (("ints", [1, 100]), ("floats", [1.0, 100.0])):
             path = write_config(tmp_path, epsilons=epsilons, methods=methods,
@@ -778,6 +818,58 @@ class TestCli:
         assert err.startswith(f"config error: {named}: "), err
         if broken == "data":
             assert err.startswith(f"config error: {data}: not UTF-8 after line "), err
+
+    @pytest.mark.parametrize("broken, message", [
+        ("config", "config must be a JSON object"),
+        ("methods", "methods must be one of 'input_perturbation', 'objective_perturbation', "
+                    "'prediction_perturbation', got 'bogus'"),
+        ("columns", "schema columns must be a list"),
+        ("kind", "schema column 0 kind must be one of 'numeric', 'categorical', 'target', "
+                 "'drop', got 'numerc'"),
+    ])
+    def test_bad_value_error_names_its_file(self, tmp_path, capsys, broken, message):
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--n", "100", "--out", str(synth_dir)]) == 0
+        schema = synth_dir / "schema.json"
+        path = write_config(tmp_path, data={"path": str(synth_dir / "data.csv"),
+                                            "schema": str(schema)})
+        doc = json.loads(schema.read_text())
+        if broken == "config":
+            path.write_text("[1]")
+        elif broken == "methods":
+            write_config(tmp_path, methods=["bogus"])
+        elif broken == "columns":
+            schema.write_text(json.dumps({**doc, "columns": "x0"}))
+        else:
+            doc["columns"][0]["kind"] = "numerc"
+            schema.write_text(json.dumps(doc))
+        named = schema if broken in ("columns", "kind") else path
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {named}: {message}\n"
+
+    @pytest.mark.parametrize("positive, matched", [(["POS"], "no"), (["neg", "pos"], "every")])
+    def test_single_class_target_rejected_before_any_seed(self, tmp_path, capsys, monkeypatch,
+                                                          positive, matched):
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--n", "400", "--out", str(synth_dir)]) == 0
+        schema = synth_dir / "schema.json"
+        schema.write_text(json.dumps({**json.loads(schema.read_text()),
+                                      "positive_labels": positive}))
+        path = write_config(tmp_path, data={"path": str(synth_dir / "data.csv"),
+                                            "schema": str(schema)},
+                            output_dir=str(tmp_path / "out"))
+
+        def no_seed(config, dataset, seed):
+            raise AssertionError("a seed ran for a single-class target")
+
+        monkeypatch.setattr(experiment, "build_seed_context", no_seed)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: target column 'outcome' has one class: its positive_labels "
+            f"{positive} match {matched} row\n")
+        assert not (tmp_path / "out").exists()
 
     def test_synth_onto_a_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "taken"
