@@ -105,7 +105,7 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        _check_field_types(self, sizes=("n", "d_numeric", "d_categorical"))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -131,7 +131,8 @@ class ExperimentConfig:
     threads: int = 1  # accepted for existing configs; seeds always run serially
 
     def __post_init__(self) -> None:
-        _check_field_types(self, {name: f"data.{key}" for key, name in _DATA_FIELDS.items()})
+        _check_field_types(self, {name: f"data.{key}" for key, name in _DATA_FIELDS.items()},
+                           sizes=("num_teachers",))
         if (self.data_path is None) == (self.synth is None):
             raise ValueError("config must specify exactly one of a CSV data path or a synth block")
         if (self.data_path is None) != (self.schema_path is None):

@@ -15,12 +15,15 @@ summed over cache-sized blocks of records, each block's product a symmetric
 rank-k update (BLAS syrk). It starts from zero, never lets the objective
 rise by more than its rounding error, and is bit-reproducible.
 ``TrainConfig.epochs`` caps the iterations, which matters only when no
-finite minimiser exists (lam = 0 on separable data).
+finite minimiser exists (lam = 0 on separable data). A stack of tables of
+one shape is solved in one loop, each model bit-identical to its own fit.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,15 +55,19 @@ _BLOCK = 4096
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
 
 
-def _check_field_types(config, keys: dict[str, str] | None = None) -> None:
+def _check_field_types(config, keys: dict[str, str] | None = None,
+                       sizes: tuple[str, ...] = ()) -> None:
     """Raise ValueError naming the first field of the config dataclass
     ``config`` whose value, or for a ``tuple[T, ...]`` field each element,
     is not of a type in ``_JSON_TYPES``, or is a float field's value that is
     not a finite float (JSON parses ``NaN`` and ``Infinity``, and an integer
-    may be too large for a float). A field is named by its config key:
-    ``keys`` maps the fields whose key differs from their name. A float
-    field's value is stored as a float, so ``1`` and ``1.0`` make one config;
-    fields of other types are built by the config loader."""
+    may be too large for a float), or is a field in ``sizes`` (an int that
+    sizes an array or a loop) above ``sys.maxsize``, numpy's largest
+    dimension. A field is named by its config key: ``keys`` maps the fields
+    whose key differs from their name, and its value is quoted abbreviated
+    by ``reprlib``. A float field's value is stored as a float, so ``1`` and
+    ``1.0`` make one config; fields of other types are built by the config
+    loader."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removeprefix("tuple[").removesuffix(", ...]")
@@ -71,14 +78,16 @@ def _check_field_types(config, keys: dict[str, str] | None = None) -> None:
             continue
         key = (keys or {}).get(f.name, f.name)
         if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
-            raise ValueError(f"{key} must be {f.type}, got {value!r}")
+            raise ValueError(f"{key} must be {f.type}, got {reprlib.repr(value)}")
+        if f.name in sizes and value > sys.maxsize:
+            raise ValueError(f"{key} must be at most {sys.maxsize}, got {reprlib.repr(value)}")
         if kind == "float":
             try:
                 values = tuple(map(float, values))
             except OverflowError:  # an integer too large for a float
                 values = (math.inf,)
             if not all(map(math.isfinite, values)):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+                raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
             object.__setattr__(config, f.name, values if is_tuple else values[0])
 
 
@@ -96,7 +105,7 @@ class TrainConfig:
     learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        _check_field_types(self, sizes=("epochs",))
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.epochs < 1:
@@ -129,13 +138,15 @@ def _design(X: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
     records, contiguous, so the margin and gradient products stream it once
     and ``_hessian`` can weight a block of records in one pass. X is read
     transposed ``_BLOCK`` rows at a time, so each block's rows stay in cache
-    while their columns are written out."""
-    n, d = X.shape
-    ZT = np.empty((d + 1, n))
+    while their columns are written out. A stack of K tables, X (K, n, d)
+    and y_pm (K, n), gives the stack of their K matrices, (K, d+1, n)."""
+    *stack, n, d = X.shape
+    ZT = np.empty((*stack, d + 1, n))
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        np.multiply(X[rows].T, y_pm[rows], out=ZT[:d, rows])
-    ZT[d] = y_pm
+        np.multiply(X[..., rows, :].swapaxes(-1, -2), y_pm[..., None, rows],
+                    out=ZT[..., :d, rows])
+    ZT[..., d, :] = y_pm
     return ZT
 
 
@@ -182,18 +193,22 @@ def _hessian(ZT: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) 
     least min(n, ``_BLOCK``) columns, allocated once per fit) receives a
     block's W, and the block's W @ W.T -- which numpy computes as a BLAS
     syrk, half the flops of a general product and exactly symmetric -- is
-    added to H. A table of at most ``_BLOCK`` records is one block."""
-    n = ZT.shape[1]
-    root_s = np.sqrt(e) / (1.0 + e)
+    added to H. A table of at most ``_BLOCK`` records is one block. A stack
+    of K problems (ZT (K, d+1, n), e (K, n), buf (K, d+1, ...)) gives their
+    K Hessians, one syrk per problem and block."""
+    n = ZT.shape[-1]
+    root_s = (np.sqrt(e) / (1.0 + e))[..., None, :]
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        W = np.multiply(ZT[:, start:stop], root_s[start:stop], out=buf[:, : stop - start])
+        W = np.multiply(ZT[..., start:stop], root_s[..., start:stop],
+                        out=buf[..., : stop - start])
         if start == 0:
-            H = W @ W.T
+            H = W @ W.swapaxes(-1, -2)
         else:
-            H += W @ W.T
+            H += W @ W.swapaxes(-1, -2)
     H /= n
-    H.flat[:: H.shape[0] + 1] += ridge
+    # H is contiguous, so each problem's diagonal is every (d+2)-th entry of its flattening
+    H.reshape(*H.shape[:-2], -1)[..., :: H.shape[-1] + 1] += ridge
     return H
 
 
@@ -228,7 +243,13 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     the steps that finish the solve. The loop stops when ||g|| < 1e-10, when
     no halving keeps J from rising, or after ``max_iter`` steps; the model's
     ``stop`` names which.
+
+    A stack of K tables of one shape, X (K, n, d) and y_pm (K, n), with no
+    ``linear_term``, is solved by ``_fit_stack`` and gives a tuple of K
+    models, each bit-identical to this loop's on its table.
     """
+    if X.ndim == 3:
+        return _fit_stack(X, y_pm, lam, max_iter)
     n, d = X.shape
     ZT = _design(X, y_pm)
     buf = np.empty((d + 1, min(n, _BLOCK)))
@@ -266,6 +287,111 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     return LogisticModel(theta[:d], float(theta[d]), j_cur, iterations, gradient_norm, stop)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for each row k of two (K, m) stacks: one BLAS ddot per row,
+    the product ``a[k] @ b[k]`` makes."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _evaluate_stack(ZT: np.ndarray, theta: np.ndarray,
+                    ridge: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_evaluate`` for each problem of a stack with no linear term: ZT
+    (K, d+1, n) and theta (K, d+1) give J (K,), m and e (K, n). Each
+    problem's margins are one BLAS gemv and its loss one pairwise sum, as
+    in ``_evaluate``; J leaves out the linear term's +-0, which changes no
+    bit of a sum that is never -0."""
+    m = (theta[:, None, :] @ ZT)[:, 0]
+    e = np.exp(-np.abs(m))
+    loss = (np.log1p(e) - np.minimum(m, 0.0)).sum(axis=1) / m.shape[1]
+    return loss + 0.5 * _dots(theta, ridge * theta), m, e
+
+
+def _newton_steps(H: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """The Newton step of each problem of a stack, H_k p = -g_k, by ``_fit``'s
+    rule: a minimum-norm solve where lam <= eps * max diag(H_k), and one
+    batched LU solve for the others."""
+    min_norm = lam <= _EPS * H.diagonal(0, 1, 2).max(axis=1)
+    step = np.empty_like(g)
+    lu = ~min_norm
+    if lu.any():
+        step[lu] = np.linalg.solve(H[lu], -g[lu][..., None])[..., 0]
+    for row in np.flatnonzero(min_norm):
+        step[row] = _min_norm_solve(H[row], -g[row])
+    return step
+
+
+def _fit_stack(X: np.ndarray, y_pm: np.ndarray, lam: float,
+               max_iter: int) -> tuple[LogisticModel, ...]:
+    """``_fit`` on each of K tables of one shape, X (K, n, d) and y_pm (K, n),
+    with one lam and no linear term, in one damped-Newton loop.
+
+    Every problem takes ``_fit``'s steps: the same gradient stop, step rule,
+    halving and cap. The problems still running step together, so one
+    iteration counter serves them all, and each product of the loop is
+    numpy's matmul on the stack, which calls per problem the BLAS routine
+    ``_fit`` calls on its vectors: each model equals ``_fit``'s on its table,
+    bit for bit. A problem that stops leaves the stack: its rows are dropped
+    from the state once per iteration step at which some problem stopped.
+    """
+    k, n, d = X.shape
+    ZT = _design(X, y_pm)
+    buf = np.empty((k, d + 1, min(n, _BLOCK)))
+    ridge, linear = _penalties(d, n, lam)
+    theta = np.zeros((k, d + 1))
+    j_cur, m, e = _evaluate_stack(ZT, theta, ridge)
+    live = np.arange(k)  # the problem whose state each row of the stack holds
+    models: list[LogisticModel | None] = [None] * k
+    iterations = 0
+
+    def record(rows: np.ndarray, stop: str) -> None:
+        """Store the model of each row in ``rows`` of the current state, stopped by ``stop``."""
+        for row in rows:
+            models[live[row]] = LogisticModel(theta[row, :d].copy(), float(theta[row, d]),
+                                              float(j_cur[row]), iterations, float(norm[row]),
+                                              stop)
+
+    while True:
+        sigmoid_neg = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
+        # + linear (zero) as in _gradient, which turns a -0 bias term into +0
+        g = ridge * theta + linear - (ZT @ sigmoid_neg[..., None])[..., 0] / n
+        norm = np.sqrt(_dots(g, g))
+        converged = norm < _GRADIENT_TOL
+        stopped = converged | (iterations == max_iter)
+        if stopped.any():
+            record(np.flatnonzero(converged), "gradient")
+            record(np.flatnonzero(stopped & ~converged), "cap")
+            going = ~stopped
+            if not going.any():
+                break
+            live, ZT, theta, j_cur, e, g, norm = (a[going]
+                                                  for a in (live, ZT, theta, j_cur, e, g, norm))
+        step = _newton_steps(_hessian(ZT, e, ridge, buf[: live.size]), g, lam)
+        # J's terms sum to at most |J| in magnitude (no linear term).
+        bound = j_cur + _ROUNDING * np.abs(j_cur)
+        t = 1.0
+        theta_new = theta + t * step
+        j_new, m, e = _evaluate_stack(ZT, theta_new, ridge)
+        rows = np.flatnonzero(~(j_new <= bound))
+        for _ in range(_MAX_HALVINGS - 1):
+            if not rows.size:
+                break
+            t *= 0.5
+            theta_new[rows] = theta[rows] + t * step[rows]
+            j_new[rows], m[rows], e[rows] = _evaluate_stack(ZT[rows], theta_new[rows], ridge)
+            rows = rows[~(j_new[rows] <= bound[rows])]
+        if rows.size:
+            record(rows, "no_descent")
+            going = np.ones(live.size, bool)
+            going[rows] = False
+            live, ZT, theta_new, j_new, m, e = (a[going]
+                                                for a in (live, ZT, theta_new, j_new, m, e))
+            if not live.size:
+                break
+        theta, j_cur = theta_new, j_new
+        iterations += 1
+    return tuple(models)
+
+
 def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Raise on malformed inputs; return the labels' ``labels == 1`` mask."""
     if features.ndim != 2:
@@ -292,7 +418,9 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
     iterations, stopping once the gradient norm is below 1e-10. The returned
     model carries the iterations taken, the final gradient norm and the stop
     reason. A ``linear_term`` v adds (1/n) v.w to the objective (objective
-    perturbation). This is the package's only entry point to the trainer.
+    perturbation). This and ``pipelines.pate_train``, which fits its
+    teachers as stacks through ``_fit``, are the package's entry points to
+    the trainer.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)

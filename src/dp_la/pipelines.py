@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -42,7 +43,15 @@ from .mechanisms import (
     laplace_scale,
     sample_laplace,
 )
-from .model import LogisticModel, TrainConfig, predict, predict_proba, train
+from .model import (
+    LogisticModel,
+    TrainConfig,
+    _fit,
+    _validate_training_inputs,
+    predict,
+    predict_proba,
+    train,
+)
 
 __all__ = [
     "DpMethod",
@@ -279,11 +288,21 @@ def pate_train(
     rng: RngState,
 ) -> tuple[LogisticModel, ...]:
     """Train one logistic teacher on each of the :func:`_pate_shards` of the
-    training rows; the teachers' noisy votes are the only release."""
+    training rows; the teachers' noisy votes are the only release.
+
+    Each shard is checked as :func:`~dp_la.model.train` checks its input,
+    and each run of equal-size shards (``np.array_split`` makes at most
+    two) is fitted as one stack by ``model._fit``: each teacher is the
+    model ``train`` fits on its shard, bit for bit."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    return tuple(train(features[s], labels[s], config)
-                 for s in _pate_shards(labels, num_teachers, rng))
+    teachers: list[LogisticModel] = []
+    for _, group in groupby(_pate_shards(labels, num_teachers, rng), key=len):
+        rows = np.stack(list(group))
+        X, y = features[rows], labels[rows]
+        y_pm = np.where([_validate_training_inputs(*shard) for shard in zip(X, y)], 1.0, -1.0)
+        teachers.extend(_fit(X, y_pm, config.lam, config.epochs))
+    return tuple(teachers)
 
 
 def victim_view(dataset: Dataset, split: FourWaySplit) -> Victim:

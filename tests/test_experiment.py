@@ -244,6 +244,25 @@ class TestConfig:
         assert err.startswith(f"config error: {path}: {key} must be finite, got "), err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(data={"synth": {"n": 10 ** 400}}), f"n must be at most {sys.maxsize}"),
+        (dict(data={"synth": {"d_numeric": 10 ** 400}}),
+         f"d_numeric must be at most {sys.maxsize}"),
+        (dict(data={"synth": {"d_categorical": 10 ** 400}}),
+         f"d_categorical must be at most {sys.maxsize}"),
+        (dict(num_teachers=10 ** 400), f"num_teachers must be at most {sys.maxsize}"),
+        (dict(train={"epochs": 10 ** 400}), f"epochs must be at most {sys.maxsize}"),
+        (dict(data={"synth": {"separation": 10 ** 400}}), "separation must be finite"),
+    ])
+    def test_huge_integer_rejected_with_its_value_abbreviated(self, tmp_path, capsys,
+                                                              overrides, message):
+        path = write_config(tmp_path, output_dir=str(tmp_path / "out"), **overrides)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {message}, got 1000"), err
+        assert len(err) < len(str(path)) + 120, err  # not the 401 digits
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("### Config format", 1)[1].split("```json\n", 1)[1]
@@ -304,21 +323,24 @@ class TestRunSweep:
         assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
 
     def test_each_distinct_model_is_fitted_once(self, monkeypatch):
-        calls = []
+        fitted = []
         original = model._fit
 
         def counting_fit(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            # a stack of K tables fits K models
+            fitted.append(len(result) if isinstance(result, tuple) else 1)
+            return result
 
-        monkeypatch.setattr(model, "_fit", counting_fit)
+        for module in (model, pipelines):
+            monkeypatch.setattr(module, "_fit", counting_fit)
         cfg = ExperimentConfig(**SMALL)
         results = run_sweep(cfg)
         assert all(r.status == "ok" for r in results.rows)
         seeds, epsilons = len(cfg.seeds), len(cfg.epsilons)
         # per seed: baseline, shadow, attack and the teachers; per (seed, epsilon):
         # one input- and one objective-perturbation fit
-        assert len(calls) == seeds * (3 + cfg.num_teachers) + seeds * epsilons * 2
+        assert sum(fitted) == seeds * (3 + cfg.num_teachers) + seeds * epsilons * 2
 
     def test_teacher_votes_are_computed_once_per_seed(self, monkeypatch):
         # every budget-free part is built once per (method, seed), not per epsilon

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from dp_la import model as model_mod
 from dp_la import pipelines
 from dp_la.data import four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState
@@ -13,6 +14,7 @@ from dp_la.model import (
     _BLOCK,
     _design,
     _evaluate,
+    _fit,
     _gradient,
     _hessian,
     _penalties,
@@ -263,6 +265,109 @@ class TestNewton:
         ours = np.append(released.weights, released.bias)
         assert np.linalg.norm(ours - res.x) / np.linalg.norm(res.x) < 1e-6
         assert released.gradient_norm < 1e-10
+
+
+def model_bits(model):
+    """A model's floats as bit patterns, with its iterations and stop reason."""
+    floats = np.append(model.weights, [model.bias, model.final_objective, model.gradient_norm])
+    return floats.view(np.uint64).tolist(), model.iterations, model.stop
+
+
+def fit_stack_and_each(X, y_pm, lam, max_iter):
+    """The models ``_fit`` gives a stack of tables, asserted bit-identical to
+    one 1-D ``_fit`` per table, which are returned."""
+    stacked = _fit(X, y_pm, lam, max_iter)
+    each = [_fit(x, y, lam, max_iter) for x, y in zip(X, y_pm)]
+    assert isinstance(stacked, tuple)
+    assert [model_bits(m) for m in stacked] == [model_bits(m) for m in each]
+    return each
+
+
+def signed_labels(scores):
+    """+1 where ``scores`` > 0, else -1, with each table's first two rows of both classes."""
+    y_pm = np.where(scores > 0, 1.0, -1.0)
+    y_pm[:, :2] = (1.0, -1.0)
+    return y_pm
+
+
+class TestStack:
+    """A stack of K tables is solved in one loop; each of its K models must
+    equal the 1-D ``_fit`` on its table, bit for bit."""
+
+    def test_problems_finishing_at_different_iterations(self):
+        rng = np.random.default_rng(20)
+        X = rng.random((8, 60, 5))
+        noise = rng.normal(size=(8, 60)) * np.linspace(0.1, 3.0, 8)[:, None]
+        each = fit_stack_and_each(X, signed_labels(X[..., 0] - 0.5 + noise), 1e-4, 100)
+        assert {m.stop for m in each} == {"gradient"}
+        assert len({m.iterations for m in each}) > 1
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(10, 80, 4))
+        scale = np.geomspace(0.1, 10.0, 10)[:, None]
+        each = fit_stack_and_each(X, signed_labels(scale * X[..., 0] + rng.normal(size=(10, 80))),
+                                  1e-4, 4)
+        assert {m.stop for m in each} == {"gradient", "cap"}
+        assert max(m.iterations for m in each) == 4
+
+    def test_lam_zero_takes_the_minimum_norm_step(self):
+        # the last three columns are one-hot and sum to the bias column: H is singular
+        rng = np.random.default_rng(22)
+        X = np.concatenate([rng.random((6, 90, 3)),
+                            np.eye(3)[rng.integers(0, 3, size=(6, 90))]], axis=2)
+        each = fit_stack_and_each(X, signed_labels(X[..., 0] - 0.5 + rng.normal(size=(6, 90))),
+                                  0.0, 100)
+        assert all(np.all(np.isfinite(m.weights)) for m in each)
+
+    def test_each_problem_keeps_its_own_step_rule(self, monkeypatch):
+        # lam = 1e-16 is below eps * max diag(H) for features scaled by 10 (minimum-norm
+        # step) and above it for features scaled by 0.01, whose largest diagonal entry
+        # is the bias's mean curvature, at most 1/4 (LU step)
+        rng = np.random.default_rng(23)
+        scale = np.array([10.0, 0.01] * 3)[:, None, None]
+        X = scale * rng.normal(size=(6, 70, 3))
+        min_norm_steps = []
+        original = model_mod._min_norm_solve
+
+        def counting(H, rhs):
+            min_norm_steps.append(1)
+            return original(H, rhs)
+
+        monkeypatch.setattr(model_mod, "_min_norm_solve", counting)
+        each = fit_stack_and_each(X, signed_labels(X[..., 0] + rng.normal(size=(6, 70))),
+                                  1e-16, 100)
+        # the stack and the 1-D fits each take every step once
+        assert 0 < len(min_norm_steps) / 2 < sum(m.iterations for m in each)
+
+    def test_halved_steps(self, monkeypatch):
+        # cubed normal features on separable labels make Newton overshoot
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(40, 40, 2)) ** 3
+        y_pm = np.where(X[..., 0] > 0, 1.0, -1.0)
+        evaluations = []
+        original = model_mod._evaluate
+
+        def counting(*args):
+            evaluations[-1] += 1
+            return original(*args)
+
+        monkeypatch.setattr(model_mod, "_evaluate", counting)
+        stacked = _fit(X, y_pm, 0.0, 20)
+        halved = 0
+        for x, y, got in zip(X, y_pm, stacked):
+            evaluations.append(0)
+            expected = _fit(x, y, 0.0, 20)
+            assert model_bits(got) == model_bits(expected)
+            # one evaluation at zero and one per accepted step when nothing is halved
+            halved += evaluations[-1] > 1 + expected.iterations
+        assert halved > 0
+
+    def test_tables_spanning_two_hessian_blocks(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(2, _BLOCK + 7, 3))
+        fit_stack_and_each(X, signed_labels(X[..., 0] + rng.logistic(size=(2, _BLOCK + 7))),
+                           1e-4, 100)
 
 
 class TestGradientAndObjective:

@@ -201,12 +201,16 @@ class TestPateTrain:
 
     def test_teachers_are_fitted_on_their_shards(self):
         ds = synth_dataset(n=400, sep=1.0)
-        teachers = pate_train(ds.features, ds.labels, 8, CFG, RngState(6))
-        shards = _pate_shards(ds.labels, 8, RngState(6))
-        assert len(teachers) == len(shards) == 8
-        for teacher, shard in zip(teachers, shards):
-            expected = train(ds.features[shard], ds.labels[shard], CFG)
-            np.testing.assert_array_equal(teacher.weights, expected.weights)
+        # 400 rows make 8 shards of 50 (one stack), or 7 shards of 58 and 57 (two stacks)
+        for num_teachers, sizes in ((8, {50}), (7, {57, 58})):
+            teachers = pate_train(ds.features, ds.labels, num_teachers, CFG, RngState(6))
+            shards = _pate_shards(ds.labels, num_teachers, RngState(6))
+            assert len(teachers) == len(shards) == num_teachers
+            assert {len(s) for s in shards} == sizes
+            for teacher, shard in zip(teachers, shards):
+                expected = train(ds.features[shard], ds.labels[shard], CFG)
+                np.testing.assert_array_equal(teacher.weights, expected.weights)
+                assert replace(teacher, weights=None) == replace(expected, weights=None)
 
     def test_sharding_gives_up_after_ten_shuffles(self):
         labels = np.array([1] * 5 + [0] * 35)
