@@ -139,22 +139,27 @@ def wilson_interval(successes: np.ndarray | int, trials: int) -> tuple[np.ndarra
 def _operating_threshold(member_scores: np.ndarray, nonmember_scores: np.ndarray) -> float:
     """Score threshold maximising the lower 95% bound on TPR - FPR over the
     shadow's pools, or +inf when no threshold's bound is above zero."""
-    # the distinct scores in ascending order, as np.unique gives them without
-    # its first-use import of numpy.ma
-    pooled = np.sort(np.concatenate([member_scores, nonmember_scores]))
+    # One sort of the pooled scores; each distinct score's first index there
+    # splits the pools into the scores below it and those it flags. The
+    # distinct scores are found as np.unique would, without its first-use
+    # import of numpy.ma.
+    pooled = np.concatenate([member_scores, nonmember_scores])
+    order = np.argsort(pooled)
+    ranked = pooled[order]
     distinct = np.empty(pooled.size, dtype=bool)
     distinct[:1] = True
-    np.not_equal(pooled[1:], pooled[:-1], out=distinct[1:])
-    candidates = pooled[distinct]
+    np.not_equal(ranked[1:], ranked[:-1], out=distinct[1:])
+    firsts = np.flatnonzero(distinct)
+    members_below = np.zeros(pooled.size + 1, dtype=np.intp)
+    np.cumsum(order < member_scores.size, out=members_below[1:])
+    members_below = members_below[firsts]
 
-    def flagged(scores: np.ndarray) -> np.ndarray:
-        return scores.size - np.searchsorted(np.sort(scores), candidates, side="left")
-
-    tpr_low, _ = wilson_interval(flagged(member_scores), member_scores.size)
-    _, fpr_high = wilson_interval(flagged(nonmember_scores), nonmember_scores.size)
+    tpr_low, _ = wilson_interval(member_scores.size - members_below, member_scores.size)
+    _, fpr_high = wilson_interval(nonmember_scores.size - (firsts - members_below),
+                                  nonmember_scores.size)
     bound = tpr_low - fpr_high
     best = int(np.argmax(bound))
-    return float(candidates[best]) if bound[best] > 0.0 else float("inf")
+    return float(ranked[firsts[best]]) if bound[best] > 0.0 else float("inf")
 
 
 def train_attack(

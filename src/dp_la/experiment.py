@@ -108,6 +108,22 @@ class SynthSpec:
         _check_field_types(self, sizes=("n", "d_numeric", "d_categorical"))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # The model matrix has d_numeric columns and at most three one-hot
+        # columns per categorical column.
+        needed = 8 * self.n * (self.d_numeric + 3 * self.d_categorical)
+        memory = _physical_memory()
+        if memory is not None and needed > memory:
+            raise ValueError(
+                f"data.synth n, d_numeric and d_categorical make a model matrix of {needed} "
+                f"bytes, more than this machine's {memory} bytes of memory")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 # The config's "data" block names the data-source fields differently.

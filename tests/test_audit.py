@@ -4,6 +4,7 @@ import pytest
 from dp_la.audit import (
     AttackModel,
     AuditReport,
+    _operating_threshold,
     attack_features,
     run_mia,
     train_attack,
@@ -162,6 +163,35 @@ class TestTrainAttack:
                                       context2.attack.classifier.weights)
         assert context.attack.classifier.bias == context2.attack.classifier.bias
         assert context.attack.threshold == context2.attack.threshold
+
+
+def two_sort_threshold(member_scores, nonmember_scores):
+    """_operating_threshold as a sort and a search per pool: the reference
+    its one pooled sort must reproduce bit for bit."""
+    candidates = np.unique(np.concatenate([member_scores, nonmember_scores]))
+
+    def flagged(scores):
+        return scores.size - np.searchsorted(np.sort(scores), candidates, side="left")
+
+    tpr_low, _ = wilson_interval(flagged(member_scores), member_scores.size)
+    _, fpr_high = wilson_interval(flagged(nonmember_scores), nonmember_scores.size)
+    bound = tpr_low - fpr_high
+    best = int(np.argmax(bound))
+    return float(candidates[best]) if bound[best] > 0.0 else float("inf")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_operating_threshold_matches_the_two_sort_reference(seed):
+    rng = np.random.default_rng([seed, 139])
+    # few distinct scores, so both pools tie within and across each other
+    levels = rng.random(int(rng.integers(1, 8)))
+    members = rng.choice(levels, size=int(rng.integers(1, 80))) + rng.random() * (seed % 2)
+    nonmembers = rng.choice(levels, size=int(rng.integers(1, 80)))
+    for pools in ((members, nonmembers), (np.full(5, 0.5), np.full(7, 0.5)),
+                  (members, members[:1]), (rng.random(60), rng.random(50) * 0.5)):
+        got = _operating_threshold(*pools)
+        want = two_sort_threshold(*pools)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), pools
 
 
 class TestWilsonInterval:

@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -9,6 +10,7 @@ import pytest
 
 from dp_la import data
 from dp_la.data import (
+    CodedColumn,
     ColumnKind,
     Dataset,
     RawTable,
@@ -96,6 +98,27 @@ class TestSchema:
             TabularSchema.from_json(path)
 
 
+def assert_same_table(got: RawTable, want: RawTable) -> None:
+    """Equal tables: the same numeric bytes, and the same categories and
+    codes (dtype included) in every coded column."""
+    assert got.n_rows == want.n_rows
+    assert got.numeric.keys() == want.numeric.keys()
+    for name, column in want.numeric.items():
+        assert got.numeric[name].tobytes() == column.tobytes(), name
+    assert got.categorical.keys() == want.categorical.keys()
+    for got_column, want_column in [*zip(got.categorical.values(), want.categorical.values()),
+                                    (got.target, want.target)]:
+        assert got_column.categories == want_column.categories
+        assert got_column.codes.dtype == want_column.codes.dtype
+        assert got_column.codes.tolist() == want_column.codes.tolist()
+
+
+@pytest.fixture
+def csv_reader_only(monkeypatch):
+    """Send every data block of every file through csv.reader."""
+    monkeypatch.setattr(data, "_plain", lambda block: False)
+
+
 class TestLoadCsv:
     def test_three_row_ingestion(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -103,7 +126,7 @@ class TestLoadCsv:
         raw = load_csv(p, schema_age_region_result())
         assert raw.n_rows == 3
         assert raw.numeric["age"].tolist() == [30.0, 40.0, 50.0]
-        assert raw.categorical["region"] == ["east", "west", "east"]
+        assert raw.categorical["region"].decode() == ["east", "west", "east"]
 
     def test_missing_column_names_it(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -207,29 +230,46 @@ class TestLoadCsv:
         want = load_csv(plain, schema_age_region_result())
         got = load_csv(marked, schema_age_region_result())
         assert got.n_rows == want.n_rows == 2
-        assert got.numeric.keys() == want.numeric.keys()
-        assert got.numeric["age"].tobytes() == want.numeric["age"].tobytes()
-        assert got.categorical == want.categorical
-        assert got.target == want.target
+        assert_same_table(got, want)
+        assert got.categorical["region"].categories == ("east", "west")
 
-    def test_equal_category_cells_are_one_object(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text", [
+        '"age",region,result\n30,east,pass\n40,"west",fail\n',
+        "age,region,result\r\n30,east,pass\r\n40,west,fail\r\n",
+    ], ids=["quoted", "crlf"])
+    def test_header_for_csv_reader_reads_like_a_plain_file(self, tmp_path, text):
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        plain.write_text("age,region,result\n30,east,pass\n40,west,fail\n")
+        other.write_bytes(text.encode("utf-8"))
+        schema = schema_age_region_result()
+        assert_same_table(load_csv(other, schema), load_csv(plain, schema))
+
+    def test_equal_cells_share_one_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 16)
         p = tmp_path / "d.csv"
         p.write_text("age,region,result\n1,east,pass\n2,west,fail\n3,east,pass\n4,west,pass\n")
         raw = load_csv(p, schema_age_region_result())
-        region = raw.categorical["region"]
-        assert region == ["east", "west", "east", "west"]
-        assert region[0] is region[2] and region[1] is region[3]
-        assert raw.target[0] is raw.target[2] is raw.target[3]
+        region, result = raw.categorical["region"], raw.target
+        assert region.categories == ("east", "west") and region.codes.tolist() == [0, 1, 0, 1]
+        assert result.categories == ("pass", "fail") and result.codes.tolist() == [0, 1, 0, 0]
+        assert region.codes.dtype == result.codes.dtype == np.uint8
+
+
+@pytest.mark.usefixtures("csv_reader_only")
+class TestLoadCsvOnReader(TestLoadCsv):
+    """Every TestLoadCsv case with the data read by csv.reader."""
 
 
 class TestLoadCsvInBlocks:
-    """load_csv streams the file in blocks of _BLOCK_ROWS rows; with blocks of
-    two rows, each check must still report what a whole-file read would."""
+    """load_csv streams the file in blocks of _BLOCK_BYTES bytes, or of
+    _BLOCK_ROWS rows on csv.reader; with blocks of one or two rows, each check
+    must still report what a whole-file read would."""
 
     @pytest.fixture(autouse=True)
     def two_row_blocks(self, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 16)
 
     def test_short_row_in_a_later_block_beats_an_earlier_bad_number(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -275,14 +315,115 @@ class TestLoadCsvInBlocks:
         raw = load_csv(p, schema_age_region_result())
         assert raw.n_rows == 4
         assert raw.numeric["age"].tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert raw.categorical["region"] == ["east", "west", "east", "north"]
-        assert raw.target == ["pass", "fail", "pass", "fail"]
+        assert raw.categorical["region"].decode() == ["east", "west", "east", "north"]
+        assert raw.target.decode() == ["pass", "fail", "pass", "fail"]
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("age,region,result\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(p, schema_age_region_result())
+
+
+@pytest.mark.usefixtures("csv_reader_only")
+class TestLoadCsvInBlocksOnReader(TestLoadCsvInBlocks):
+    """Every TestLoadCsvInBlocks case with the data read by csv.reader."""
+
+
+# Cells that differ only past a word boundary, by a space or a tab, or in
+# length alone; more of them than load_csv compares one by one.
+_AWKWARD_CATEGORIES = ("x", "xx", "x ", "\tx", "", "abcdefgh", "abcdefghi", "abcdefgh1",
+                       "abcdefgh2", "Lower Than A Level", "Lower Than A Levels",
+                       "HE Qualification", "q" * 64, "0-30%", "1", "N/A")
+_AWKWARD_NUMBERS = ("1", "2.5", " 3 ", "-4e2", "1_000", "+7", "0x10", "", "nan", "1e999",
+                    "." * 70)
+
+
+def _random_csv(rng: np.random.Generator) -> str:
+    """A CSV of up to 40 rows for the schema of _DIFFERENTIAL_SCHEMA, mostly
+    plain, with here and there a blank line, a short or long row, a bad
+    number, a cell too long to gather, a quoted or CRLF row, and no final
+    newline."""
+    def pick(values, plain_share):
+        if rng.random() < plain_share:
+            return values[int(rng.integers(3))]
+        return values[int(rng.integers(len(values)))]
+
+    lines = ["a,c,u,b,d,t"]
+    for _ in range(int(rng.integers(1, 41))):
+        roll = rng.random()
+        if roll < 0.01:
+            lines.append("")
+            continue
+        cells = [pick(_AWKWARD_NUMBERS, 0.98), pick(_AWKWARD_CATEGORIES, 0.8),
+                 "ignored", pick(_AWKWARD_NUMBERS, 0.98), pick(_AWKWARD_CATEGORIES, 0.9),
+                 ("pass", "fail", "withdrawn")[int(rng.integers(3))]]
+        if roll < 0.02:
+            del cells[int(rng.integers(len(cells))):]
+        elif roll < 0.03:
+            cells.append("extra")
+        elif roll < 0.05:
+            cells[1] = '"' + cells[1] + ',quoted"'
+        elif roll < 0.06:
+            cells[4] = '"a\nb"'
+        elif roll < 0.07:
+            cells[1] = "Zürich"
+        line = ",".join(cells)
+        lines.append(line + "\r" if 0.07 <= roll < 0.08 else line)
+    return "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+
+
+_DIFFERENTIAL_SCHEMA = TabularSchema(
+    columns=(
+        ("a", ColumnKind.NUMERIC),
+        ("c", ColumnKind.CATEGORICAL),
+        ("b", ColumnKind.NUMERIC),
+        ("d", ColumnKind.CATEGORICAL),
+        ("t", ColumnKind.TARGET),
+    ),
+    positive_labels=frozenset({"pass"}),
+)
+
+
+def _ingest(path, schema):
+    """load_csv's table and preprocess's dataset, or the text of the first
+    ValueError either raises."""
+    try:
+        raw = load_csv(path, schema)
+        return raw, preprocess(raw, schema)
+    except ValueError as exc:
+        return str(exc), None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_both_paths_give_the_same_table_or_error(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng([seed, 25])
+    outcomes = set()
+    for case in range(150):
+        p = tmp_path / f"{case}.csv"
+        p.write_bytes(_random_csv(rng).encode("utf-8"))
+        monkeypatch.setattr(data, "_BLOCK_BYTES", int(rng.integers(1, 200)))
+        monkeypatch.setattr(data, "_BLOCK_ROWS", int(rng.integers(1, 6)))
+        got, got_ds = _ingest(p, _DIFFERENTIAL_SCHEMA)
+        with monkeypatch.context() as reader_only:
+            reader_only.setattr(data, "_plain", lambda block: False)
+            want, want_ds = _ingest(p, _DIFFERENTIAL_SCHEMA)
+        if isinstance(want, str):
+            assert got == want, p.read_text()
+            outcomes.add(re.sub(r"\d+|'[^']*'", "#", want.split(": ", 1)[-1]))
+            continue
+        assert_same_table(got, want)
+        assert got_ds.features.tobytes() == want_ds.features.tobytes()
+        assert got_ds.labels.tolist() == want_ds.labels.tolist()
+        assert got_ds.feature_names == want_ds.feature_names
+        assert got_ds.normalization_bounds == want_ds.normalization_bounds
+        with open(p, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for j, name in ((1, "c"), (4, "d")):
+            assert got.categorical[name].decode() == [row[j] for row in rows]
+        outcomes.add("table")
+    assert {"table", "row # has # cells, expected #",
+            "row #, column #: cannot parse # as a number"} <= outcomes, outcomes
 
 
 def test_load_csv_peak_memory_is_bounded(tmp_path):
@@ -541,8 +682,9 @@ class TestSynthGenerate:
         )
         raw = RawTable(
             numeric={"x": np.array([0.1, -3.0, 1e-7]), "y": np.array([123456789.125, 2.0, 1 / 3])},
-            categorical={"city": ["São Paulo", "a,b", 'say "hi"']},
-            target=["pos", "neg", "pos, maybe"],
+            categorical={"city": CodedColumn(('say "hi"', "São Paulo", "a,b"),
+                                             np.array([1, 2, 0], dtype=np.uint8))},
+            target=CodedColumn(("pos", "neg", "pos, maybe"), np.array([0, 1, 2], dtype=np.uint8)),
             n_rows=3,
         )
         write_raw_csv(raw, schema, tmp_path / "pinned.csv")
@@ -555,7 +697,16 @@ class TestSynthGenerate:
 
     def test_balanced_target(self):
         raw, _ = synth_generate(500, 2, 0, 1.0, seed=1)
-        assert raw.target.count("pos") == 250
+        assert raw.target.decode().count("pos") == 250
+
+    def test_categories_are_the_values_drawn(self):
+        counts = set()
+        for seed in range(20):
+            raw, _ = synth_generate(8, 1, 4, 3.0, seed=seed)
+            for column in raw.categorical.values():
+                assert sorted(set(column.decode())) == sorted(column.categories)
+                counts.add(len(column.categories))
+        assert min(counts) < 3  # at n = 8 some pool value goes undrawn
 
     @pytest.mark.parametrize("kwargs", [dict(n=4), dict(d_numeric=0), dict(d_categorical=-1)])
     def test_rejects_degenerate_dimensions(self, kwargs):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -262,6 +263,25 @@ class TestConfig:
         assert err.startswith(f"config error: {path}: {message}, got 1000"), err
         assert len(err) < len(str(path)) + 120, err  # not the 401 digits
         assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("synth", [{"d_categorical": 10 ** 9}, {"d_numeric": 10 ** 9},
+                                       {"n": 10 ** 12}])
+    def test_synth_table_larger_than_memory_rejected(self, tmp_path, capsys, synth):
+        path = write_config(tmp_path, data={"synth": synth}, output_dir=str(tmp_path / "out"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {path}: data.synth n, d_numeric and d_categorical "
+                              "make a model matrix of "), err
+        assert "bytes of memory" in err and not (tmp_path / "out").exists()
+
+    def test_synth_bound_is_the_model_matrix_size(self, monkeypatch):
+        matrix = 8 * 400 * (5 + 3 * 2)
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: matrix)
+        SynthSpec(n=400, d_numeric=5, d_categorical=2)
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: matrix - 1)
+        with pytest.raises(ValueError, match=f"model matrix of {matrix} bytes"):
+            SynthSpec(n=400, d_numeric=5, d_categorical=2)
 
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -928,6 +948,25 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
         text = (tmp_path / "out_csv" / "results.csv").read_text()
         assert text.count("\n") == 1 + 1 * 2 * 2
+
+    def test_quoted_crlf_twin_gives_the_same_results(self, tmp_path):
+        # the plain file is split by the byte path, its twin by csv.reader
+        synth_dir = tmp_path / "s"
+        assert cli.main(["synth", "--n", "400", "--separation", "2.0", "--out", str(synth_dir)]) == 0
+        plain, twin = synth_dir / "data.csv", synth_dir / "twin.csv"
+        with open(plain, newline="", encoding="utf-8") as src, \
+                open(twin, "w", newline="", encoding="utf-8") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+        assert b'"' not in plain.read_bytes() and b'"\r\n' in twin.read_bytes()
+        results = []
+        for data_path in (plain, twin):
+            out = tmp_path / f"out_{data_path.stem}"
+            cfg_path = write_config(
+                tmp_path, data={"path": str(data_path), "schema": str(synth_dir / "schema.json")},
+                output_dir=str(out))
+            assert cli.main(["run", "--config", str(cfg_path)]) == 0
+            results.append((out / "results.csv").read_bytes())
+        assert results[0] == results[1]
 
 
 def test_dataset_loading_matches_between_synth_and_emitted_csv(tmp_path):
