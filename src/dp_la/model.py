@@ -6,17 +6,18 @@ The objective minimized is
     J(w, b) = (1/n) sum_i log(1 + exp(-y_i (w.x_i + b))) + (lam/2) ||w||^2
 
 with y in {-1, +1} and an unregularized bias. With d features a Newton step
-is one (d+1) x (d+1) solve -- by LU when lam > 0, where the Hessian is
-positive definite, and by minimum-norm least squares when lam = 0 (or lies
-below the rounding of the Hessian's diagonal), where it can be singular --
-so training reaches ||grad J|| < 1e-10 in a handful of iterations. The
-signed design matrix is stored feature-major, (d+1) x n, and the Hessian is
-summed over cache-sized blocks of records, each block's product a symmetric
-rank-k update (BLAS syrk). It starts from zero, never lets the objective
-rise by more than its rounding error, and is bit-reproducible.
+is one (d+1) x (d+1) solve -- by LU when lam > 0, and by minimum-norm least
+squares where the Hessian can be singular: lam = 0, a lam below the rounding
+of its diagonal, or a bias curvature that underflowed to 0 -- so training
+reaches ||grad J|| < 1e-10 in a handful of iterations. The signed design
+matrix is stored feature-major, (d+1) x n, and the Hessian is summed over
+cache-sized blocks of records, each block's product a symmetric rank-k
+update (BLAS syrk). It starts from zero, never lets the objective rise by
+more than its rounding error, and is bit-reproducible.
 ``TrainConfig.epochs`` caps the iterations, which matters only when no
-finite minimiser exists (lam = 0 on separable data). A stack of tables of
-one shape is solved in one loop, each model bit-identical to its own fit.
+finite minimiser exists (lam = 0 on separable data). There is one loop: it
+solves a stack of K tables of one shape, and a single table is the stack of
+one, so each model is bit-identical to the fit of its table alone.
 """
 
 from __future__ import annotations
@@ -163,25 +164,44 @@ def _penalties(d: int, n: int, lam: float,
     return ridge, linear
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """a_k . b_k for each problem k of a stack of rows a (K, 1, m) and b
+    (K, 1, m), or one row b (1, 1, m) for all, as a list of K floats: one
+    BLAS ddot per problem, the call ``a_k @ b_k`` on lone vectors makes."""
+    return (a @ b.swapaxes(1, 2)).ravel().tolist()
+
+
 def _evaluate(ZT: np.ndarray, theta: np.ndarray, ridge: np.ndarray,
-              linear: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """J at theta, with the margins m = theta @ ZT and e = exp(-|m|) that the
-    gradient and Hessian at theta reuse."""
+              linear: np.ndarray | None) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """J at each theta_k of a stack of K problems, ZT (K, d+1, n) and theta
+    (K, 1, d+1), as a list of K floats, with the margins m_k = theta_k @ ZT_k
+    and e = exp(-|m|), both (K, 1, n), that the gradient and Hessian at theta
+    reuse. ``ridge`` and ``linear`` are rows (1, 1, d+1). Each problem's
+    margins are one BLAS gemv and its loss one pairwise sum, as for that
+    problem alone. ``linear`` None leaves out the linear term's +-0, which
+    changes no bit of a sum that is never -0."""
     m = theta @ ZT
     e = np.exp(-np.abs(m))
+    n = m.shape[-1]
     # log(1 + exp(-m)) = log1p(exp(-|m|)) + max(-m, 0), without overflow;
     # sum / n is np.mean's arithmetic without its call overhead
-    loss = float((np.log1p(e) - np.minimum(m, 0.0)).sum()) / m.shape[0]
-    return loss + 0.5 * float(theta @ (ridge * theta)) + float(linear @ theta), m, e
+    sums = (np.log1p(e) - np.minimum(m, 0.0)).sum(axis=2).ravel().tolist()
+    j = [s / n + 0.5 * q for s, q in zip(sums, _dots(theta, ridge * theta))]
+    if linear is not None:
+        j = [x + q for x, q in zip(j, _dots(theta, linear))]
+    return j, m, e
 
 
 def _gradient(ZT: np.ndarray, theta: np.ndarray, m: np.ndarray, e: np.ndarray,
               ridge: np.ndarray, linear: np.ndarray) -> np.ndarray:
-    """Gradient of J over theta = (w, b) from the margins m and e = exp(-|m|)
-    at theta: r * theta + l - ZT @ sigmoid(-m) / n."""
+    """Gradient of J over theta = (w, b) at each problem of a stack, as rows
+    (K, 1, d+1), from its margins m and e = exp(-|m|): r * theta + l -
+    ZT @ sigmoid(-m) / n, one BLAS gemv per problem."""
     # sigmoid(-m) = 1/(1+exp(m)): e/(1+e) for m >= 0, 1/(1+e) for m < 0
     sigmoid_neg = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
-    return ridge * theta + linear - ZT @ sigmoid_neg / ZT.shape[1]
+    # the row sigmoid(-m) @ ZT^T makes the gemv of ZT @ sigmoid(-m); + l even
+    # when it is zero: it turns a -0 bias term into +0
+    return ridge * theta + linear - sigmoid_neg @ ZT.swapaxes(1, 2) / ZT.shape[-1]
 
 
 def _hessian(ZT: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -194,10 +214,11 @@ def _hessian(ZT: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) 
     block's W, and the block's W @ W.T -- which numpy computes as a BLAS
     syrk, half the flops of a general product and exactly symmetric -- is
     added to H. A table of at most ``_BLOCK`` records is one block. A stack
-    of K problems (ZT (K, d+1, n), e (K, n), buf (K, d+1, ...)) gives their
-    K Hessians, one syrk per problem and block."""
+    of K problems (ZT (K, d+1, n), e (K, 1, n), buf (K, d+1, ...), ``ridge``
+    a vector or a row (1, 1, d+1)) gives their K Hessians, one syrk per
+    problem and block."""
     n = ZT.shape[-1]
-    root_s = (np.sqrt(e) / (1.0 + e))[..., None, :]
+    root_s = np.sqrt(e) / (1.0 + e)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         W = np.multiply(ZT[..., start:stop], root_s[..., start:stop],
@@ -207,8 +228,9 @@ def _hessian(ZT: np.ndarray, e: np.ndarray, ridge: np.ndarray, buf: np.ndarray) 
         else:
             H += W @ W.swapaxes(-1, -2)
     H /= n
-    # H is contiguous, so each problem's diagonal is every (d+2)-th entry of its flattening
-    H.reshape(*H.shape[:-2], -1)[..., :: H.shape[-1] + 1] += ridge
+    # H is contiguous, so each problem's diagonal is every (d+2)-th entry of
+    # its flattening, taken as a row
+    H.reshape(*H.shape[:-2], 1, -1)[..., :: H.shape[-1] + 1] += ridge
     return H
 
 
@@ -218,178 +240,139 @@ def _min_norm_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(H, rhs, rcond=None)[0]
 
 
-def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
-         linear_term: np.ndarray | None = None) -> LogisticModel:
-    """Damped Newton on theta = (w, b) from zero.
-
-    The feature-major signed design matrix ZT ((d+1) x n), the Hessian's
-    block buffer ((d+1) x min(n, ``_BLOCK``)), the ridge and the linear
-    vectors are built once per fit. Each trial point costs one margin
-    product theta @ ZT and one exp; the accepted point's margins serve its
-    gradient and Hessian.
-
-    With lam > 0 the Hessian is positive definite -- for v = (u, c),
-    v^T H v >= lam ||u||^2 when u != 0 and c^2 mean(s) > 0 when u = 0, with
-    s the per-row curvatures of ``_hessian`` -- so the Newton step is an LU
-    solve. With lam = 0 the Hessian can be singular
-    (one-hot columns that sum to the bias column, or separable data whose
-    curvature vanishes), and the step is the minimum-norm least-squares
-    solution, which keeps theta orthogonal to the null space. So is a lam
-    too small to survive the rounding of H's diagonal (lam <= eps * its
-    largest entry): adding it changes no bit of H, and an LU step would move
-    freely along the null space. The step is halved until the objective does
-    not rise by more than its rounding error: near the minimiser a Newton
-    step lowers J by less than that, and an exact comparison would reject
-    the steps that finish the solve. The loop stops when ||g|| < 1e-10, when
-    no halving keeps J from rising, or after ``max_iter`` steps; the model's
-    ``stop`` names which.
-
-    A stack of K tables of one shape, X (K, n, d) and y_pm (K, n), with no
-    ``linear_term``, is solved by ``_fit_stack`` and gives a tuple of K
-    models, each bit-identical to this loop's on its table.
-    """
-    if X.ndim == 3:
-        return _fit_stack(X, y_pm, lam, max_iter)
-    n, d = X.shape
-    ZT = _design(X, y_pm)
-    buf = np.empty((d + 1, min(n, _BLOCK)))
-    ridge, linear = _penalties(d, n, lam, linear_term)
-    linear_norm = math.sqrt(linear @ linear)
-    theta = np.zeros(d + 1)
-    j_cur, m, e = _evaluate(ZT, theta, ridge, linear)
-    iterations = 0
-    while True:
-        g = _gradient(ZT, theta, m, e, ridge, linear)
-        gradient_norm = math.sqrt(g @ g)  # np.linalg.norm's arithmetic
-        if gradient_norm < _GRADIENT_TOL:
-            stop = "gradient"
-            break
-        if iterations == max_iter:
-            stop = "cap"
-            break
-        H = _hessian(ZT, e, ridge, buf)
-        solve = _min_norm_solve if lam <= _EPS * H.diagonal().max() else np.linalg.solve
-        step = solve(H, -g)
-        # J's terms sum to at most |J| + 2 |l.theta| in magnitude.
-        slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * math.sqrt(theta[:d] @ theta[:d]))
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            theta_new = theta + t * step
-            j_new, m_new, e_new = _evaluate(ZT, theta_new, ridge, linear)
-            if j_new <= j_cur + slack:
-                break
-            t *= 0.5
-        else:
-            stop = "no_descent"
-            break
-        theta, j_cur, m, e = theta_new, j_new, m_new, e_new
-        iterations += 1
-    return LogisticModel(theta[:d], float(theta[d]), j_cur, iterations, gradient_norm, stop)
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_k . b_k for each row k of two (K, m) stacks: one BLAS ddot per row,
-    the product ``a[k] @ b[k]`` makes."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _evaluate_stack(ZT: np.ndarray, theta: np.ndarray,
-                    ridge: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_evaluate`` for each problem of a stack with no linear term: ZT
-    (K, d+1, n) and theta (K, d+1) give J (K,), m and e (K, n). Each
-    problem's margins are one BLAS gemv and its loss one pairwise sum, as
-    in ``_evaluate``; J leaves out the linear term's +-0, which changes no
-    bit of a sum that is never -0."""
-    m = (theta[:, None, :] @ ZT)[:, 0]
-    e = np.exp(-np.abs(m))
-    loss = (np.log1p(e) - np.minimum(m, 0.0)).sum(axis=1) / m.shape[1]
-    return loss + 0.5 * _dots(theta, ridge * theta), m, e
-
-
 def _newton_steps(H: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    """The Newton step of each problem of a stack, H_k p = -g_k, by ``_fit``'s
-    rule: a minimum-norm solve where lam <= eps * max diag(H_k), and one
-    batched LU solve for the others."""
-    min_norm = lam <= _EPS * H.diagonal(0, 1, 2).max(axis=1)
+    """The Newton step of each problem of a stack, H_k p = -g_k with g rows
+    (K, 1, d+1): one batched LU solve, except where H_k can be singular,
+    which takes the minimum-norm step (``_min_norm_solve``): where
+    lam <= eps * max diag(H_k), and where the bias curvature H_k[d, d] is 0
+    (every row's curvature underflowed)."""
+    diag = H.diagonal(0, 1, 2)
+    singular = [lam <= _EPS * top or bias == 0.0
+                for top, bias in zip(diag.max(axis=1).tolist(), diag[:, -1].tolist())]
+    if True not in singular:
+        return np.linalg.solve(H, -g.swapaxes(1, 2)).swapaxes(1, 2)
     step = np.empty_like(g)
-    lu = ~min_norm
-    if lu.any():
-        step[lu] = np.linalg.solve(H[lu], -g[lu][..., None])[..., 0]
-    for row in np.flatnonzero(min_norm):
-        step[row] = _min_norm_solve(H[row], -g[row])
+    lu = [row for row, s in enumerate(singular) if not s]
+    if lu:
+        step[lu] = np.linalg.solve(H[lu], -g[lu].swapaxes(1, 2)).swapaxes(1, 2)
+    for row, s in enumerate(singular):
+        if s:
+            step[row, 0] = _min_norm_solve(H[row], -g[row, 0])
     return step
 
 
-def _fit_stack(X: np.ndarray, y_pm: np.ndarray, lam: float,
-               max_iter: int) -> tuple[LogisticModel, ...]:
-    """``_fit`` on each of K tables of one shape, X (K, n, d) and y_pm (K, n),
-    with one lam and no linear term, in one damped-Newton loop.
+def _model(theta: np.ndarray, j: float, iterations: int, gradient_norm: float,
+           stop: str) -> LogisticModel:
+    """The model at one problem's theta = (w, b), with its diagnostics."""
+    return LogisticModel(theta[:-1].copy(), float(theta[-1]), j, iterations, gradient_norm, stop)
 
-    Every problem takes ``_fit``'s steps: the same gradient stop, step rule,
-    halving and cap. The problems still running step together, so one
-    iteration counter serves them all, and each product of the loop is
-    numpy's matmul on the stack, which calls per problem the BLAS routine
-    ``_fit`` calls on its vectors: each model equals ``_fit``'s on its table,
-    bit for bit. A problem that stops leaves the stack: its rows are dropped
-    from the state once per iteration step at which some problem stopped.
+
+def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
+         linear_term: np.ndarray | None = None) -> LogisticModel | tuple[LogisticModel, ...]:
+    """Damped Newton on theta = (w, b) from zero, for one table X (n, d) with
+    signed labels y_pm (n,), or for each of a stack of K tables of one
+    shape, X (K, n, d) and y_pm (K, n), which gives a tuple of K models. One
+    table is solved as the stack of one; one lam and ``linear_term`` serve
+    every problem.
+
+    The feature-major signed design matrices ZT (K, d+1, n), the Hessian's
+    block buffer ((d+1) x min(n, ``_BLOCK``) per problem), the ridge and the
+    linear vectors are built once per fit. Each trial point costs one margin
+    product theta @ ZT and one exp per problem; the accepted point's margins
+    serve its gradient and Hessian.
+
+    With lam > 0 the Hessian is positive definite in exact arithmetic --
+    for v = (u, c), v^T H v >= lam ||u||^2 when u != 0 and c^2 mean(s) > 0
+    when u = 0, with s the per-row curvatures of ``_hessian`` -- and the
+    Newton step is an LU solve. In floating point every s underflows to 0
+    once every margin exceeds about 745, and then H = diag(lam, ..., lam, 0)
+    is singular. With lam = 0 H can be singular too (one-hot columns that
+    sum to the bias column, or separable data whose curvature vanishes). In
+    both cases the step is the minimum-norm least-squares solution, which
+    keeps theta orthogonal to the null space. So is it for a lam too small
+    to survive the rounding of H's diagonal (lam <= eps * its largest
+    entry): adding it changes no bit of H, and an LU step would move freely
+    along the null space. The step is halved until the objective does not
+    rise by more than its rounding error: near the minimiser a Newton step
+    lowers J by less than that, and an exact comparison would reject the
+    steps that finish the solve. A problem stops when ||g|| < 1e-10, when no
+    halving keeps J from rising, or after ``max_iter`` steps; its model's
+    ``stop`` names which.
+
+    Each problem keeps its own step rule, halving and stop; its scalars (J,
+    the acceptance bound, ||g||) are Python floats. The problems still
+    running step together, so one iteration counter serves them all, and a
+    problem that stops leaves the stack. Every vector of the loop is a stack
+    of rows, theta (K, 1, d+1) and the margins (K, 1, n), so each product is
+    numpy's matmul on the stack, which calls, per problem, the BLAS routine
+    that problem's vectors alone would take (gemv for margins and gradient,
+    syrk for the Hessian, ddot for norms and penalties), and the LU steps
+    are one batched LAPACK solve: each model is bit-identical to the fit of
+    its table alone.
     """
+    stacked = X.ndim == 3
+    if not stacked:
+        X, y_pm = X[None], y_pm[None]
     k, n, d = X.shape
     ZT = _design(X, y_pm)
     buf = np.empty((k, d + 1, min(n, _BLOCK)))
-    ridge, linear = _penalties(d, n, lam)
-    theta = np.zeros((k, d + 1))
-    j_cur, m, e = _evaluate_stack(ZT, theta, ridge)
+    # rows (1, 1, d+1) broadcast over the stack with no change of rank
+    ridge, linear = (v[None, None] for v in _penalties(d, n, lam, linear_term))
+    linear_norm = math.sqrt(_dots(linear, linear)[0])
+    perturbed = None if linear_term is None else linear
+    theta = np.zeros((k, 1, d + 1))
+    j_cur, m, e = _evaluate(ZT, theta, ridge, perturbed)
     live = np.arange(k)  # the problem whose state each row of the stack holds
     models: list[LogisticModel | None] = [None] * k
     iterations = 0
-
-    def record(rows: np.ndarray, stop: str) -> None:
-        """Store the model of each row in ``rows`` of the current state, stopped by ``stop``."""
-        for row in rows:
-            models[live[row]] = LogisticModel(theta[row, :d].copy(), float(theta[row, d]),
-                                              float(j_cur[row]), iterations, float(norm[row]),
-                                              stop)
-
     while True:
-        sigmoid_neg = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
-        # + linear (zero) as in _gradient, which turns a -0 bias term into +0
-        g = ridge * theta + linear - (ZT @ sigmoid_neg[..., None])[..., 0] / n
-        norm = np.sqrt(_dots(g, g))
-        converged = norm < _GRADIENT_TOL
-        stopped = converged | (iterations == max_iter)
-        if stopped.any():
-            record(np.flatnonzero(converged), "gradient")
-            record(np.flatnonzero(stopped & ~converged), "cap")
-            going = ~stopped
-            if not going.any():
+        g = _gradient(ZT, theta, m, e, ridge, linear)
+        norms = list(map(math.sqrt, _dots(g, g)))
+        stops = ["gradient" if norm < _GRADIENT_TOL else "cap" if iterations == max_iter else None
+                 for norm in norms]
+        if any(stops):
+            for row, stop in enumerate(stops):
+                if stop:
+                    models[live[row]] = _model(theta[row, 0], j_cur[row], iterations, norms[row],
+                                               stop)
+            going = [row for row, stop in enumerate(stops) if not stop]
+            if not going:
                 break
-            live, ZT, theta, j_cur, e, g, norm = (a[going]
-                                                  for a in (live, ZT, theta, j_cur, e, g, norm))
-        step = _newton_steps(_hessian(ZT, e, ridge, buf[: live.size]), g, lam)
-        # J's terms sum to at most |J| in magnitude (no linear term).
-        bound = j_cur + _ROUNDING * np.abs(j_cur)
+            live, ZT, theta, e, g = (a[going] for a in (live, ZT, theta, e, g))
+            j_cur, norms = [j_cur[row] for row in going], [norms[row] for row in going]
+        step = _newton_steps(_hessian(ZT, e, ridge, buf[: len(live)]), g, lam)
+        # J's terms sum to at most |J| + 2 |l.theta| <= |J| + 2 ||l|| ||w|| in magnitude
+        w_norms = ([0.0] * len(live) if perturbed is None
+                   else map(math.sqrt, _dots(theta[..., :d], theta[..., :d])))
+        bound = [j + _ROUNDING * (abs(j) + 2.0 * linear_norm * w) for j, w in zip(j_cur, w_norms)]
+        theta_new = theta + step
+        j_new, m, e = _evaluate(ZT, theta_new, ridge, perturbed)
+        rows = [row for row, j in enumerate(j_new) if not j <= bound[row]]
         t = 1.0
-        theta_new = theta + t * step
-        j_new, m, e = _evaluate_stack(ZT, theta_new, ridge)
-        rows = np.flatnonzero(~(j_new <= bound))
         for _ in range(_MAX_HALVINGS - 1):
-            if not rows.size:
+            if not rows:
                 break
             t *= 0.5
-            theta_new[rows] = theta[rows] + t * step[rows]
-            j_new[rows], m[rows], e[rows] = _evaluate_stack(ZT[rows], theta_new[rows], ridge)
-            rows = rows[~(j_new[rows] <= bound[rows])]
-        if rows.size:
-            record(rows, "no_descent")
-            going = np.ones(live.size, bool)
-            going[rows] = False
-            live, ZT, theta_new, j_new, m, e = (a[going]
-                                                for a in (live, ZT, theta_new, j_new, m, e))
-            if not live.size:
+            # a halving of every problem takes no copy of ZT
+            part = slice(None) if len(rows) == len(live) else rows
+            theta_new[part] = theta[part] + t * step[part]
+            j_part, m[part], e[part] = _evaluate(ZT[part], theta_new[part], ridge, perturbed)
+            for row, j in zip(rows, j_part):
+                j_new[row] = j
+            rows = [row for row in rows if not j_new[row] <= bound[row]]
+        if rows:
+            for row in rows:
+                models[live[row]] = _model(theta[row, 0], j_cur[row], iterations, norms[row],
+                                           "no_descent")
+            rejected = set(rows)
+            going = [row for row in range(len(live)) if row not in rejected]
+            if not going:
                 break
+            live, ZT, theta_new, m, e = (a[going] for a in (live, ZT, theta_new, m, e))
+            j_new = [j_new[row] for row in going]
         theta, j_cur = theta_new, j_new
         iterations += 1
-    return tuple(models)
+    return tuple(models) if stacked else models[0]
 
 
 def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -417,14 +400,22 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
     Deterministic: zero initialization, at most ``config.epochs`` Newton
     iterations, stopping once the gradient norm is below 1e-10. The returned
     model carries the iterations taken, the final gradient norm and the stop
-    reason. A ``linear_term`` v adds (1/n) v.w to the objective (objective
-    perturbation). This and ``pipelines.pate_train``, which fits its
-    teachers as stacks through ``_fit``, are the package's entry points to
-    the trainer.
+    reason. A ``linear_term`` v, a finite vector of one entry per feature,
+    adds (1/n) v.w to the objective (objective perturbation). This and
+    ``pipelines.pate_train``, which fits its teachers as stacks through
+    ``_fit``, are the package's entry points to the trainer; a single fit
+    is that loop's stack of one.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     y_pm = np.where(_validate_training_inputs(features, labels), 1.0, -1.0)
+    if linear_term is not None:
+        linear_term = np.asarray(linear_term, dtype=float)
+        if linear_term.shape != features.shape[1:]:
+            raise ValueError(f"linear_term must have shape {features.shape[1:]}, "
+                             f"got {linear_term.shape}")
+        if not np.all(np.isfinite(linear_term)):
+            raise ValueError("linear_term contains non-finite values")
     return _fit(features, y_pm, config.lam, config.epochs, linear_term=linear_term)
 
 

@@ -79,18 +79,20 @@ def test_criterion_3_gradient_check():
     y_pm = np.where(rng.random(50) < 0.5, 1.0, -1.0)
     lam = 1e-4
     h = 1e-5
-    ZT = _design(X, y_pm)
-    ridge, linear = _penalties(5, 50, lam)
+    # the trainer's helpers take a stack of problems, its vectors as rows
+    ZT = _design(X, y_pm)[None]
+    ridge, linear = (v[None, None] for v in _penalties(5, 50, lam))
 
     def objective(w, b):
-        return _evaluate(ZT, np.append(w, b), ridge, linear)[0]
+        return _evaluate(ZT, np.append(w, b)[None, None], ridge, linear)[0][0]
 
     worst = 0.0
     for _ in range(20):
         w = rng.normal(scale=0.8, size=5)
         b = float(rng.normal())
-        theta = np.append(w, b)
-        analytic = _gradient(ZT, theta, *_evaluate(ZT, theta, ridge, linear)[1:], ridge, linear)
+        theta = np.append(w, b)[None, None]
+        analytic = _gradient(ZT, theta, *_evaluate(ZT, theta, ridge, linear)[1:], ridge,
+                             linear)[0, 0]
         num = np.empty(6)
         for i in range(5):
             e = np.zeros(5)

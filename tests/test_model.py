@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,12 +9,18 @@ from scipy.optimize import minimize
 from dp_la import model as model_mod
 from dp_la import pipelines
 from dp_la.data import four_way_split, preprocess, synth_generate
+from dp_la.experiment import ExperimentConfig, SynthSpec, emit_report, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import (
     LogisticModel,
     TrainConfig,
     _BLOCK,
+    _EPS,
+    _GRADIENT_TOL,
+    _MAX_HALVINGS,
+    _ROUNDING,
     _design,
+    _dots,
     _evaluate,
     _fit,
     _gradient,
@@ -29,21 +37,83 @@ def make_model(weights, bias):
     return LogisticModel(np.asarray(weights, dtype=float), float(bias), 0.0)
 
 
+def evaluate_one(ZT, theta, ridge, linear):
+    """The trainer's J, margins, e = exp(-|m|) and gradient at one theta, as
+    a stack of one whose vectors are rows."""
+    ZT, theta, ridge, linear = ZT[None], theta[None, None], ridge[None, None], linear[None, None]
+    j, m, e = _evaluate(ZT, theta, ridge, linear)
+    return j[0], m[0, 0], e[0, 0], _gradient(ZT, theta, m, e, ridge, linear)[0, 0]
+
+
 def objective_and_gradient(X, y_pm, lam):
     """J(w, b) and its gradient over (w, b), through the trainer's own helpers."""
     ZT = _design(X, y_pm)
     ridge, linear = _penalties(X.shape[1], X.shape[0], lam)
 
     def objective(w, b):
-        return _evaluate(ZT, np.append(w, b), ridge, linear)[0]
+        return evaluate_one(ZT, np.append(w, b), ridge, linear)[0]
 
     def gradient(w, b):
-        theta = np.append(w, b)
-        _, m, e = _evaluate(ZT, theta, ridge, linear)
-        g = _gradient(ZT, theta, m, e, ridge, linear)
+        g = evaluate_one(ZT, np.append(w, b), ridge, linear)[3]
         return g[:-1], float(g[-1])
 
     return objective, gradient
+
+
+def reference_evaluate(ZT, theta, ridge, linear):
+    """J at one theta, with the margins m = theta @ ZT and e = exp(-|m|), in
+    1-D arithmetic."""
+    m = theta @ ZT
+    e = np.exp(-np.abs(m))
+    loss = float((np.log1p(e) - np.minimum(m, 0.0)).sum()) / m.shape[0]
+    return loss + 0.5 * float(theta @ (ridge * theta)) + float(linear @ theta), m, e
+
+
+def reference_fit(X, y_pm, lam, max_iter, linear_term=None):
+    """Damped Newton on one table, written for a lone problem with 1-D
+    vectors: the oracle that ``_fit`` must match bit for bit on any table,
+    alone or in a stack. It shares the trainer's data layout (``_design``,
+    ``_penalties``), its blocked Hessian (``_hessian``, checked on its own
+    in TestNewton) and its constants; evaluation, gradient, step rule,
+    halving and stops are its own."""
+    n, d = X.shape
+    ZT = _design(X, y_pm)
+    buf = np.empty((d + 1, min(n, _BLOCK)))
+    ridge, linear = _penalties(d, n, lam, linear_term)
+    linear_norm = math.sqrt(linear @ linear)
+    theta = np.zeros(d + 1)
+    j_cur, m, e = reference_evaluate(ZT, theta, ridge, linear)
+    iterations = 0
+    while True:
+        sigmoid_neg = np.where(m >= 0.0, e, 1.0) / (1.0 + e)
+        g = ridge * theta + linear - ZT @ sigmoid_neg / n
+        gradient_norm = math.sqrt(g @ g)
+        if gradient_norm < _GRADIENT_TOL:
+            stop = "gradient"
+            break
+        if iterations == max_iter:
+            stop = "cap"
+            break
+        H = _hessian(ZT, e, ridge, buf)
+        # H can be singular: lam lost in its rounding, or every curvature underflowed
+        if lam <= _EPS * H.diagonal().max() or H[d, d] == 0.0:
+            step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        else:
+            step = np.linalg.solve(H, -g)
+        slack = _ROUNDING * (abs(j_cur) + 2.0 * linear_norm * math.sqrt(theta[:d] @ theta[:d]))
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            theta_new = theta + t * step
+            j_new, m_new, e_new = reference_evaluate(ZT, theta_new, ridge, linear)
+            if j_new <= j_cur + slack:
+                break
+            t *= 0.5
+        else:
+            stop = "no_descent"
+            break
+        theta, j_cur, m, e = theta_new, j_new, m_new, e_new
+        iterations += 1
+    return LogisticModel(theta[:d], float(theta[d]), j_cur, iterations, gradient_norm, stop)
 
 
 class TestTrain:
@@ -92,6 +162,26 @@ class TestTrain:
         with pytest.raises(ValueError, match="finite"):
             train(X, np.array([0, 1]), TrainConfig())
 
+    @pytest.mark.parametrize("linear_term, message", [
+        (np.float64(5.0), "shape"),  # would be broadcast onto every weight
+        (np.ones(2), "shape"),
+        (np.ones((3, 1)), "shape"),
+        ([[1.0, 2.0, 3.0]], "shape"),
+        (np.array([1.0, np.nan, 0.0]), "finite"),
+        ([0.0, np.inf, 0.0], "finite"),
+    ])
+    def test_malformed_linear_term_rejected(self, linear_term, message):
+        X = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=f"linear_term.*{message}"):
+            train(X, np.array([0, 1, 1]), TrainConfig(), linear_term=linear_term)
+
+    def test_linear_term_may_be_a_list(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
+        y = np.array([0, 1, 1])
+        as_list = train(X, y, TrainConfig(), linear_term=[0.5, -1.0])
+        as_array = train(X, y, TrainConfig(), linear_term=np.array([0.5, -1.0]))
+        assert model_bits(as_list) == model_bits(as_array)
+
     def test_deterministic_bits(self):
         raw, schema = synth_generate(200, 3, 1, 1.0, seed=2)
         ds = preprocess(raw, schema)
@@ -131,6 +221,18 @@ class TestNewton:
         assert capped.stop == "cap" and capped.iterations == 1
         assert capped.gradient_norm > 1e-10
         assert make_model([1.0], 0.0).stop is None
+
+    def test_vanishing_curvature_takes_the_minimum_norm_step(self):
+        # A linear term -1 on separable data puts the minimiser at w = 1 / (n lam):
+        # every margin passes 745, each row's curvature e/(1+e)^2 underflows to 0,
+        # and H = diag(lam, 0) is singular although lam > 0. The minimum-norm step
+        # lands on that w exactly; an LU solve raises LinAlgError.
+        X = np.linspace(-1.0, 1.0, 20)[:, None]
+        y = (X[:, 0] > 0).astype(int)
+        for lam in (1e-20, 1e-12):
+            model = train(X, y, TrainConfig(lam=lam), linear_term=np.array([-1.0]))
+            assert model.stop == "gradient"
+            assert model.weights[0] == pytest.approx(1.0 / (20 * lam), rel=1e-12)
 
     def test_singular_hessian_does_not_raise(self):
         # lam = 0 with one-hot columns whose sum is the bias column
@@ -275,11 +377,14 @@ def model_bits(model):
 
 def fit_stack_and_each(X, y_pm, lam, max_iter):
     """The models ``_fit`` gives a stack of tables, asserted bit-identical to
-    one 1-D ``_fit`` per table, which are returned."""
+    ``_fit`` on each table alone and to ``reference_fit`` on each table,
+    whose models are returned."""
     stacked = _fit(X, y_pm, lam, max_iter)
-    each = [_fit(x, y, lam, max_iter) for x, y in zip(X, y_pm)]
-    assert isinstance(stacked, tuple)
+    alone = [_fit(x, y, lam, max_iter) for x, y in zip(X, y_pm)]
+    each = [reference_fit(x, y, lam, max_iter) for x, y in zip(X, y_pm)]
+    assert isinstance(stacked, tuple) and all(isinstance(m, LogisticModel) for m in alone)
     assert [model_bits(m) for m in stacked] == [model_bits(m) for m in each]
+    assert [model_bits(m) for m in alone] == [model_bits(m) for m in each]
     return each
 
 
@@ -292,7 +397,8 @@ def signed_labels(scores):
 
 class TestStack:
     """A stack of K tables is solved in one loop; each of its K models must
-    equal the 1-D ``_fit`` on its table, bit for bit."""
+    equal ``reference_fit`` on its table, bit for bit, as must ``_fit`` on
+    the table alone."""
 
     def test_problems_finishing_at_different_iterations(self):
         rng = np.random.default_rng(20)
@@ -337,7 +443,7 @@ class TestStack:
         monkeypatch.setattr(model_mod, "_min_norm_solve", counting)
         each = fit_stack_and_each(X, signed_labels(X[..., 0] + rng.normal(size=(6, 70))),
                                   1e-16, 100)
-        # the stack and the 1-D fits each take every step once
+        # the stack and the lone fits each take every step once
         assert 0 < len(min_norm_steps) / 2 < sum(m.iterations for m in each)
 
     def test_halved_steps(self, monkeypatch):
@@ -345,29 +451,103 @@ class TestStack:
         rng = np.random.default_rng(24)
         X = rng.normal(size=(40, 40, 2)) ** 3
         y_pm = np.where(X[..., 0] > 0, 1.0, -1.0)
-        evaluations = []
+        evaluated = []  # problems evaluated per call
         original = model_mod._evaluate
 
-        def counting(*args):
-            evaluations[-1] += 1
-            return original(*args)
+        def counting(ZT, theta, ridge, linear):
+            evaluated.append(len(theta))
+            return original(ZT, theta, ridge, linear)
 
         monkeypatch.setattr(model_mod, "_evaluate", counting)
         stacked = _fit(X, y_pm, 0.0, 20)
-        halved = 0
-        for x, y, got in zip(X, y_pm, stacked):
-            evaluations.append(0)
-            expected = _fit(x, y, 0.0, 20)
-            assert model_bits(got) == model_bits(expected)
-            # one evaluation at zero and one per accepted step when nothing is halved
-            halved += evaluations[-1] > 1 + expected.iterations
-        assert halved > 0
+        each = [reference_fit(x, y, 0.0, 20) for x, y in zip(X, y_pm)]
+        assert [model_bits(m) for m in stacked] == [model_bits(m) for m in each]
+        # one evaluation at zero and one per accepted step when nothing is halved
+        assert sum(evaluated) > sum(1 + m.iterations for m in each)
+        # halving a part of the stack evaluates only that part
+        assert min(evaluated) < len(X)
 
     def test_tables_spanning_two_hessian_blocks(self):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(2, _BLOCK + 7, 3))
         fit_stack_and_each(X, signed_labels(X[..., 0] + rng.logistic(size=(2, _BLOCK + 7))),
                            1e-4, 100)
+
+
+class TestOneLoop:
+    """``_fit`` on one table is the stack of one; it must match the 1-D
+    ``reference_fit`` bit for bit, on any lam, linear term and stop."""
+
+    def test_random_tables_match_the_reference(self):
+        rng = np.random.default_rng(26)
+        stops = set()
+        for lam in (0.0, 1e-20, 1e-4, 0.1):
+            # a linear term with lam = 0 leaves J unbounded below
+            for linear in (False, True) if lam > 0 else (False,):
+                for one_hot in (False, True) * 2:
+                    n, d = int(rng.integers(20, 300)), int(rng.integers(1, 9))
+                    X = rng.normal(size=(n, d)) * rng.choice([0.01, 1.0, 10.0])
+                    if one_hot:  # three columns that sum to the bias column
+                        X = np.concatenate([X, np.eye(3)[rng.integers(0, 3, size=n)]], axis=1)
+                    y_pm = signed_labels((X[:, 0] + rng.normal(size=n)
+                                          * rng.choice([0.0, 0.5, 3.0]))[None])[0]
+                    v = rng.normal(size=X.shape[1]) * rng.choice([1.0, 100.0]) if linear else None
+                    cap = int(rng.choice([3, 100]))
+                    got = _fit(X, y_pm, lam, cap, linear_term=v)
+                    expected = reference_fit(X, y_pm, lam, cap, linear_term=v)
+                    assert model_bits(got) == model_bits(expected), (lam, linear, n, d)
+                    stops.add(got.stop)
+        assert stops == {"gradient", "cap", "no_descent"}
+
+    def test_vanishing_curvature_matches_the_reference(self):
+        # every margin passes 745 at the minimiser: each row's curvature underflows
+        X = np.linspace(-1.0, 1.0, 20)[:, None]
+        y_pm = np.where(X[:, 0] > 0, 1.0, -1.0)
+        for lam, v in ((1e-20, -1.0), (1e-12, -10.0), (1e-8, -10.0)):
+            got = _fit(X, y_pm, lam, 100, linear_term=np.array([v]))
+            expected = reference_fit(X, y_pm, lam, 100, linear_term=np.array([v]))
+            assert model_bits(got) == model_bits(expected)
+
+    def test_stacked_products_match_lone_products(self):
+        # the loop's products on stacks of rows must make, per problem, the BLAS
+        # call of the lone product: ddot, and gemv on ZT for margins and gradient
+        rng = np.random.default_rng(27)
+        for k, m, n in ((1, 12, 500), (10, 12, 50), (3, 4, _BLOCK + 3)):
+            A, v, u = rng.normal(size=(k, m, n)), rng.normal(size=(k, m)), rng.normal(size=(k, n))
+            assert _dots(v[:, None], v[::-1, None]) == [a @ b for a, b in zip(v, v[::-1])]
+            assert _dots(v[:, None], v[:1, None]) == [a @ v[0] for a in v]
+            assert np.array_equal((v[:, None] @ A)[:, 0], [a @ b for a, b in zip(v, A)])
+            assert np.array_equal((u[:, None] @ A.swapaxes(1, 2))[:, 0],
+                                  [a @ b for a, b in zip(A, u)])
+
+    def test_sweep_through_the_reference_writes_the_same_outputs(self, tmp_path, monkeypatch):
+        # every lone fit of a small three-method sweep (baseline, shadow, attack,
+        # input and objective perturbation) run by reference_fit instead
+        cfg = ExperimentConfig(synth=SynthSpec(n=400, separation=1.0, seed=7),
+                               epsilons=(0.1, 10.0, 1000.0), seeds=(1, 2), num_teachers=3)
+        emit_report(run_sweep(cfg), tmp_path / "shipped")
+        original = model_mod._fit
+        lone_fits = []
+
+        def reference_for_lone_fits(X, y_pm, lam, max_iter, linear_term=None):
+            if X.ndim == 3:
+                return original(X, y_pm, lam, max_iter, linear_term)
+            lone_fits.append(linear_term is not None)
+            return reference_fit(X, y_pm, lam, max_iter, linear_term)
+
+        monkeypatch.setattr(model_mod, "_fit", reference_for_lone_fits)
+        emit_report(run_sweep(cfg), tmp_path / "reference")
+        assert len(lone_fits) == 2 * (3 + 2 * 3) and sum(lone_fits) == 2 * 3
+        for name in ("results.csv", "fig_privacy_leakage.csv", "fig_trr.csv",
+                     "fig_utility_loss.csv"):
+            assert ((tmp_path / "shipped" / name).read_bytes()
+                    == (tmp_path / "reference" / name).read_bytes()), name
+        shipped, reference = (json.loads((tmp_path / run / "summary.json").read_text())
+                              for run in ("shipped", "reference"))
+        assert shipped["groups"] == reference["groups"]
+        fit_fields = ("fit_iterations", "fit_gradient_norm", "fit_stop")
+        assert ([[c[f] for f in fit_fields] for c in shipped["timings"]["per_cell"]]
+                == [[c[f] for f in fit_fields] for c in reference["timings"]["per_cell"]])
 
 
 class TestGradientAndObjective:
@@ -401,11 +581,11 @@ class TestGradientAndObjective:
         h = 1e-6
 
         def gradient(theta):
-            return _gradient(ZT, theta, *_evaluate(ZT, theta, ridge, linear)[1:], ridge, linear)
+            return evaluate_one(ZT, theta, ridge, linear)[3]
 
         for _ in range(5):
             theta = rng.normal(size=4)
-            H = _hessian(ZT, _evaluate(ZT, theta, ridge, linear)[2], ridge,
+            H = _hessian(ZT, evaluate_one(ZT, theta, ridge, linear)[2], ridge,
                          np.empty((X.shape[1] + 1, min(len(X), _BLOCK))))
             num = np.column_stack([(gradient(theta + h * u) - gradient(theta - h * u)) / (2 * h)
                                    for u in np.eye(4)])
