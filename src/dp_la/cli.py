@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .data import synth_generate, write_raw_csv
+from .data import SynthSpec, synth_generate, write_raw_csv
 from .experiment import (ExperimentConfig, emit_report, load_config, refuse_existing_outputs,
                          run_sweep)
 from .mechanisms import DP_CHECK_TOLERANCE, PrivacyBudget, RngState, empirical_dp_check
@@ -54,8 +54,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    raw, schema = synth_generate(args.n, args.numeric, args.categorical,
-                                 args.separation, args.seed)
+    raw, schema = synth_generate(SynthSpec(args.n, args.numeric, args.categorical,
+                                           args.separation, args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.csv"
@@ -122,10 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic CSV + schema pair")
     p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--numeric", type=int, default=5)
-    p_synth.add_argument("--categorical", type=int, default=2)
-    p_synth.add_argument("--separation", type=float, default=1.0)
-    p_synth.add_argument("--seed", type=int, default=7)
+    # a dataclass field's default is its class attribute
+    p_synth.add_argument("--numeric", type=int, default=SynthSpec.d_numeric)
+    p_synth.add_argument("--categorical", type=int, default=SynthSpec.d_categorical)
+    p_synth.add_argument("--separation", type=float, default=SynthSpec.separation)
+    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=_cmd_synth)
 

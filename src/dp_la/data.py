@@ -1,7 +1,8 @@
 """Tabular data handling: schema-driven CSV ingestion, preprocessing
 (min-max scaling, one-hot encoding, binary target mapping), the four-way
-victim/attack split, and a synthetic two-cluster generator for desk-scale
-experiments.
+victim/attack split, a synthetic two-cluster generator for desk-scale
+experiments, and the two data sources a config can name (:class:`SynthSpec`
+and :class:`CsvSpec`).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import csv
 import gc
 import io
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mechanisms import RngState
+from .model import _check_field_types
 
 __all__ = [
     "ColumnKind",
@@ -28,6 +31,8 @@ __all__ = [
     "RawTable",
     "Dataset",
     "FourWaySplit",
+    "SynthSpec",
+    "CsvSpec",
     "load_csv",
     "preprocess",
     "four_way_split",
@@ -647,48 +652,88 @@ def four_way_split(dataset: Dataset, rng: RngState,
     return FourWaySplit(victim_train, victim_test, attack_train, attack_test)
 
 
+@dataclass(frozen=True)
+class SynthSpec:
+    """The synthetic table of :func:`synth_generate`, checked when built: the
+    config's ``data.synth`` block and ``dp-la synth``'s flags both make one,
+    and its defaults are theirs."""
+
+    n: int = 2000
+    d_numeric: int = 5
+    d_categorical: int = 2
+    separation: float = 1.0
+    seed: int = 7
+
+    def __post_init__(self) -> None:
+        _check_field_types(self, sizes=("n", "d_numeric", "d_categorical"))
+        if self.n < 8:
+            raise ValueError(f"n must be at least 8, got {self.n}")
+        if self.d_numeric < 1:
+            raise ValueError(f"d_numeric must be >= 1, got {self.d_numeric}")
+        if self.d_categorical < 0:
+            raise ValueError(f"d_categorical must be >= 0, got {self.d_categorical}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # The model matrix has d_numeric columns and at most three one-hot
+        # columns per categorical column.
+        needed = 8 * self.n * (self.d_numeric + 3 * self.d_categorical)
+        memory = _physical_memory()
+        if memory is not None and needed > memory:
+            raise ValueError(
+                f"data.synth n, d_numeric and d_categorical make a model matrix of {needed} "
+                f"bytes, more than this machine's {memory} bytes of memory")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+@dataclass(frozen=True)
+class CsvSpec:
+    """A CSV table and its schema JSON, by path: the config's
+    ``{"path": ..., "schema": ...}`` data block."""
+
+    path: str
+    schema: str
+
+    def __post_init__(self) -> None:
+        _check_field_types(self)
+
+
 _CATEGORY_POOL = ("a", "b", "c")
 
 
-def synth_generate(
-    n: int,
-    d_numeric: int,
-    d_categorical: int,
-    class_separation: float,
-    seed: int,
-) -> tuple[RawTable, TabularSchema]:
+def synth_generate(spec: SynthSpec) -> tuple[RawTable, TabularSchema]:
     """Two-Gaussian-cluster table with a balanced binary target.
 
     Numeric feature j is N(0, 1) for the negative class and
-    N(class_separation, 1) for the positive class; categorical columns draw
+    N(spec.separation, 1) for the positive class; categorical columns draw
     from three categories with class-dependent frequencies and hold, as codes,
     those of the three that were drawn. The target's categories are
-    ``("neg", "pos")``. Deterministic per argument tuple.
+    ``("neg", "pos")``. Deterministic per spec.
     """
-    if n < 8:
-        raise ValueError(f"n must be at least 8, got {n}")
-    if d_numeric < 1:
-        raise ValueError(f"d_numeric must be >= 1, got {d_numeric}")
-    if d_categorical < 0:
-        raise ValueError(f"d_categorical must be >= 0, got {d_categorical}")
-
-    rng = RngState(seed).substream("synth").generator
+    n = spec.n
+    rng = RngState(spec.seed).substream("synth").generator
     labels = np.zeros(n, dtype=int)
     labels[: n // 2] = 1
     labels = labels[rng.permutation(n)]
 
     numeric: dict[str, np.ndarray] = {}
-    for j in range(d_numeric):
+    for j in range(spec.d_numeric):
         base = rng.normal(0.0, 1.0, size=n)
-        numeric[f"x{j}"] = base + class_separation * labels
+        numeric[f"x{j}"] = base + spec.separation * labels
 
     # Class-dependent category frequencies, fading to identical distributions
-    # as class_separation -> 0 so that labels stay independent of all features.
-    tilt = float(np.tanh(class_separation))
+    # as the separation -> 0 so that labels stay independent of all features.
+    tilt = float(np.tanh(spec.separation))
     freq_neg = np.array([0.5, 0.3, 0.2])
     freq_pos = (1.0 - tilt) * freq_neg + tilt * np.array([0.2, 0.3, 0.5])
     categorical: dict[str, CodedColumn] = {}
-    for j in range(d_categorical):
+    for j in range(spec.d_categorical):
         draws_neg = rng.choice(len(_CATEGORY_POOL), size=n, p=freq_neg)
         draws_pos = rng.choice(len(_CATEGORY_POOL), size=n, p=freq_pos)
         chosen = np.where(labels == 1, draws_pos, draws_neg)
@@ -700,8 +745,8 @@ def synth_generate(
 
     target = CodedColumn(("neg", "pos"), labels.astype(np.uint8))
     columns = tuple(
-        [(f"x{j}", ColumnKind.NUMERIC) for j in range(d_numeric)]
-        + [(f"c{j}", ColumnKind.CATEGORICAL) for j in range(d_categorical)]
+        [(f"x{j}", ColumnKind.NUMERIC) for j in range(spec.d_numeric)]
+        + [(f"c{j}", ColumnKind.CATEGORICAL) for j in range(spec.d_categorical)]
         + [("outcome", ColumnKind.TARGET)]
     )
     schema = TabularSchema(columns=columns, positive_labels=frozenset({"pos"}))

@@ -51,7 +51,9 @@ import numpy as np
 
 from . import audit as audit_mod
 from .data import (
+    CsvSpec,
     Dataset,
+    SynthSpec,
     TabularSchema,
     _enum_member,
     _read_json,
@@ -67,7 +69,6 @@ from .pipelines import (DpMethod, ObjectiveNoise, TeacherVotes, Victim, run_pipe
                         shared_part, victim_view)
 
 __all__ = [
-    "SynthSpec",
     "ExperimentConfig",
     "SweepCell",
     "CellResult",
@@ -97,44 +98,8 @@ RESULT_COLUMNS = ("method", "epsilon", "seed", *_REPORT_METRICS, "wall_time_seco
 
 
 @dataclass(frozen=True)
-class SynthSpec:
-    n: int = 2000
-    d_numeric: int = 5
-    d_categorical: int = 2
-    separation: float = 1.0
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        _check_field_types(self, sizes=("n", "d_numeric", "d_categorical"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # The model matrix has d_numeric columns and at most three one-hot
-        # columns per categorical column.
-        needed = 8 * self.n * (self.d_numeric + 3 * self.d_categorical)
-        memory = _physical_memory()
-        if memory is not None and needed > memory:
-            raise ValueError(
-                f"data.synth n, d_numeric and d_categorical make a model matrix of {needed} "
-                f"bytes, more than this machine's {memory} bytes of memory")
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-# The config's "data" block names the data-source fields differently.
-_DATA_FIELDS = {"synth": "synth", "path": "data_path", "schema": "schema_path"}
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    data_path: str | None = None
-    schema_path: str | None = None
-    synth: SynthSpec | None = field(default_factory=SynthSpec)
+    data: SynthSpec | CsvSpec = field(default_factory=SynthSpec)
     methods: tuple[DpMethod, ...] = tuple(DpMethod)
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     delta: float = 1e-5
@@ -147,12 +112,7 @@ class ExperimentConfig:
     threads: int = 1  # accepted for existing configs; seeds always run serially
 
     def __post_init__(self) -> None:
-        _check_field_types(self, {name: f"data.{key}" for key, name in _DATA_FIELDS.items()},
-                           sizes=("num_teachers",))
-        if (self.data_path is None) == (self.synth is None):
-            raise ValueError("config must specify exactly one of a CSV data path or a synth block")
-        if (self.data_path is None) != (self.schema_path is None):
-            raise ValueError("a CSV data path and a schema path go together")
+        _check_field_types(self, sizes=("num_teachers",))
         if not self.methods:
             raise ValueError("methods must be non-empty")
         if len(set(self.methods)) != len(self.methods):
@@ -189,15 +149,22 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
 
 
-_CONFIG_KEYS = frozenset(
-    {f.name for f in fields(ExperimentConfig)} - set(_DATA_FIELDS.values()) | {"data"}
-)
-
-
 def _from_doc(cls: type, doc: dict, where: str):
     """``cls(**doc)`` after rejecting keys that are not fields of ``cls``."""
     _reject_unknown_keys(doc, {f.name for f in fields(cls)}, where)
     return cls(**doc)
+
+
+def _data_source(doc) -> SynthSpec | CsvSpec:
+    """The config's ``data`` block: ``{"synth": {...}}`` or
+    ``{"path": ..., "schema": ...}``."""
+    _reject_unknown_keys(doc, {"synth", "path", "schema"}, "data")
+    if doc.keys() == {"synth"}:
+        return _from_doc(SynthSpec, doc["synth"], "data.synth")
+    if doc.keys() == {"path", "schema"}:
+        return CsvSpec(**doc)
+    raise ValueError("data must name exactly one source: a synth block, or a CSV path "
+                     "with its schema path")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -206,12 +173,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     out takes the dataclass's default, except ``data``: the document must name
     its data source. Every ValueError starts with ``path``."""
     with _read_json(path) as kwargs:
-        _reject_unknown_keys(kwargs, _CONFIG_KEYS, "config")
-        data = kwargs.pop("data", {})
-        _reject_unknown_keys(data, set(_DATA_FIELDS), "data")
-        kwargs.update({_DATA_FIELDS[key]: value for key, value in data.items()})
-        kwargs["synth"] = (_from_doc(SynthSpec, data["synth"], "data.synth")
-                           if "synth" in data else None)
+        _reject_unknown_keys(kwargs, {f.name for f in fields(ExperimentConfig)}, "config")
+        kwargs["data"] = _data_source(kwargs.get("data", {}))
         if "train" in kwargs:
             kwargs["train"] = _from_doc(TrainConfig, kwargs["train"], "train")
         for key in ("methods", "epsilons", "seeds"):
@@ -276,17 +239,11 @@ def enumerate_cells(config: ExperimentConfig) -> list[SweepCell]:
 
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The config's table, preprocessed; a target of one class is a ValueError."""
-    if config.synth is not None:
-        raw, schema = synth_generate(
-            config.synth.n,
-            config.synth.d_numeric,
-            config.synth.d_categorical,
-            config.synth.separation,
-            config.synth.seed,
-        )
+    if isinstance(config.data, SynthSpec):
+        raw, schema = synth_generate(config.data)
     else:
-        schema = TabularSchema.from_json(config.schema_path)
-        raw = load_csv(config.data_path, schema)
+        schema = TabularSchema.from_json(config.data.schema)
+        raw = load_csv(config.data.path, schema)
     dataset = preprocess(raw, schema)
     if dataset.labels.min() == dataset.labels.max():
         raise ValueError(

@@ -53,22 +53,20 @@ _BLOCK = 4096
 
 # The JSON values a config field of each annotation takes: an int fills a
 # float field (JSON writes 10.0 as 10), and a bool is no number.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
-def _check_field_types(config, keys: dict[str, str] | None = None,
-                       sizes: tuple[str, ...] = ()) -> None:
+def _check_field_types(config, sizes: tuple[str, ...] = ()) -> None:
     """Raise ValueError naming the first field of the config dataclass
     ``config`` whose value, or for a ``tuple[T, ...]`` field each element,
     is not of a type in ``_JSON_TYPES``, or is a float field's value that is
     not a finite float (JSON parses ``NaN`` and ``Infinity``, and an integer
     may be too large for a float), or is a field in ``sizes`` (an int that
     sizes an array or a loop) above ``sys.maxsize``, numpy's largest
-    dimension. A field is named by its config key: ``keys`` maps the fields
-    whose key differs from their name, and its value is quoted abbreviated
-    by ``reprlib``. A float field's value is stored as a float, so ``1`` and
-    ``1.0`` make one config; fields of other types are built by the config
-    loader."""
+    dimension. The error names the field, which is its config key, and
+    quotes its value abbreviated by ``reprlib``. A float field's value is
+    stored as a float, so ``1`` and ``1.0`` make one config; fields of other
+    types are built by the config loader."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removeprefix("tuple[").removesuffix(", ...]")
@@ -77,18 +75,17 @@ def _check_field_types(config, keys: dict[str, str] | None = None,
         allowed = _JSON_TYPES.get(kind)
         if allowed is None:
             continue
-        key = (keys or {}).get(f.name, f.name)
         if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
-            raise ValueError(f"{key} must be {f.type}, got {reprlib.repr(value)}")
+            raise ValueError(f"{f.name} must be {f.type}, got {reprlib.repr(value)}")
         if f.name in sizes and value > sys.maxsize:
-            raise ValueError(f"{key} must be at most {sys.maxsize}, got {reprlib.repr(value)}")
+            raise ValueError(f"{f.name} must be at most {sys.maxsize}, got {reprlib.repr(value)}")
         if kind == "float":
             try:
                 values = tuple(map(float, values))
             except OverflowError:  # an integer too large for a float
                 values = (math.inf,)
             if not all(map(math.isfinite, values)):
-                raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
+                raise ValueError(f"{f.name} must be finite, got {reprlib.repr(value)}")
             object.__setattr__(config, f.name, values if is_tuple else values[0])
 
 
@@ -401,7 +398,8 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
     iterations, stopping once the gradient norm is below 1e-10. The returned
     model carries the iterations taken, the final gradient norm and the stop
     reason. A ``linear_term`` v, a finite vector of one entry per feature,
-    adds (1/n) v.w to the objective (objective perturbation). This and
+    adds (1/n) v.w to the objective (objective perturbation); it needs
+    lam > 0, since without the ridge J can fall without bound. This and
     ``pipelines.pate_train``, which fits its teachers as stacks through
     ``_fit``, are the package's entry points to the trainer; a single fit
     is that loop's stack of one.
@@ -416,6 +414,8 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
                              f"got {linear_term.shape}")
         if not np.all(np.isfinite(linear_term)):
             raise ValueError("linear_term contains non-finite values")
+        if config.lam == 0:
+            raise ValueError("a linear_term needs lam > 0, or J can fall without bound")
     return _fit(features, y_pm, config.lam, config.epochs, linear_term=linear_term)
 
 

@@ -229,7 +229,9 @@ def objective_perturb_train(
     with ||b|| ~ Gamma(d, S/eps'), S = 2 the method's declared sensitivity, in a
     uniformly random direction is added as (1/n) b.w to the objective before
     minimizing with the shared trainer, whose Newton solve reaches the exact
-    minimiser (gradient norm < 1e-10) that the guarantee assumes.
+    minimiser (gradient norm < 1e-10) that the guarantee assumes. A fit that
+    stops short of it (on the iteration cap or with no descent) is a
+    ValueError, so no released model lacks the guarantee.
 
     ``noise`` is :func:`draw_objective_noise` on ``features``. numpy draws
     ``gamma(d, s)`` as ``s * standard_gamma(d)``, so scaling its length by
@@ -255,8 +257,13 @@ def objective_perturb_train(
     # rescale * b, which the shared trainer minimizes exactly, like the
     # non-private baseline (so the only difference at huge epsilon is the
     # slightly stronger regularizer).
-    return train(features, labels, replace(config, lam=lam_eff * noise.rescale**2),
-                 linear_term=noise.rescale * (b_norm * noise.direction))
+    model = train(features, labels, replace(config, lam=lam_eff * noise.rescale**2),
+                  linear_term=noise.rescale * (b_norm * noise.direction))
+    if model.stop != "gradient":
+        raise ValueError(f"the objective-perturbation fit stopped on {model.stop} after "
+                         f"{model.iterations} iterations with gradient norm "
+                         f"{model.gradient_norm:.3g}, short of the exact minimiser")
+    return model
 
 
 def _pate_shards(labels: np.ndarray, num_teachers: int, rng: RngState) -> list[np.ndarray]:

@@ -11,8 +11,8 @@ from scipy import stats
 
 from dp_la import cli
 from dp_la.audit import AuditReport, run_mia, train_attack
-from dp_la.data import four_way_split, preprocess, synth_generate
-from dp_la.experiment import ExperimentConfig, SynthSpec, run_sweep
+from dp_la.data import SynthSpec, four_way_split, preprocess, synth_generate
+from dp_la.experiment import ExperimentConfig, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState, empirical_dp_check, sample_laplace
 from dp_la.model import (TrainConfig, _design, _evaluate, _gradient, _penalties, predict_proba,
                          train)
@@ -27,7 +27,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 def trend_sweep():
     """Shared n=8000 sweep over the full epsilon grid (criteria 5-7)."""
     cfg = ExperimentConfig(
-        synth=SynthSpec(n=8000, d_numeric=5, d_categorical=2, separation=1.0, seed=7),
+        data=SynthSpec(n=8000, d_numeric=5, d_categorical=2, separation=1.0, seed=7),
         seeds=(1, 2, 3, 4, 5),
     )
     return cfg, run_sweep(cfg)
@@ -109,7 +109,7 @@ def test_criterion_3_gradient_check():
 def test_criterion_4_large_epsilon_consistency():
     start = time.perf_counter()
     cfg = ExperimentConfig(
-        synth=SynthSpec(n=4000, d_numeric=5, d_categorical=2, separation=2.0, seed=7),
+        data=SynthSpec(n=4000, d_numeric=5, d_categorical=2, separation=2.0, seed=7),
         epsilons=(10_000.0,),
         seeds=(1, 2, 3, 4, 5),
     )
@@ -173,7 +173,7 @@ def test_criterion_8_overfit_mia_and_mitigation():
     vic_cfg = TrainConfig(lam=0.0, epochs=2000)
     base_leaks, pate_leaks = [], []
     for seed in (1, 2, 3, 4, 5):
-        raw, schema = synth_generate(240, 40, 0, 0.35, seed=100 + seed)
+        raw, schema = synth_generate(SynthSpec(240, 40, 0, 0.35, seed=100 + seed))
         ds = preprocess(raw, schema)
         split = four_way_split(ds, RngState(seed))
         victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], vic_cfg)

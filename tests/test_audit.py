@@ -10,8 +10,9 @@ from dp_la.audit import (
     train_attack,
     wilson_interval,
 )
-from dp_la.data import Dataset, FourWaySplit, four_way_split, preprocess, synth_generate
-from dp_la.experiment import (ExperimentConfig, SynthSpec, build_seed_context,
+from dp_la.data import (Dataset, FourWaySplit, SynthSpec, four_way_split, preprocess,
+                         synth_generate)
+from dp_la.experiment import (ExperimentConfig, build_seed_context,
                               load_experiment_dataset)
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import LogisticModel, TrainConfig, predict_proba, train
@@ -137,7 +138,7 @@ class TestTrainAttack:
         assert out.tpr == 1.0 and out.fpr == 0.0
 
     def test_deterministic(self):
-        raw, schema = synth_generate(400, 4, 1, 1.0, seed=3)
+        raw, schema = synth_generate(SynthSpec(400, 4, 1, 1.0, seed=3))
         ds = preprocess(raw, schema)
         split = four_way_split(ds, RngState(1))
         shadow = train(ds.features[split.attack_train], ds.labels[split.attack_train], CFG)
@@ -146,7 +147,7 @@ class TestTrainAttack:
         np.testing.assert_array_equal(a.classifier.weights, b.classifier.weights)
 
     def test_attack_never_reads_victim_rows(self):
-        cfg = ExperimentConfig(synth=SynthSpec(n=400, d_numeric=4, d_categorical=1, seed=3),
+        cfg = ExperimentConfig(data=SynthSpec(n=400, d_numeric=4, d_categorical=1, seed=3),
                                seeds=(1,))
         ds = load_experiment_dataset(cfg)
         context = build_seed_context(cfg, ds, 1)
@@ -210,7 +211,7 @@ class TestWilsonInterval:
 
 class TestRunMia:
     def small_setup(self):
-        raw, schema = synth_generate(200, 3, 0, 1.0, seed=2)
+        raw, schema = synth_generate(SynthSpec(200, 3, 0, 1.0, seed=2))
         ds = preprocess(raw, schema)
         split = four_way_split(ds, RngState(0))
         victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], CFG)
@@ -293,7 +294,7 @@ class TestNullCalibration:
     def test_no_signal_data_leaks_nothing(self):
         leaks = []
         for seed in range(10):
-            raw, schema = synth_generate(400, 5, 2, 0.0, seed=50 + seed)
+            raw, schema = synth_generate(SynthSpec(400, 5, 2, 0.0, seed=50 + seed))
             ds = preprocess(raw, schema)
             split = four_way_split(ds, RngState(seed))
             victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], CFG)
@@ -309,7 +310,7 @@ class TestOverfitOracle:
         vic_cfg = TrainConfig(lam=0.0, epochs=2000)
         base_leaks, pate_leaks = [], []
         for seed in (1, 2, 3, 4, 5):
-            raw, schema = synth_generate(240, 40, 0, 0.35, seed=100 + seed)
+            raw, schema = synth_generate(SynthSpec(240, 40, 0, 0.35, seed=100 + seed))
             ds = preprocess(raw, schema)
             split = four_way_split(ds, RngState(seed))
             victim = train(ds.features[split.victim_train], ds.labels[split.victim_train], vic_cfg)

@@ -14,6 +14,7 @@ from dp_la.data import (
     ColumnKind,
     Dataset,
     RawTable,
+    SynthSpec,
     TabularSchema,
     four_way_split,
     load_csv,
@@ -580,14 +581,14 @@ class TestPreprocess:
         assert ds.features[:, 0].tolist() == [0.0, 0.0]
 
     def test_one_hot_blocks_sum_to_one_each_row(self):
-        raw, schema = synth_generate(300, 2, 3, 1.0, seed=5)
+        raw, schema = synth_generate(SynthSpec(300, 2, 3, 1.0, seed=5))
         ds = preprocess(raw, schema)
         for j in range(3):
             cols = [i for i, n in enumerate(ds.feature_names) if n.startswith(f"c{j}=")]
             np.testing.assert_array_equal(ds.features[:, cols].sum(axis=1), np.ones(300))
 
     def test_rescaling_unit_interval_with_unit_bounds_is_identity(self):
-        raw, schema = synth_generate(200, 3, 0, 1.0, seed=5)
+        raw, schema = synth_generate(SynthSpec(200, 3, 0, 1.0, seed=5))
         ds = preprocess(raw, schema)
         col = ds.features[:, 0]
         rescaled = (col - 0.0) / (1.0 - 0.0)
@@ -648,7 +649,7 @@ class TestFourWaySplit:
 
 class TestSynthGenerate:
     def test_baseline_learnability_oracle(self):
-        raw, schema = synth_generate(1000, 5, 2, 2.0, seed=7)
+        raw, schema = synth_generate(SynthSpec(1000, 5, 2, 2.0, seed=7))
         ds = preprocess(raw, schema)
         split = four_way_split(ds, RngState(0))
         model = train(ds.features[split.victim_train], ds.labels[split.victim_train], TrainConfig())
@@ -656,7 +657,7 @@ class TestSynthGenerate:
         assert acc > 0.85
 
     def test_zero_separation_is_chance_level(self):
-        raw, schema = synth_generate(1000, 5, 2, 0.0, seed=7)
+        raw, schema = synth_generate(SynthSpec(1000, 5, 2, 0.0, seed=7))
         ds = preprocess(raw, schema)
         split = four_way_split(ds, RngState(0))
         model = train(ds.features[split.victim_train], ds.labels[split.victim_train], TrainConfig())
@@ -665,7 +666,7 @@ class TestSynthGenerate:
 
     def test_byte_identical_emission(self, tmp_path):
         for name in ("a.csv", "b.csv"):
-            raw, schema = synth_generate(100, 3, 1, 1.5, seed=9)
+            raw, schema = synth_generate(SynthSpec(100, 3, 1, 1.5, seed=9))
             write_raw_csv(raw, schema, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -696,13 +697,13 @@ class TestSynthGenerate:
         ).encode("utf-8")
 
     def test_balanced_target(self):
-        raw, _ = synth_generate(500, 2, 0, 1.0, seed=1)
+        raw, _ = synth_generate(SynthSpec(500, 2, 0, 1.0, seed=1))
         assert raw.target.decode().count("pos") == 250
 
     def test_categories_are_the_values_drawn(self):
         counts = set()
         for seed in range(20):
-            raw, _ = synth_generate(8, 1, 4, 3.0, seed=seed)
+            raw, _ = synth_generate(SynthSpec(8, 1, 4, 3.0, seed=seed))
             for column in raw.categorical.values():
                 assert sorted(set(column.decode())) == sorted(column.categories)
                 counts.add(len(column.categories))
@@ -710,8 +711,10 @@ class TestSynthGenerate:
 
     @pytest.mark.parametrize("kwargs", [dict(n=4), dict(d_numeric=0), dict(d_categorical=-1)])
     def test_rejects_degenerate_dimensions(self, kwargs):
-        args = dict(n=100, d_numeric=2, d_categorical=1, class_separation=1.0, seed=0)
+        # SynthSpec checks the ranges, so synth_generate never sees such a spec
+        args = dict(n=100, d_numeric=2, d_categorical=1, separation=1.0, seed=0)
         args.update(kwargs)
-        with pytest.raises(ValueError):
-            synth_generate(**args)
+        (key, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{key} must be .*, got {value}$"):
+            SynthSpec(**args)
 

@@ -14,13 +14,13 @@ import pytest
 
 from dp_la import cli, experiment, model, pipelines
 from dp_la.audit import AuditReport
+from dp_la.data import CsvSpec, SynthSpec, synth_generate, write_raw_csv
 from dp_la.experiment import (
     CellResult,
     ExperimentConfig,
     SeedTiming,
     SweepCell,
     SweepResults,
-    SynthSpec,
     _pipeline_rng,
     _results_table,
     build_seed_context,
@@ -37,7 +37,7 @@ from dp_la.model import TrainConfig
 from dp_la.pipelines import DpMethod, shared_part
 
 SMALL = dict(
-    synth=SynthSpec(n=400, separation=2.0, seed=7),
+    data=SynthSpec(n=400, separation=2.0, seed=7),
     epsilons=(1.0, 100.0),
     seeds=(1, 2),
 )
@@ -74,17 +74,17 @@ class TestConfig:
         assert cfg.methods == tuple(DpMethod)
         assert cfg.train == TrainConfig(lam=1e-4, epochs=100, learning_rate=0.5)
 
-    def test_requires_exactly_one_data_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            ExperimentConfig(synth=None)
-        with pytest.raises(ValueError, match="exactly one"):
-            ExperimentConfig(data_path="x.csv", schema_path="s.json", synth=SynthSpec())
+    def test_requires_exactly_one_data_source(self, tmp_path):
+        assert ExperimentConfig().data == SynthSpec()
+        assert ExperimentConfig(data=CsvSpec("x.csv", "s.json")).data.schema == "s.json"
+        path = write_config(tmp_path, data={"synth": {}, "path": "x.csv", "schema": "s.json"})
+        with pytest.raises(ValueError, match="exactly one source"):
+            load_config(path)
 
-    def test_csv_source_requires_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            ExperimentConfig(data_path="x.csv", synth=None)
-        with pytest.raises(ValueError, match="schema"):
-            ExperimentConfig(schema_path="s.json")
+    def test_csv_source_requires_schema(self, tmp_path):
+        for data in ({"path": "x.csv"}, {"schema": "s.json"}, {"synth": {}, "schema": "s.json"}):
+            with pytest.raises(ValueError, match="exactly one source: .* CSV path with its"):
+                load_config(write_config(tmp_path, data=data))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -124,7 +124,7 @@ class TestConfig:
         assert cfg.delta == 1e-6
         assert cfg.num_teachers == 4
         assert cfg.train.lam == 0.01 and cfg.train.epochs == 10
-        assert cfg.synth.n == 400
+        assert cfg.data == SynthSpec(n=400, separation=2.0, seed=7)
 
     def test_load_config_defaults_are_the_dataclasses(self, tmp_path):
         path = tmp_path / "config.json"
@@ -139,15 +139,16 @@ class TestConfig:
 
     def test_canonical_json_pinned(self):
         assert ExperimentConfig().canonical_json() == (
-            '{"data_path":null,"delta":1e-05,'
-            '"epsilons":[0.01,0.1,1.0,10.0,100.0,1000.0,10000.0],'
+            '{"data":{"d_categorical":2,"d_numeric":5,"n":2000,"seed":7,"separation":1.0},'
+            '"delta":1e-05,"epsilons":[0.01,0.1,1.0,10.0,100.0,1000.0,10000.0],'
             '"inner_train_fraction":0.5,"master_seed":0,'
             '"methods":["input_perturbation","objective_perturbation","prediction_perturbation"],'
-            '"num_teachers":10,"schema_path":null,"seeds":[1,2,3,4,5],'
-            '"synth":{"d_categorical":2,"d_numeric":5,"n":2000,"seed":7,"separation":1.0},'
+            '"num_teachers":10,"seeds":[1,2,3,4,5],'
             '"train":{"epochs":100,"lam":0.0001,"learning_rate":0.5}}'
         )
-        assert ExperimentConfig().fingerprint() == "9315722f4ac962c8"
+        assert ExperimentConfig().fingerprint() == "5a5fe91812c579f3"
+        csv_source = ExperimentConfig(data=CsvSpec("x.csv", "s.json")).canonical_json()
+        assert csv_source.startswith('{"data":{"path":"x.csv","schema":"s.json"},"delta":')
 
     def test_load_config_accepts_every_key_it_reads(self, tmp_path):
         path = write_config(tmp_path, delta=1e-6, num_teachers=4, inner_train_fraction=0.5,
@@ -185,8 +186,8 @@ class TestConfig:
         (dict(epsilons=[1.0, float("inf")]), "epsilons must be finite, got (1.0, inf)"),
         (dict(data={"synth": {"separation": float("inf")}}), "separation must be finite, got inf"),
         (dict(delta=float("-inf")), "delta must be finite, got -inf"),
-        (dict(data={"path": "x.csv", "schema": 5}), "data.schema must be str | None, got 5"),
-        (dict(data={"path": 5, "schema": "s.json"}), "data.path must be str | None, got 5"),
+        (dict(data={"path": "x.csv", "schema": 5}), "schema must be str, got 5"),
+        (dict(data={"path": 5, "schema": "s.json"}), "path must be str, got 5"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -211,6 +212,23 @@ class TestConfig:
         assert cli.main(["run", "--config", str(path), *flags]) == 1
         assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
+    @pytest.mark.parametrize("synth, message", [
+        ({"n": 4}, "n must be at least 8, got 4"),
+        ({"d_numeric": 0}, "d_numeric must be >= 1, got 0"),
+        ({"d_categorical": -1}, "d_categorical must be >= 0, got -1"),
+    ])
+    def test_synth_range_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                       synth, message):
+        path = write_config(tmp_path, data={"synth": synth}, output_dir=str(tmp_path / "out"))
+
+        def no_sweep(config):
+            raise AssertionError("run_sweep called for an invalid config")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_method_rejected_before_any_cell_runs(self, tmp_path, capsys,
                                                            monkeypatch):
         path = write_config(tmp_path, methods=["objective_perturbation"] * 2)
@@ -229,8 +247,8 @@ class TestConfig:
         assert '"epsilons":[1.0,100.0]' in cfg.canonical_json()
 
     def test_integer_and_float_configs_have_one_fingerprint(self):
-        ints = ExperimentConfig(epsilons=(1, 10), synth=SynthSpec(separation=1))
-        floats = ExperimentConfig(epsilons=(1.0, 10.0), synth=SynthSpec(separation=1.0))
+        ints = ExperimentConfig(epsilons=(1, 10), data=SynthSpec(separation=1))
+        floats = ExperimentConfig(epsilons=(1.0, 10.0), data=SynthSpec(separation=1.0))
         assert ints.canonical_json() == floats.canonical_json()
         assert ints.fingerprint() == floats.fingerprint()
 
@@ -277,9 +295,9 @@ class TestConfig:
 
     def test_synth_bound_is_the_model_matrix_size(self, monkeypatch):
         matrix = 8 * 400 * (5 + 3 * 2)
-        monkeypatch.setattr(experiment, "_physical_memory", lambda: matrix)
+        monkeypatch.setattr("dp_la.data._physical_memory", lambda: matrix)
         SynthSpec(n=400, d_numeric=5, d_categorical=2)
-        monkeypatch.setattr(experiment, "_physical_memory", lambda: matrix - 1)
+        monkeypatch.setattr("dp_la.data._physical_memory", lambda: matrix - 1)
         with pytest.raises(ValueError, match=f"model matrix of {matrix} bytes"):
             SynthSpec(n=400, d_numeric=5, d_categorical=2)
 
@@ -294,7 +312,7 @@ class TestConfig:
 class TestCells:
     def test_enumeration_order(self):
         cfg = ExperimentConfig(
-            synth=SynthSpec(), epsilons=(0.5, 2.0), seeds=(3, 9),
+            data=SynthSpec(), epsilons=(0.5, 2.0), seeds=(3, 9),
             methods=(DpMethod.INPUT_PERTURBATION, DpMethod.PREDICTION_PERTURBATION),
         )
         cells = enumerate_cells(cfg)
@@ -321,9 +339,22 @@ class TestRunSweep:
         _, results = small_results
         assert all(r.status == "ok" for r in results.rows)
 
+    def test_objective_fit_short_of_the_minimiser_fails_its_cell(self):
+        # lam = 1e-20 leaves the bias curvature to vanish: every fit stops on
+        # the cap or with no descent, and would claim an epsilon it lacks
+        cfg = ExperimentConfig(data=SynthSpec(400, 40, 0, 0.35, seed=101),
+                               methods=(DpMethod.OBJECTIVE_PERTURBATION,),
+                               epsilons=(100.0, 1000.0), seeds=(1, 2, 3, 4, 5),
+                               train=TrainConfig(lam=1e-20))
+        rows = run_sweep(cfg).rows
+        stops = Counter(re.match("failed:ValueError:the objective-perturbation fit stopped on "
+                                 r"(\w+) after \d+ iterations", r.status)[1] for r in rows)
+        assert stops == {"cap": 7, "no_descent": 3}
+        assert all(r.report is None and r.fit_stop is None for r in rows)
+
     def test_failed_cells_are_contained(self):
         cfg = ExperimentConfig(
-            synth=SynthSpec(n=400, separation=2.0, seed=7),
+            data=SynthSpec(n=400, separation=2.0, seed=7),
             epsilons=(1.0,),
             seeds=(1,),
             train=TrainConfig(lam=0.0),  # objective perturbation requires lam > 0
@@ -808,6 +839,20 @@ class TestCli:
         b = (tmp_path / "o2" / "results.csv").read_bytes()
         c = (tmp_path / "o3" / "results.csv").read_bytes()
         assert a != b and b == c
+
+    def test_synth_flag_defaults_are_synth_specs(self, tmp_path):
+        assert cli.main(["synth", "--n", "100", "--out", str(tmp_path / "cli")]) == 0
+        write_raw_csv(*synth_generate(SynthSpec(n=100)), tmp_path / "spec.csv")
+        assert (tmp_path / "cli" / "data.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+
+    def test_synth_table_larger_than_memory_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dp_la.data._physical_memory", lambda: 8 * 100 * (5 + 3 * 2) - 1)
+        assert cli.main(["synth", "--n", "100", "--out", str(tmp_path / "s")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: data.synth n, d_numeric and d_categorical make a "
+                              f"model matrix of {8 * 100 * 11} bytes"), err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("missing", ["data", "schema"])
     def test_missing_input_file_exit_one(self, tmp_path, capsys, missing):

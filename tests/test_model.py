@@ -8,8 +8,8 @@ from scipy.optimize import minimize
 
 from dp_la import model as model_mod
 from dp_la import pipelines
-from dp_la.data import four_way_split, preprocess, synth_generate
-from dp_la.experiment import ExperimentConfig, SynthSpec, emit_report, run_sweep
+from dp_la.data import SynthSpec, four_way_split, preprocess, synth_generate
+from dp_la.experiment import ExperimentConfig, emit_report, run_sweep
 from dp_la.mechanisms import PrivacyBudget, RngState
 from dp_la.model import (
     LogisticModel,
@@ -130,7 +130,7 @@ class TestTrain:
         assert np.linalg.norm(model.weights) < 1e-2
 
     def test_matches_independent_convex_solver_on_synth(self):
-        raw, schema = synth_generate(1000, 5, 2, 2.0, seed=7)
+        raw, schema = synth_generate(SynthSpec(1000, 5, 2, 2.0, seed=7))
         ds = preprocess(raw, schema)
         split = four_way_split(ds, RngState(0))
         X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
@@ -175,6 +175,32 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"linear_term.*{message}"):
             train(X, np.array([0, 1, 1]), TrainConfig(), linear_term=linear_term)
 
+    def test_linear_term_with_lam_zero_rejected(self):
+        # without the ridge this objective falls without bound: the fit would
+        # stop on the cap with weights near 1e11 and raise nothing
+        X = np.random.default_rng(5).random((60, 3))
+        with pytest.raises(ValueError, match="linear_term needs lam > 0"):
+            train(X, np.arange(60) % 2, TrainConfig(lam=0.0), linear_term=[500.0, -300.0, 200.0])
+
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros(4), np.array([0, 1, 0, 1]), r"2-D matrix, got shape \(4,\)"),
+        (np.zeros((4, 2)), np.array([0, 1, 0]), "disagree on the number of rows"),
+        (np.zeros((1, 2)), np.array([1]), "at least 2 training rows"),
+        (np.zeros((3, 2)), np.array([0, 1, 2]), r"labels must be in \{0, 1\}, got \[0 1 2\]"),
+    ])
+    def test_malformed_inputs_rejected(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            train(features, labels, TrainConfig())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", -1e-3, "lam must be non-negative, got -0.001"),
+        ("epochs", 0, "epochs must be positive, got 0"),
+        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+    ])
+    def test_config_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
+
     def test_linear_term_may_be_a_list(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
         y = np.array([0, 1, 1])
@@ -183,7 +209,7 @@ class TestTrain:
         assert model_bits(as_list) == model_bits(as_array)
 
     def test_deterministic_bits(self):
-        raw, schema = synth_generate(200, 3, 1, 1.0, seed=2)
+        raw, schema = synth_generate(SynthSpec(200, 3, 1, 1.0, seed=2))
         ds = preprocess(raw, schema)
         for linear_term in (None, np.linspace(-3.0, 3.0, ds.n_features)):
             a = train(ds.features, ds.labels, TrainConfig(), linear_term=linear_term)
@@ -195,7 +221,7 @@ class TestTrain:
 
 def default_victim_train():
     """Victim-train rows of the default sweep's data (synth n=2000, seed 7)."""
-    ds = preprocess(*synth_generate(2000, 5, 2, 1.0, seed=7))
+    ds = preprocess(*synth_generate(SynthSpec(2000, 5, 2, 1.0, seed=7)))
     split = four_way_split(ds, RngState(1))
     return ds.features[split.victim_train], ds.labels[split.victim_train]
 
@@ -203,7 +229,7 @@ def default_victim_train():
 class TestNewton:
     def test_lam_zero_on_separable_data_stays_finite_within_the_cap(self):
         # acceptance criterion 8's overfit victim: 60 rows, 40 features
-        ds = preprocess(*synth_generate(240, 40, 0, 0.35, seed=101))
+        ds = preprocess(*synth_generate(SynthSpec(240, 40, 0, 0.35, seed=101)))
         split = four_way_split(ds, RngState(1))
         X, y = ds.features[split.victim_train], ds.labels[split.victim_train]
         for epochs in (3, 2000):
@@ -214,7 +240,7 @@ class TestNewton:
         assert accuracy(predict(model, X), y) == 1.0  # separable: no finite minimiser
 
     def test_stop_reason_names_the_exit_taken(self):
-        ds = preprocess(*synth_generate(300, 4, 1, 1.0, seed=4))
+        ds = preprocess(*synth_generate(SynthSpec(300, 4, 1, 1.0, seed=4)))
         converged = train(ds.features, ds.labels, TrainConfig())
         assert converged.stop == "gradient" and converged.gradient_norm < 1e-10
         capped = train(ds.features, ds.labels, TrainConfig(epochs=1))
@@ -258,7 +284,7 @@ class TestNewton:
     def test_ridge_below_the_hessians_rounding_takes_the_minimum_norm_step(self):
         # lam = 1e-20 changes no bit of H, so an LU step would wander along the
         # one-hot/bias null direction; the minimum-norm step stays with lam = 0
-        ds = preprocess(*synth_generate(2000, 5, 2, 1.0, seed=7))
+        ds = preprocess(*synth_generate(SynthSpec(2000, 5, 2, 1.0, seed=7)))
         X, y = ds.features[:500], ds.labels[:500]
         exact = train(X, y, TrainConfig(lam=0.0))
         tiny = train(X, y, TrainConfig(lam=1e-20))
@@ -375,13 +401,13 @@ def model_bits(model):
     return floats.view(np.uint64).tolist(), model.iterations, model.stop
 
 
-def fit_stack_and_each(X, y_pm, lam, max_iter):
+def fit_stack_and_each(X, y_pm, lam, max_iter, linear_term=None):
     """The models ``_fit`` gives a stack of tables, asserted bit-identical to
     ``_fit`` on each table alone and to ``reference_fit`` on each table,
     whose models are returned."""
-    stacked = _fit(X, y_pm, lam, max_iter)
-    alone = [_fit(x, y, lam, max_iter) for x, y in zip(X, y_pm)]
-    each = [reference_fit(x, y, lam, max_iter) for x, y in zip(X, y_pm)]
+    stacked = _fit(X, y_pm, lam, max_iter, linear_term)
+    alone = [_fit(x, y, lam, max_iter, linear_term) for x, y in zip(X, y_pm)]
+    each = [reference_fit(x, y, lam, max_iter, linear_term) for x, y in zip(X, y_pm)]
     assert isinstance(stacked, tuple) and all(isinstance(m, LogisticModel) for m in alone)
     assert [model_bits(m) for m in stacked] == [model_bits(m) for m in each]
     assert [model_bits(m) for m in alone] == [model_bits(m) for m in each]
@@ -416,6 +442,18 @@ class TestStack:
                                   1e-4, 4)
         assert {m.stop for m in each} == {"gradient", "cap"}
         assert max(m.iterations for m in each) == 4
+
+    def test_problems_leaving_on_no_descent_while_others_go_on(self):
+        # lam = 1e-20 with a large linear term: a separable table finds no
+        # descent early, and the noisy tables step on after it has left
+        rng = np.random.default_rng(36)
+        X = 10.0 * rng.normal(size=(4, 100, 4))
+        noise = 30.0 * rng.normal(size=(4, 100)) * np.array([0, 0, 1, 1])[:, None]
+        each = fit_stack_and_each(X, signed_labels(X[..., 0] + noise), 1e-20, 100,
+                                  100.0 * rng.normal(size=4))
+        assert {m.stop for m in each} == {"gradient", "cap", "no_descent"}
+        left = min(m.iterations for m in each if m.stop == "no_descent")
+        assert sum(m.iterations > left for m in each) >= 2
 
     def test_lam_zero_takes_the_minimum_norm_step(self):
         # the last three columns are one-hot and sum to the bias column: H is singular
@@ -523,7 +561,7 @@ class TestOneLoop:
     def test_sweep_through_the_reference_writes_the_same_outputs(self, tmp_path, monkeypatch):
         # every lone fit of a small three-method sweep (baseline, shadow, attack,
         # input and objective perturbation) run by reference_fit instead
-        cfg = ExperimentConfig(synth=SynthSpec(n=400, separation=1.0, seed=7),
+        cfg = ExperimentConfig(data=SynthSpec(n=400, separation=1.0, seed=7),
                                epsilons=(0.1, 10.0, 1000.0), seeds=(1, 2), num_teachers=3)
         emit_report(run_sweep(cfg), tmp_path / "shipped")
         original = model_mod._fit
@@ -592,7 +630,7 @@ class TestGradientAndObjective:
             np.testing.assert_allclose(H, num, rtol=1e-6, atol=1e-8)
 
     def test_objective_never_increases(self):
-        raw, schema = synth_generate(300, 4, 0, 1.0, seed=4)
+        raw, schema = synth_generate(SynthSpec(300, 4, 0, 1.0, seed=4))
         ds = preprocess(raw, schema)
         cfg = TrainConfig(epochs=50)
         model = train(ds.features, ds.labels, cfg)

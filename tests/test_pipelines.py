@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dp_la.data import four_way_split, preprocess, synth_generate
+from dp_la.data import SynthSpec, four_way_split, preprocess, synth_generate
 from dp_la.mechanisms import PrivacyBudget, RngState, gaussian_sigma, sample_laplace
 from dp_la.model import LogisticModel, TrainConfig, accuracy, predict, predict_proba, train
 from dp_la.pipelines import (
@@ -39,7 +39,7 @@ def run_any(method, ds, split, budget, rng):
 
 
 def synth_dataset(n=1000, sep=2.0, seed=7):
-    raw, schema = synth_generate(n, 5, 2, sep, seed=seed)
+    raw, schema = synth_generate(SynthSpec(n, 5, 2, sep, seed=seed))
     return preprocess(raw, schema)
 
 
@@ -167,6 +167,14 @@ class TestObjectivePerturb:
             objective_perturb_train(np.zeros((4, 2)), np.array([0, 1, 0, 1]),
                                     PrivacyBudget(1.0), TrainConfig(lam=0.0),
                                     draw_objective_noise(np.zeros((4, 2)), RngState(0)))
+
+    def test_fit_short_of_the_minimiser_rejected(self):
+        ds = synth_dataset(n=200, sep=1.0)
+        X, y = ds.features[:100], ds.labels[:100]
+        with pytest.raises(ValueError, match="stopped on cap after 1 iterations with gradient "
+                                             "norm .*, short of the exact minimiser"):
+            objective_perturb_train(X, y, PrivacyBudget(1.0), TrainConfig(epochs=1),
+                                    draw_objective_noise(X, RngState(0)))
 
     def test_rejects_nonzero_delta(self):
         with pytest.raises(ValueError, match="delta"):
@@ -391,7 +399,7 @@ class TestRunPipeline:
 
 class TestLargeEpsilonConsistency:
     def test_all_methods_match_baseline_at_epsilon_1e6(self):
-        raw, schema = synth_generate(4000, 5, 2, 2.0, seed=7)
+        raw, schema = synth_generate(SynthSpec(4000, 5, 2, 2.0, seed=7))
         ds = preprocess(raw, schema)
         for method in DpMethod:
             gaps = []
@@ -408,7 +416,7 @@ class TestLargeEpsilonConsistency:
 
 class TestBudgetMonotonicity:
     def test_private_accuracy_non_decreasing_in_epsilon(self):
-        raw, schema = synth_generate(2000, 5, 2, 1.0, seed=7)
+        raw, schema = synth_generate(SynthSpec(2000, 5, 2, 1.0, seed=7))
         ds = preprocess(raw, schema)
         grid = [0.01, 0.1, 1.0, 10.0, 100.0]
         for method in (DpMethod.OBJECTIVE_PERTURBATION, DpMethod.PREDICTION_PERTURBATION):
