@@ -4,10 +4,10 @@ Subcommands:
     run       execute a full (method, epsilon, seed) sweep from a config JSON
     synth     emit a synthetic CSV + schema pair
     check-dp  empirical epsilon-bound check on the built-in count query
-    audit     run the sweep's first cell with a verbose audit breakdown
 
-Exit codes: 0 success, 1 configuration error (a bad value, a missing input file or
-an output in the way), 2 at least one sweep cell failed.
+Exit codes: 0 success; 1 usage or configuration error (a bad flag, a bad value,
+a missing input file or an output in the way); 2 at least one sweep cell
+failed, or ``check-dp``'s bound failed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from .data import SynthSpec, synth_generate, write_raw_csv
-from .experiment import (ExperimentConfig, emit_report, load_config, refuse_existing_outputs,
-                         run_sweep)
+from .experiment import emit_report, load_config, refuse_existing_outputs, run_sweep
 from .mechanisms import DP_CHECK_TOLERANCE, PrivacyBudget, RngState, empirical_dp_check
 
 
@@ -29,16 +28,10 @@ def _count_above_half(values) -> float:
     return float(sum(1 for v in values if v > 0.5))
 
 
-def _load_config(args: argparse.Namespace, **overrides) -> ExperimentConfig:
-    """The ``--config`` file with ``--seed`` and every given (not None)
-    override applied."""
-    overrides["master_seed"] = args.seed
-    return dataclasses.replace(load_config(args.config), **{
-        key: value for key, value in overrides.items() if value is not None})
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args, output_dir=args.out, threads=args.threads)
+    overrides = {"master_seed": args.seed, "output_dir": args.out}
+    config = dataclasses.replace(load_config(args.config), **{
+        key: value for key, value in overrides.items() if value is not None})
     refuse_existing_outputs(config.output_dir, force=args.force)
     results = run_sweep(config)
     written = emit_report(results, config.output_dir, force=args.force)
@@ -82,29 +75,6 @@ def _cmd_check_dp(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    # The sweep's first cell: its streams are keyed by its grid values, so they
-    # and its split are the full sweep's.
-    results = run_sweep(dataclasses.replace(
-        config, methods=config.methods[:1], epsilons=config.epsilons[:1], seeds=config.seeds[:1]))
-    result = results.rows[0]
-    cell = result.cell
-    print(f"cell: method={cell.method.value} epsilon={cell.epsilon} seed={cell.seed}")
-    print(f"status: {result.status}")
-    if result.report is None:
-        return 2
-    r = result.report
-    print(f"accuracy: non-private={r.acc_nonprivate:.4f} private={r.acc_private:.4f}")
-    print(f"utility_loss: {r.utility_loss:.4f}")
-    print(f"attack: tpr={r.tpr:.4f} fpr={r.fpr:.4f}")
-    print(f"privacy_leakage: {r.privacy_leakage:.4f}")
-    print(f"true_revealed_records: {r.true_revealed_records} (rate {r.trr_rate:.4f})")
-    wall_time = results.seed_timings[0].wall_time_seconds + result.wall_time_seconds
-    print(f"wall_time_seconds: {wall_time:.3f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dp-la",
                                      description="Differentially private learning pipelines "
@@ -136,18 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bins", type=int, default=40)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check_dp)
-
-    p_audit = sub.add_parser("audit", help="single-cell run with a verbose breakdown")
-    p_audit.add_argument("--config", required=True)
-    p_audit.add_argument("--seed", type=int, default=None)
-    p_audit.set_defaults(func=_cmd_audit)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. A ValueError or OSError that escapes it (a bad value,
-    a missing input file, an output that is in the way) is a config error."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. A usage error (argparse's exit 2, which here means a
+    failed cell) exits 1, like a ValueError or OSError that escapes the
+    subcommand (a bad value, a missing input file, an output that is in the
+    way); ``--help`` exits 0."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -20,12 +20,10 @@ A failure fails exactly the cells under it, each with status
 every cell of its seed, and no shared part of that seed is attempted; a shared
 part that cannot be built fails every cell of its (method, seed); a cell that
 raises fails its own row. Cells only read what they share, so the order of a
-seed's cells changes no result; ``dp-la audit`` runs the sweep on a config
-narrowed to its first method, epsilon and seed. In ``summary.json`` the seed's
-shared work, its context and every shared part, is timed under
-``timings.per_seed``; each cell's own time and its released model's fit
-diagnostics (Newton iterations, final gradient norm, stop reason) are under
-``timings.per_cell``.
+seed's cells changes no result. In ``summary.json`` the seed's shared work,
+its context and every shared part, is timed under ``timings.per_seed``; each
+cell's own time and its released model's fit diagnostics (Newton iterations,
+final gradient norm, stop reason) are under ``timings.per_cell``.
 
 Every random stream is a substream of ``RngState(master_seed)`` labelled by
 grid values, never by positions in the grid or by call order: the split by
@@ -43,6 +41,7 @@ import io
 import json
 import os
 import platform
+import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -109,9 +108,12 @@ class ExperimentConfig:
     inner_train_fraction: float = 0.5
     master_seed: int = 0
     output_dir: str = "dp_la_out"
-    threads: int = 1  # accepted for existing configs; seeds always run serially
 
     def __post_init__(self) -> None:
+        if not isinstance(self.data, (SynthSpec, CsvSpec)):
+            raise ValueError(f"data must be SynthSpec | CsvSpec, got {reprlib.repr(self.data)}")
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be TrainConfig, got {reprlib.repr(self.train)}")
         _check_field_types(self, sizes=("num_teachers",))
         if not self.methods:
             raise ValueError("methods must be non-empty")
@@ -134,14 +136,12 @@ class ExperimentConfig:
                 f"inner_train_fraction must be in (0, 1), got {self.inner_train_fraction}")
         if self.num_teachers < 2:
             raise ValueError(f"num_teachers must be at least 2, got {self.num_teachers}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
     def canonical_json(self) -> str:
         """Every field that determines the results, i.e. all but where they
-        are written and ``threads``, which changes nothing."""
+        are written."""
         doc = asdict(self)
-        del doc["output_dir"], doc["threads"]
+        del doc["output_dir"]
         doc["methods"] = [m.value for m in self.methods]
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -333,12 +333,10 @@ def run_cell(
         return CellResult(cell, None, time.perf_counter() - start, _failed_status(exc))
 
 
-def run_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> SweepResults:
+def run_sweep(config: ExperimentConfig) -> SweepResults:
     """Walk the grid and contain its failures as the module docstring states;
-    rows come back in :func:`enumerate_cells` order. ``config.threads`` is
-    accepted but does not change scheduling."""
-    if dataset is None:
-        dataset = load_experiment_dataset(config)
+    rows come back in :func:`enumerate_cells` order."""
+    dataset = load_experiment_dataset(config)
     master, rows, timings = RngState(config.master_seed), {}, []
     for seed in config.seeds:
         start = time.perf_counter()

@@ -96,7 +96,6 @@ class TestConfig:
             dict(seeds=()),
             dict(delta=0.0),
             dict(delta=1.0),
-            dict(threads=0),
             dict(methods=()),
             dict(seeds=(1, 1)),
             dict(methods=(DpMethod.OBJECTIVE_PERTURBATION, DpMethod.OBJECTIVE_PERTURBATION)),
@@ -107,6 +106,18 @@ class TestConfig:
     )
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(data=None), "data must be SynthSpec | CsvSpec, got None"),
+        (dict(data={"synth": {}}), "data must be SynthSpec | CsvSpec, got {'synth': {}}"),
+        (dict(data=TrainConfig()), "data must be SynthSpec | CsvSpec, got TrainConfig("),
+        (dict(train=None), "train must be TrainConfig, got None"),
+        (dict(train={"lam": 0.1}), "train must be TrainConfig, got {'lam': 0.1}"),
+    ])
+    def test_nested_field_of_wrong_type_rejected(self, kwargs, message):
+        # load_config always builds both; a library caller may not
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             ExperimentConfig(**kwargs)
 
     def test_fingerprint_stable_and_sensitive(self):
@@ -152,10 +163,10 @@ class TestConfig:
 
     def test_load_config_accepts_every_key_it_reads(self, tmp_path):
         path = write_config(tmp_path, delta=1e-6, num_teachers=4, inner_train_fraction=0.5,
-                            master_seed=3, output_dir="o", threads=2,
+                            master_seed=3, output_dir="o",
                             train={"lam": 0.01, "epochs": 10, "learning_rate": 0.25})
         cfg = load_config(path)
-        assert (cfg.master_seed, cfg.output_dir, cfg.threads) == (3, "o", 2)
+        assert (cfg.master_seed, cfg.output_dir) == (3, "o")
 
     @pytest.mark.parametrize("overrides, where", [
         (dict(epsilon=[1.0], master_sead=1), "config: epsilon, master_sead"),
@@ -163,6 +174,7 @@ class TestConfig:
         (dict(data={"synth": {"n": 400, "seperation": 2.0}}), "data.synth: seperation"),
         (dict(train={"epoch": 5}), "train: epoch"),
         (dict(train={"seed": 0}), "train: seed"),
+        (dict(threads=1), "config: threads"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, overrides, where):
         path = write_config(tmp_path, **overrides)
@@ -365,13 +377,6 @@ class TestRunSweep:
         assert by_method[DpMethod.OBJECTIVE_PERTURBATION].report is None
         assert by_method[DpMethod.INPUT_PERTURBATION].status == "ok"
         assert by_method[DpMethod.PREDICTION_PERTURBATION].status == "ok"
-
-    def test_thread_count_does_not_change_results(self, small_results, tmp_path):
-        cfg, results = small_results
-        threaded = run_sweep(ExperimentConfig(**{**SMALL, "threads": 4}))
-        a = emit_report(results, tmp_path / "a")
-        b = emit_report(threaded, tmp_path / "b")
-        assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
 
     def test_each_distinct_model_is_fitted_once(self, monkeypatch):
         fitted = []
@@ -974,13 +979,18 @@ class TestCli:
         assert cli.main(["check-dp", "--epsilon", "0.5", "--trials", "20000"]) == 0
         assert "passed=True" in capsys.readouterr().out
 
-    def test_audit_subcommand(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        assert cli.main(["audit", "--config", str(path)]) == 0
-        out = capsys.readouterr().out
-        first = run_sweep(load_config(path)).rows[0].report
-        assert f"utility_loss: {first.utility_loss:.4f}\n" in out
-        assert f"privacy_leakage: {first.privacy_leakage:.4f}\n" in out
+    @pytest.mark.parametrize("argv, code", [
+        (["run"], 1),
+        (["bogus"], 1),
+        (["run", "--config", "c.json", "--seed", "abc"], 1),
+        (["audit", "--config", "c.json"], 1),
+        (["run", "--help"], 0),
+    ], ids=["run-without-config", "unknown-subcommand", "seed-not-an-int", "audit", "help"])
+    def test_usage_error_exit_one(self, capsys, argv, code):
+        # argparse's own exit code 2 would read as a failed sweep cell
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert (err if code else out).startswith("usage: dp-la")
 
     def test_csv_data_source(self, tmp_path):
         synth_dir = tmp_path / "s"
