@@ -41,7 +41,6 @@ import io
 import json
 import os
 import platform
-import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -63,7 +62,8 @@ from .data import (
     synth_generate,
 )
 from .mechanisms import RngState
-from .model import TrainConfig, _check_field_types, accuracy, predict, predict_proba, train
+from .model import (_JSON_TYPES, TrainConfig, _check_field_types, accuracy, predict, predict_proba,
+                    train)
 from .pipelines import (DpMethod, ObjectiveNoise, TeacherVotes, Victim, run_pipeline,
                         shared_part, victim_view)
 
@@ -95,6 +95,11 @@ _REPORT_METRICS = ("acc_nonprivate", "acc_private", "utility_loss", "tpr", "fpr"
 _SUMMARY_METRICS = ("utility_loss", "privacy_leakage", "true_revealed_records", "trr_rate")
 RESULT_COLUMNS = ("method", "epsilon", "seed", *_REPORT_METRICS, "wall_time_seconds", "status")
 
+# What each ExperimentConfig annotation's values must be instances of: the
+# JSON scalars, and the classes load_config builds from the JSON.
+_CONFIG_TYPES = {**_JSON_TYPES, "SynthSpec | CsvSpec": (SynthSpec, CsvSpec),
+                 "DpMethod": DpMethod, "TrainConfig": TrainConfig}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,11 +115,7 @@ class ExperimentConfig:
     output_dir: str = "dp_la_out"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.data, (SynthSpec, CsvSpec)):
-            raise ValueError(f"data must be SynthSpec | CsvSpec, got {reprlib.repr(self.data)}")
-        if not isinstance(self.train, TrainConfig):
-            raise ValueError(f"train must be TrainConfig, got {reprlib.repr(self.train)}")
-        _check_field_types(self, sizes=("num_teachers",))
+        _check_field_types(self, sizes=("num_teachers",), types=_CONFIG_TYPES)
         if not self.methods:
             raise ValueError("methods must be non-empty")
         if len(set(self.methods)) != len(self.methods):

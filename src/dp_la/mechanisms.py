@@ -2,12 +2,14 @@
 
 Implements the pieces every private pipeline in this package is built from:
 privacy budgets, query sensitivity, calibrated Laplace/Gaussian noise, and an
-empirical distinguishability check that validates the epsilon bound
+empirical distinguishability check of the epsilon bound
 
     Pr[M(D) in T] <= exp(epsilon) * Pr[M(D') in T]
 
-on a concrete noised query by histogramming its outputs over neighbouring
-datasets.
+on one built-in release, a count of the records above 0.5 plus
+Lap(1/epsilon), by histogramming its outputs on two datasets that differ in
+one record. The check tests the Laplace calibration (``laplace_scale`` and
+``sample_laplace``); it runs no pipeline's release.
 
 Calibrations used here:
     Laplace scale   b = S / epsilon                      (pure epsilon-DP)
@@ -19,11 +21,9 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "sample_laplace",
     "gaussian_sigma",
     "DpCheckReport",
-    "DP_CHECK_TOLERANCE",
     "empirical_dp_check",
 ]
 
@@ -157,88 +156,62 @@ def gaussian_sigma(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
 
 @dataclass(frozen=True)
 class DpCheckReport:
-    """Outcome of one empirical distinguishability check."""
+    """Outcome of one empirical distinguishability check: the worst bin
+    ratio, the bound it is held to, whether it held, and the bins compared."""
 
     max_ratio: float
+    bound: float
     passed: bool
     eligible_bins: int
 
 
-# empirical_dp_check's fixed settings: the noised query's L1 sensitivity, the
-# slack on exp(epsilon) that absorbs the ratio's sampling error, and the hits
-# both histograms need in a bin before its ratio is compared.
+# empirical_dp_check's one release and its fixed settings: the count of the
+# records above 0.5 on two datasets that differ in one record (ten records,
+# five above 0.5, and the same ten with one of those five flipped below), the
+# count's L1 sensitivity, the histogram's bins, the slack on exp(epsilon) that
+# absorbs the ratio's sampling error, and the hits both histograms need in a
+# bin before its ratio is compared.
+_DP_CHECK_COUNTS = (5.0, 4.0)
 _DP_CHECK_SENSITIVITY = Sensitivity(1.0, SensitivityNorm.L1)
-DP_CHECK_TOLERANCE = 1.2
+_DP_CHECK_BINS = 40
+_DP_CHECK_TOLERANCE = 1.2
 _DP_CHECK_MIN_BIN_HITS = 1000
 
 
-def _neighbour_kind(data: Sequence[float], neighbour: Sequence[float]) -> str:
-    """Classify the pair as 'identical', 'substitution' or 'add_remove'; raise otherwise."""
-    a, b = Counter(data), Counter(neighbour)
-    if len(data) == len(neighbour):
-        n_changed = sum((a - b).values())
-        if n_changed == 0:
-            return "identical"
-        if n_changed == 1:
-            return "substitution"
-        raise ValueError("datasets of equal size must differ in at most one record")
-    if abs(len(data) - len(neighbour)) == 1:
-        small, large = (a, b) if len(data) < len(neighbour) else (b, a)
-        if not (small - large):
-            return "add_remove"
-        raise ValueError("size-1 difference must be a pure record addition/removal")
-    raise ValueError("datasets are not neighbours (size difference exceeds one record)")
+def empirical_dp_check(budget: PrivacyBudget, trials: int = 100_000, *,
+                       rng: RngState) -> DpCheckReport:
+    """Empirically test the epsilon bound of the Laplace calibration.
 
+    Releases a count of the records above 0.5 (L1 sensitivity 1) plus
+    Lap(1/epsilon), noised by ``laplace_scale`` and ``sample_laplace``,
+    ``trials`` times on each of two datasets that differ in one record (their
+    counts are 5 and 4; ``rng`` draws the first sample, then the second). It
+    histograms both output samples over 40 shared bins and takes the worst
+    two-sided frequency ratio across bins where both histograms record at
+    least ``_DP_CHECK_MIN_BIN_HITS`` outcomes (low-count bins are excluded
+    because finite-sample ratio estimates blow up there). The check passes
+    when
 
-def empirical_dp_check(
-    query: Callable[[Sequence[float]], float],
-    data: Sequence[float],
-    neighbour: Sequence[float],
-    budget: PrivacyBudget,
-    bins: int = 40,
-    trials: int = 100_000,
-    *,
-    rng: RngState,
-) -> DpCheckReport:
-    """Empirically test the epsilon bound of a Laplace-noised query of L1
-    sensitivity 1.
+        max_ratio <= bound = exp(epsilon) * 1.2.
 
-    Runs the query + Lap(1/epsilon) release ``trials`` times on each of two
-    neighbouring datasets, histograms both output samples over shared bin
-    edges, and takes the worst two-sided frequency ratio across bins where
-    both histograms record at least ``_DP_CHECK_MIN_BIN_HITS`` outcomes
-    (low-count bins are excluded because finite-sample ratio estimates blow
-    up there). The check passes when
-
-        max_ratio <= exp(epsilon) * DP_CHECK_TOLERANCE.
-
-    Raises if the datasets are not neighbours, ``trials`` < 10_000, or no bin
-    reaches the hit threshold.
+    It tests the calibration alone: no pipeline's release is run.
+    Raises if ``trials`` < 10_000 or no bin reaches the hit threshold.
     """
-    _neighbour_kind(data, neighbour)
     if trials < 10_000:
         raise ValueError(f"need at least 10_000 trials for a stable estimate, got {trials}")
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
 
     scale = laplace_scale(_DP_CHECK_SENSITIVITY, budget)
-    out_a = float(query(data)) + sample_laplace(scale, rng, size=trials)
-    out_b = float(query(neighbour)) + sample_laplace(scale, rng, size=trials)
-
-    lo = min(out_a.min(), out_b.min())
-    hi = max(out_a.max(), out_b.max())
-    edges = np.linspace(lo, hi, bins + 1)
-    hist_a, _ = np.histogram(out_a, bins=edges)
-    hist_b, _ = np.histogram(out_b, bins=edges)
+    out_a, out_b = (count + sample_laplace(scale, rng, size=trials) for count in _DP_CHECK_COUNTS)
+    edges = np.linspace(min(out_a.min(), out_b.min()), max(out_a.max(), out_b.max()),
+                        _DP_CHECK_BINS + 1)
+    hist_a, hist_b = (np.histogram(out, bins=edges)[0] for out in (out_a, out_b))
 
     eligible = (hist_a >= _DP_CHECK_MIN_BIN_HITS) & (hist_b >= _DP_CHECK_MIN_BIN_HITS)
-    n_eligible = int(eligible.sum())
-    if n_eligible == 0:
-        raise ValueError("no histogram bin reached the minimum hit count; increase trials or reduce bins")
+    if not eligible.any():
+        raise ValueError("no histogram bin reached the minimum hit count; increase trials")
 
-    pa = hist_a[eligible].astype(float)
-    pb = hist_b[eligible].astype(float)
-    ratios = np.maximum(pa / pb, pb / pa)
-    max_ratio = float(ratios.max())
-    passed = max_ratio <= math.exp(budget.epsilon) * DP_CHECK_TOLERANCE
-    return DpCheckReport(max_ratio=max_ratio, passed=passed, eligible_bins=n_eligible)
+    pa, pb = hist_a[eligible], hist_b[eligible]
+    max_ratio = float(np.maximum(pa / pb, pb / pa).max())
+    bound = math.exp(budget.epsilon) * _DP_CHECK_TOLERANCE
+    return DpCheckReport(max_ratio=max_ratio, bound=bound, passed=max_ratio <= bound,
+                         eligible_bins=int(eligible.sum()))

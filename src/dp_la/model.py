@@ -56,10 +56,12 @@ _BLOCK = 4096
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
-def _check_field_types(config, sizes: tuple[str, ...] = ()) -> None:
+def _check_field_types(config, sizes: tuple[str, ...] = (), types: dict = _JSON_TYPES) -> None:
     """Raise ValueError naming the first field of the config dataclass
     ``config`` whose value, or for a ``tuple[T, ...]`` field each element,
-    is not of a type in ``_JSON_TYPES``, or is a float field's value that is
+    is not of the type(s) that ``types`` gives its annotation (a field whose
+    annotation ``types`` lacks is not checked), or is a ``tuple[T, ...]``
+    field's value that is not a tuple, or is a float field's value that is
     not a finite float (JSON parses ``NaN`` and ``Infinity``, and an integer
     may be too large for a float), or is a field in ``sizes`` (an int that
     sizes an array or a loop) above ``sys.maxsize``, numpy's largest
@@ -70,12 +72,13 @@ def _check_field_types(config, sizes: tuple[str, ...] = ()) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removeprefix("tuple[").removesuffix(", ...]")
-        is_tuple = kind != f.type and isinstance(value, tuple)
+        is_tuple = kind != f.type
         values = value if is_tuple else (value,)
-        allowed = _JSON_TYPES.get(kind)
+        allowed = types.get(kind)
         if allowed is None:
             continue
-        if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
+        if (is_tuple and not isinstance(value, tuple)
+                or any(isinstance(v, bool) or not isinstance(v, allowed) for v in values)):
             raise ValueError(f"{f.name} must be {f.type}, got {reprlib.repr(value)}")
         if f.name in sizes and value > sys.maxsize:
             raise ValueError(f"{f.name} must be at most {sys.maxsize}, got {reprlib.repr(value)}")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dp_la import cli, experiment, model, pipelines
+from dp_la import cli, experiment, mechanisms, model, pipelines
 from dp_la.audit import AuditReport
 from dp_la.data import CsvSpec, SynthSpec, synth_generate, write_raw_csv
 from dp_la.experiment import (
@@ -114,9 +114,15 @@ class TestConfig:
         (dict(data=TrainConfig()), "data must be SynthSpec | CsvSpec, got TrainConfig("),
         (dict(train=None), "train must be TrainConfig, got None"),
         (dict(train={"lam": 0.1}), "train must be TrainConfig, got {'lam': 0.1}"),
+        (dict(methods=("input_perturbation",)),
+         "methods must be tuple[DpMethod, ...], got ('input_perturbation',)"),
+        (dict(methods="input_perturbation"),
+         "methods must be tuple[DpMethod, ...], got 'input_perturbation'"),
+        (dict(epsilons=5.0), "epsilons must be tuple[float, ...], got 5.0"),
+        (dict(seeds=3), "seeds must be tuple[int, ...], got 3"),
     ])
     def test_nested_field_of_wrong_type_rejected(self, kwargs, message):
-        # load_config always builds both; a library caller may not
+        # load_config always builds these; a library caller may not
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             ExperimentConfig(**kwargs)
 
@@ -977,15 +983,26 @@ class TestCli:
 
     def test_check_dp_subcommand(self, capsys):
         assert cli.main(["check-dp", "--epsilon", "0.5", "--trials", "20000"]) == 0
-        assert "passed=True" in capsys.readouterr().out
+        assert capsys.readouterr().out == ("epsilon=0.5 trials=20000 eligible_bins=6\n"
+                                           "max_ratio=1.716855 bound=1.978466 passed=True\n")
+
+    def test_check_dp_failure_exits_two(self, capsys, monkeypatch):
+        # half the calibrated scale is the noise of twice the budget
+        scale = mechanisms.laplace_scale
+        monkeypatch.setattr(mechanisms, "laplace_scale", lambda *a: scale(*a) / 2)
+        assert cli.main(["check-dp", "--epsilon", "0.5", "--trials", "20000"]) == 2
+        assert capsys.readouterr().out.endswith(
+            "max_ratio=2.809924 bound=1.978466 passed=False\n")
 
     @pytest.mark.parametrize("argv, code", [
         (["run"], 1),
         (["bogus"], 1),
         (["run", "--config", "c.json", "--seed", "abc"], 1),
         (["audit", "--config", "c.json"], 1),
+        (["check-dp", "--epsilon", "1", "--trials", "20000", "--bins", "40"], 1),
         (["run", "--help"], 0),
-    ], ids=["run-without-config", "unknown-subcommand", "seed-not-an-int", "audit", "help"])
+    ], ids=["run-without-config", "unknown-subcommand", "seed-not-an-int", "audit", "bins",
+            "help"])
     def test_usage_error_exit_one(self, capsys, argv, code):
         # argparse's own exit code 2 would read as a failed sweep cell
         assert cli.main(argv) == code
