@@ -2,7 +2,7 @@
 
 Subcommands:
     run       execute a full (method, epsilon, seed) sweep from a config JSON
-    synth     emit a synthetic CSV + schema pair
+    synth     write the CSV + schema pair of a config's data.synth table
     check-dp  empirical epsilon-bound check of the Laplace calibration on its one
               built-in release (a count plus Lap(1/epsilon)); runs no pipeline
 
@@ -14,7 +14,6 @@ failed, or ``check-dp``'s bound failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,12 +23,10 @@ from .mechanisms import PrivacyBudget, RngState, empirical_dp_check
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {"master_seed": args.seed, "output_dir": args.out}
-    config = dataclasses.replace(load_config(args.config), **{
-        key: value for key, value in overrides.items() if value is not None})
-    refuse_existing_outputs(config.output_dir, force=args.force)
+    config = load_config(args.config)
+    refuse_existing_outputs(args.out, force=args.force)
     results = run_sweep(config)
-    written = emit_report(results, config.output_dir, force=args.force)
+    written = emit_report(results, args.out, force=args.force)
     for path in written:
         print(f"wrote {path}")
     failed = [r for r in results.rows if r.status != "ok"]
@@ -42,8 +39,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    raw, schema = synth_generate(SynthSpec(args.n, args.numeric, args.categorical,
-                                           args.separation, args.seed))
+    data = load_config(args.config).data
+    if not isinstance(data, SynthSpec):
+        raise ValueError(f"{args.config}: data must be a synth block for dp-la synth, "
+                         "not a CSV path")
+    raw, schema = synth_generate(data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.csv"
@@ -71,20 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a full sweep from a config JSON")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--out", default=None, help="override the output directory")
+    p_run.add_argument("--out", required=True, help="the output directory")
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p_run.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility; seeds always run serially")
     p_run.set_defaults(func=_cmd_run)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic CSV + schema pair")
-    p_synth.add_argument("--n", type=int, required=True)
-    # a dataclass field's default is its class attribute
-    p_synth.add_argument("--numeric", type=int, default=SynthSpec.d_numeric)
-    p_synth.add_argument("--categorical", type=int, default=SynthSpec.d_categorical)
-    p_synth.add_argument("--separation", type=float, default=SynthSpec.separation)
-    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p_synth = sub.add_parser("synth", help="write a config's synthetic table as CSV + schema")
+    p_synth.add_argument("--config", required=True)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=_cmd_synth)
 

@@ -103,6 +103,10 @@ _CONFIG_TYPES = {**_JSON_TYPES, "SynthSpec | CsvSpec": (SynthSpec, CsvSpec),
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep, as a config file states it. Every field determines the
+    results, and :meth:`fingerprint` hashes them all, so the config alone fixes
+    every number a run writes; the outputs go where ``dp-la run --out`` says."""
+
     data: SynthSpec | CsvSpec = field(default_factory=SynthSpec)
     methods: tuple[DpMethod, ...] = tuple(DpMethod)
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
@@ -112,7 +116,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     inner_train_fraction: float = 0.5
     master_seed: int = 0
-    output_dir: str = "dp_la_out"
 
     def __post_init__(self) -> None:
         _check_field_types(self, sizes=("num_teachers",), types=_CONFIG_TYPES)
@@ -139,10 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"num_teachers must be at least 2, got {self.num_teachers}")
 
     def canonical_json(self) -> str:
-        """Every field that determines the results, i.e. all but where they
-        are written."""
+        """Every field, as compact JSON with sorted keys."""
         doc = asdict(self)
-        del doc["output_dir"]
         doc["methods"] = [m.value for m in self.methods]
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

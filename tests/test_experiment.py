@@ -64,6 +64,15 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def synth_files(tmp_path, **synth):
+    """``dp-la synth`` of a config whose table is ``SynthSpec(**synth)``; the
+    directory it wrote data.csv and schema.json into."""
+    out = tmp_path / "s"
+    path = write_config(tmp_path, data={"synth": synth})
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
 class TestConfig:
     def test_defaults_match_the_reference_grid(self):
         cfg = ExperimentConfig()
@@ -169,10 +178,9 @@ class TestConfig:
 
     def test_load_config_accepts_every_key_it_reads(self, tmp_path):
         path = write_config(tmp_path, delta=1e-6, num_teachers=4, inner_train_fraction=0.5,
-                            master_seed=3, output_dir="o",
+                            master_seed=3,
                             train={"lam": 0.01, "epochs": 10, "learning_rate": 0.25})
-        cfg = load_config(path)
-        assert (cfg.master_seed, cfg.output_dir) == (3, "o")
+        assert load_config(path).master_seed == 3
 
     @pytest.mark.parametrize("overrides, where", [
         (dict(epsilon=[1.0], master_sead=1), "config: epsilon, master_sead"),
@@ -181,13 +189,15 @@ class TestConfig:
         (dict(train={"epoch": 5}), "train: epoch"),
         (dict(train={"seed": 0}), "train: seed"),
         (dict(threads=1), "config: threads"),
+        (dict(output_dir="out"), "config: output_dir"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, overrides, where):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}$"):
             load_config(path)
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {path}: unknown key(s) in {where}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(num_teachers=2.5), "num_teachers must be int, got 2.5"),
@@ -199,7 +209,7 @@ class TestConfig:
         (dict(epsilons=[1.0, "10"]), "epsilons must be tuple[float, ...], got (1.0, '10')"),
         (dict(seeds=[1, 2.0]), "seeds must be tuple[int, ...], got (1, 2.0)"),
         (dict(epsilons="1.0"), "epsilons must be a JSON list, got '1.0'"),
-        (dict(output_dir=1), "output_dir must be str, got 1"),
+        (dict(inner_train_fraction="half"), "inner_train_fraction must be float, got 'half'"),
         (dict(train={"lam": float("nan")}), "lam must be finite, got nan"),
         (dict(epsilons=[1.0, float("inf")]), "epsilons must be finite, got (1.0, inf)"),
         (dict(data={"synth": {"separation": float("inf")}}), "separation must be finite, got inf"),
@@ -211,24 +221,26 @@ class TestConfig:
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_config(path)
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
     @pytest.mark.parametrize("overrides, flags, message", [
-        (dict(master_seed=-1), [], "{path}: master_seed must be non-negative, got -1"),
-        ({}, ["--seed", "-1"], "master_seed must be non-negative, got -1"),
-        (dict(data={"synth": {"seed": -1}}), [], "{path}: seed must be non-negative, got -1"),
+        (dict(master_seed=-1), ["run"], "master_seed must be non-negative, got -1"),
+        (dict(data={"synth": {"seed": -1}}), ["synth"], "seed must be non-negative, got -1"),
+        (dict(data={"synth": {"seed": -1}}), ["run"], "seed must be non-negative, got -1"),
     ])
     def test_negative_seed_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
                                                          overrides, flags, message):
+        # flags is the subcommand; synth checks its config with run's loader
         path = write_config(tmp_path, **overrides)
 
         def no_sweep(config):
             raise AssertionError("run_sweep called for an invalid config")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        assert cli.main(["run", "--config", str(path), *flags]) == 1
-        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert cli.main([*flags, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("synth, message", [
         ({"n": 4}, "n must be at least 8, got 4"),
@@ -237,13 +249,13 @@ class TestConfig:
     ])
     def test_synth_range_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
                                                        synth, message):
-        path = write_config(tmp_path, data={"synth": synth}, output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, data={"synth": synth})
 
         def no_sweep(config):
             raise AssertionError("run_sweep called for an invalid config")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
@@ -255,7 +267,7 @@ class TestConfig:
             raise AssertionError("run_sweep called for an invalid config")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {path}: methods must be distinct\n"
 
     def test_float_fields_store_json_integers_as_floats(self, tmp_path):
@@ -275,8 +287,8 @@ class TestConfig:
         (dict(epsilons=[1.0, 10 ** 400]), "epsilons"),
     ])
     def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys, overrides, key):
-        path = write_config(tmp_path, output_dir=str(tmp_path / "out"), **overrides)
-        assert cli.main(["run", "--config", str(path)]) == 1
+        path = write_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: {key} must be finite, got "), err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
@@ -293,8 +305,8 @@ class TestConfig:
     ])
     def test_huge_integer_rejected_with_its_value_abbreviated(self, tmp_path, capsys,
                                                               overrides, message):
-        path = write_config(tmp_path, output_dir=str(tmp_path / "out"), **overrides)
-        assert cli.main(["run", "--config", str(path)]) == 1
+        path = write_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: {message}, got 1000"), err
         assert len(err) < len(str(path)) + 120, err  # not the 401 digits
@@ -303,8 +315,8 @@ class TestConfig:
     @pytest.mark.parametrize("synth", [{"d_categorical": 10 ** 9}, {"d_numeric": 10 ** 9},
                                        {"n": 10 ** 12}])
     def test_synth_table_larger_than_memory_rejected(self, tmp_path, capsys, synth):
-        path = write_config(tmp_path, data={"synth": synth}, output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(path)]) == 1
+        path = write_config(tmp_path, data={"synth": synth})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"config error: {path}: data.synth n, d_numeric and d_categorical "
@@ -627,9 +639,8 @@ class TestRunSweep:
         # a JSON 1 loads as 1.0, so both key the same audit stream
         methods = [m.value for m in DpMethod]
         for name, epsilons in (("ints", [1, 100]), ("floats", [1.0, 100.0])):
-            path = write_config(tmp_path, epsilons=epsilons, methods=methods,
-                                output_dir=str(tmp_path / name))
-            assert cli.main(["run", "--config", str(path)]) == 0
+            path = write_config(tmp_path, epsilons=epsilons, methods=methods)
+            assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         assert ((tmp_path / "ints" / "results.csv").read_bytes()
                 == (tmp_path / "floats" / "results.csv").read_bytes())
 
@@ -775,17 +786,17 @@ class TestEmitReport:
 
 class TestCli:
     def test_run_success_exit_zero(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
 
     def test_run_never_loads_numpy_ma(self, tmp_path):
         # numpy.ma's import is a one-time cost of np.unique and np.median,
         # which the sweep path does not call
-        cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"),
-                                methods=[m.value for m in DpMethod])
+        cfg_path = write_config(tmp_path, methods=[m.value for m in DpMethod])
+        out = str(tmp_path / "out")
         script = ("import sys\nfrom dp_la import cli\n"
-                  f"code = cli.main(['run', '--config', {str(cfg_path)!r}])\n"
+                  f"code = cli.main(['run', '--config', {str(cfg_path)!r}, '--out', {out!r}])\n"
                   "assert code == 0, code\n"
                   "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -796,26 +807,27 @@ class TestCli:
         assert done.returncode == 0, done.stderr[-2000:]
 
     def test_missing_config_exit_one(self, tmp_path):
-        assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", out]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_one(self, tmp_path):
         path = write_config(tmp_path, epsilons=[2.0, 1.0])
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
     def test_failed_cell_exit_two(self, tmp_path):
-        path = write_config(tmp_path, train={"lam": 0.0},
-                            output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(path)]) == 2
+        path = write_config(tmp_path, train={"lam": 0.0})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_refused_overwrite_exit_one(self, tmp_path):
-        path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(path)]) == 0
-        assert cli.main(["run", "--config", str(path)]) == 1
-        assert cli.main(["run", "--config", str(path), "--force"]) == 0
+        argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 1
+        assert cli.main([*argv, "--force"]) == 0
 
     def test_refused_overwrite_runs_no_sweep(self, tmp_path, monkeypatch, capsys):
-        path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(path)]) == 0
+        argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
         before = (tmp_path / "out" / "results.csv").read_bytes()
 
         def no_sweep(config):
@@ -823,7 +835,7 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
         capsys.readouterr()
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(argv) == 1
         assert "refusing to overwrite fig_privacy_leakage.csv, fig_trr.csv" in capsys.readouterr().err
         assert (tmp_path / "out" / "results.csv").read_bytes() == before
 
@@ -840,65 +852,85 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--out", str(taken / below)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {taken} is not a directory")
 
-    def test_master_seed_override_changes_results(self, tmp_path):
-        path = write_config(tmp_path)
-        out1, out2, out3 = (str(tmp_path / d) for d in ("o1", "o2", "o3"))
-        assert cli.main(["run", "--config", str(path), "--out", out1]) == 0
-        assert cli.main(["run", "--config", str(path), "--out", out2, "--seed", "123"]) == 0
-        assert cli.main(["run", "--config", str(path), "--out", out3, "--seed", "123"]) == 0
-        a = (tmp_path / "o1" / "results.csv").read_bytes()
-        b = (tmp_path / "o2" / "results.csv").read_bytes()
-        c = (tmp_path / "o3" / "results.csv").read_bytes()
+    def test_master_seed_changes_results(self, tmp_path):
+        # the config is the only place a run's seed is set
+        for name, master_seed in (("o1", 0), ("o2", 123), ("o3", 123)):
+            path = write_config(tmp_path, master_seed=master_seed)
+            assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        a, b, c = ((tmp_path / d / "results.csv").read_bytes() for d in ("o1", "o2", "o3"))
         assert a != b and b == c
 
-    def test_synth_flag_defaults_are_synth_specs(self, tmp_path):
-        assert cli.main(["synth", "--n", "100", "--out", str(tmp_path / "cli")]) == 0
-        write_raw_csv(*synth_generate(SynthSpec(n=100)), tmp_path / "spec.csv")
-        assert (tmp_path / "cli" / "data.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
+    def test_synth_writes_the_configs_table(self, tmp_path):
+        path = write_config(tmp_path, data={"synth": {"n": 100, "d_numeric": 3, "seed": 3}})
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        raw, schema = synth_generate(load_config(path).data)
+        write_raw_csv(raw, schema, tmp_path / "data.csv")
+        schema.to_json(tmp_path / "schema.json")
+        for name in ("data.csv", "schema.json"):
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_synth_of_a_csv_config_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, data={"path": "x.csv", "schema": "s.json"})
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: {path}: data must be a synth block for dp-la synth, "
+                       "not a CSV path\n")
+        assert not (tmp_path / "s").exists()
 
     def test_synth_table_larger_than_memory_refused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dp_la.data._physical_memory", lambda: 8 * 100 * (5 + 3 * 2) - 1)
-        assert cli.main(["synth", "--n", "100", "--out", str(tmp_path / "s")]) == 1
+        path = write_config(tmp_path, data={"synth": {"n": 100}})
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("config error: data.synth n, d_numeric and d_categorical make a "
-                              f"model matrix of {8 * 100 * 11} bytes"), err
+        assert err.startswith(f"config error: {path}: data.synth n, d_numeric and d_categorical "
+                              f"make a model matrix of {8 * 100 * 11} bytes"), err
         assert not (tmp_path / "s").exists()
+
+    def test_synth_csv_gives_the_synth_configs_results(self, tmp_path):
+        # one config run as it is, and run on the CSV + schema synth wrote from it
+        methods = [m.value for m in DpMethod]
+        path = write_config(tmp_path, methods=methods)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "from_synth")]) == 0
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        path = write_config(tmp_path, methods=methods,
+                            data={"path": str(tmp_path / "s" / "data.csv"),
+                                  "schema": str(tmp_path / "s" / "schema.json")})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "from_csv")]) == 0
+        for name in ("results.csv", "fig_utility_loss.csv", "fig_privacy_leakage.csv",
+                     "fig_trr.csv"):
+            assert ((tmp_path / "from_synth" / name).read_bytes()
+                    == (tmp_path / "from_csv" / name).read_bytes()), name
 
     @pytest.mark.parametrize("missing", ["data", "schema"])
     def test_missing_input_file_exit_one(self, tmp_path, capsys, missing):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "100", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=100)
         files = {"data": synth_dir / "data.csv", "schema": synth_dir / "schema.json"}
         files[missing].unlink()
         path = write_config(tmp_path, data={"path": str(files["data"]),
-                                            "schema": str(files["schema"])},
-                            output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(path)]) == 1
+                                            "schema": str(files["schema"])})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_overlong_csv_field_exit_one(self, tmp_path, capsys):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "100", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=100)
         data = synth_dir / "data.csv"
         header, first, *rest = data.read_text().splitlines()
         cells = first.split(",")
         cells[0] = "9" * 200_000
         data.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         path = write_config(tmp_path, data={"path": str(data),
-                                            "schema": str(synth_dir / "schema.json")},
-                            output_dir=str(tmp_path / "out"))
-        assert cli.main(["run", "--config", str(path)]) == 1
+                                            "schema": str(synth_dir / "schema.json")})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (f"config error: {data}: line 2: field larger than "
                                            "field limit (131072)\n")
 
     @pytest.mark.parametrize("broken", ["schema", "config", "config_bytes", "data"])
     def test_unreadable_input_error_names_its_file(self, tmp_path, capsys, broken):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "400", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=400)
         data, schema = synth_dir / "data.csv", synth_dir / "schema.json"
-        path = write_config(tmp_path, data={"path": str(data), "schema": str(schema)},
-                            output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, data={"path": str(data), "schema": str(schema)})
         if broken == "schema":
             schema.write_text("{bad json")
         elif broken == "config":
@@ -911,7 +943,7 @@ class TestCli:
             data.write_bytes(b"\n".join(lines))
         named = {"schema": schema, "data": data}.get(broken, path)
         capsys.readouterr()
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {named}: "), err
         if broken == "data":
@@ -926,8 +958,7 @@ class TestCli:
                  "'drop', got 'numerc'"),
     ])
     def test_bad_value_error_names_its_file(self, tmp_path, capsys, broken, message):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "100", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=100)
         schema = synth_dir / "schema.json"
         path = write_config(tmp_path, data={"path": str(synth_dir / "data.csv"),
                                             "schema": str(schema)})
@@ -943,27 +974,25 @@ class TestCli:
             schema.write_text(json.dumps(doc))
         named = schema if broken in ("columns", "kind") else path
         capsys.readouterr()
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {named}: {message}\n"
 
     @pytest.mark.parametrize("positive, matched", [(["POS"], "no"), (["neg", "pos"], "every")])
     def test_single_class_target_rejected_before_any_seed(self, tmp_path, capsys, monkeypatch,
                                                           positive, matched):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "400", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=400)
         schema = synth_dir / "schema.json"
         schema.write_text(json.dumps({**json.loads(schema.read_text()),
                                       "positive_labels": positive}))
         path = write_config(tmp_path, data={"path": str(synth_dir / "data.csv"),
-                                            "schema": str(schema)},
-                            output_dir=str(tmp_path / "out"))
+                                            "schema": str(schema)})
 
         def no_seed(config, dataset, seed):
             raise AssertionError("a seed ran for a single-class target")
 
         monkeypatch.setattr(experiment, "build_seed_context", no_seed)
         capsys.readouterr()
-        assert cli.main(["run", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"config error: target column 'outcome' has one class: its positive_labels "
             f"{positive} match {matched} row\n")
@@ -972,13 +1001,12 @@ class TestCli:
     def test_synth_onto_a_file_exit_one(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("")
-        assert cli.main(["synth", "--n", "100", "--out", str(target)]) == 1
+        path = write_config(tmp_path)
+        assert cli.main(["synth", "--config", str(path), "--out", str(target)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_synth_subcommand(self, tmp_path):
-        out = tmp_path / "synth"
-        assert cli.main(["synth", "--n", "100", "--numeric", "3", "--categorical", "1",
-                         "--separation", "1.5", "--seed", "3", "--out", str(out)]) == 0
+        out = synth_files(tmp_path, n=100, d_numeric=3, d_categorical=1, separation=1.5, seed=3)
         assert (out / "data.csv").exists() and (out / "schema.json").exists()
 
     def test_check_dp_subcommand(self, capsys):
@@ -997,34 +1025,36 @@ class TestCli:
     @pytest.mark.parametrize("argv, code", [
         (["run"], 1),
         (["bogus"], 1),
-        (["run", "--config", "c.json", "--seed", "abc"], 1),
+        (["check-dp", "--epsilon", "1", "--seed", "abc"], 1),
         (["audit", "--config", "c.json"], 1),
         (["check-dp", "--epsilon", "1", "--trials", "20000", "--bins", "40"], 1),
         (["run", "--help"], 0),
+        (["run", "--config", "c.json"], 1),
+        (["run", "--config", "c.json", "--out", "o", "--seed", "1"], 1),
+        (["synth", "--n", "400", "--out", "o"], 1),
     ], ids=["run-without-config", "unknown-subcommand", "seed-not-an-int", "audit", "bins",
-            "help"])
-    def test_usage_error_exit_one(self, capsys, argv, code):
+            "help", "run-without-out", "run-seed", "synth-table-flag"])
+    def test_usage_error_exit_one(self, tmp_path, monkeypatch, capsys, argv, code):
         # argparse's own exit code 2 would read as a failed sweep cell
+        monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == code
         out, err = capsys.readouterr()
         assert (err if code else out).startswith("usage: dp-la")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_data_source(self, tmp_path):
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "400", "--separation", "2.0", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=400, separation=2.0)
         cfg_path = write_config(
             tmp_path,
             data={"path": str(synth_dir / "data.csv"), "schema": str(synth_dir / "schema.json")},
-            output_dir=str(tmp_path / "out_csv"),
         )
-        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out_csv")]) == 0
         text = (tmp_path / "out_csv" / "results.csv").read_text()
         assert text.count("\n") == 1 + 1 * 2 * 2
 
     def test_quoted_crlf_twin_gives_the_same_results(self, tmp_path):
         # the plain file is split by the byte path, its twin by csv.reader
-        synth_dir = tmp_path / "s"
-        assert cli.main(["synth", "--n", "400", "--separation", "2.0", "--out", str(synth_dir)]) == 0
+        synth_dir = synth_files(tmp_path, n=400, separation=2.0)
         plain, twin = synth_dir / "data.csv", synth_dir / "twin.csv"
         with open(plain, newline="", encoding="utf-8") as src, \
                 open(twin, "w", newline="", encoding="utf-8") as dst:
@@ -1034,9 +1064,8 @@ class TestCli:
         for data_path in (plain, twin):
             out = tmp_path / f"out_{data_path.stem}"
             cfg_path = write_config(
-                tmp_path, data={"path": str(data_path), "schema": str(synth_dir / "schema.json")},
-                output_dir=str(out))
-            assert cli.main(["run", "--config", str(cfg_path)]) == 0
+                tmp_path, data={"path": str(data_path), "schema": str(synth_dir / "schema.json")})
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
             results.append((out / "results.csv").read_bytes())
         assert results[0] == results[1]
 
