@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
-from .data import SynthSpec, synth_generate, write_raw_csv
+from .data import SynthSpec, _atomic_write, synth_generate, write_raw_csv
 from .experiment import emit_report, load_config, refuse_existing_outputs, run_sweep
 from .mechanisms import PrivacyBudget, RngState, empirical_dp_check
 
@@ -43,15 +44,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if not isinstance(data, SynthSpec):
         raise ValueError(f"{args.config}: data must be a synth block for dp-la synth, "
                          "not a CSV path")
-    raw, schema = synth_generate(data)
     out = Path(args.out)
+    paths = (out / "data.csv", out / "schema.json")
+    if existing := [path.name for path in paths if path.exists()]:
+        raise FileExistsError(f"refusing to overwrite {', '.join(existing)} in {out}")
+    raw, schema = synth_generate(data)
     out.mkdir(parents=True, exist_ok=True)
-    data_path = out / "data.csv"
-    schema_path = out / "schema.json"
-    write_raw_csv(raw, schema, data_path)
-    schema.to_json(schema_path)
-    print(f"wrote {data_path}")
-    print(f"wrote {schema_path}")
+    # both files are renamed into place only once both are written
+    with _atomic_write(paths[0]) as data_tmp, _atomic_write(paths[1]) as schema_tmp:
+        write_raw_csv(raw, schema, data_tmp)
+        schema.to_json(schema_tmp)
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
@@ -64,10 +68,11 @@ def _cmd_check_dp(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dp-la",
-                                     description="Differentially private learning pipelines "
-                                                 "with a membership-inference privacy audit.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # every parser takes no prefix of a flag: each flag has one spelling
+    new_parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new_parser(prog="dp-la", description="Differentially private learning pipelines "
+                                                  "with a membership-inference privacy audit.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     p_run = sub.add_parser("run", help="run a full sweep from a config JSON")
     p_run.add_argument("--config", required=True)

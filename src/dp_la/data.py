@@ -68,6 +68,19 @@ def _read_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def _atomic_write(path: Path):
+    """Yield a temporary path beside ``path`` to write; when the ``with``
+    block ends without raising it is renamed onto ``path``, so ``path`` is
+    never left half-written. The temporary file never outlives the block."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _enum_member(enum: type[Enum], value, key: str):
     """The member of ``enum`` whose value is ``value``; otherwise a ValueError
     naming ``key`` and every allowed value."""
@@ -655,8 +668,8 @@ def four_way_split(dataset: Dataset, rng: RngState,
 @dataclass(frozen=True)
 class SynthSpec:
     """The synthetic table of :func:`synth_generate`, checked when built: the
-    config's ``data.synth`` block and ``dp-la synth``'s flags both make one,
-    and its defaults are theirs."""
+    config's ``data.synth`` block makes one, for ``dp-la run`` and
+    ``dp-la synth`` alike, and its defaults are that block's."""
 
     n: int = 2000
     d_numeric: int = 5

@@ -39,7 +39,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -53,6 +52,7 @@ from .data import (
     Dataset,
     SynthSpec,
     TabularSchema,
+    _atomic_write,
     _enum_member,
     _read_json,
     _reject_unknown_keys,
@@ -506,20 +506,8 @@ def emit_report(results: SweepResults, output_dir: str | Path, force: bool = Fal
 
     tables = [_results_table(results), *(_fig_table(summary, m) for m in _FIGURES.values())]
     contents = [*map(_csv_text, tables), json.dumps(summary_doc, indent=2) + "\n"]
-    written = []
-    for name, content in zip(_REPORT_FILES, contents):
-        path = out / name
-        _write_atomic(path, content)
-        written.append(path)
+    written = [out / name for name in _REPORT_FILES]
+    for path, content in zip(written, contents):
+        with _atomic_write(path) as tmp:
+            tmp.write_text(content, encoding="utf-8")
     return written
-
-
-def _write_atomic(path: Path, content: str) -> None:
-    """Write ``content`` to a temporary file beside ``path``, then rename it
-    onto ``path``; the temporary file never outlives the call."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(content, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

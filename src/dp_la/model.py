@@ -17,7 +17,8 @@ more than its rounding error, and is bit-reproducible.
 ``TrainConfig.epochs`` caps the iterations, which matters only when no
 finite minimiser exists (lam = 0 on separable data). There is one loop: it
 solves a stack of K tables of one shape, and a single table is the stack of
-one, so each model is bit-identical to the fit of its table alone.
+one, so each model is bit-identical to the fit of its table alone. ``train``
+is the one way into it, for a table or a stack.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     signed labels y_pm (n,), or for each of a stack of K tables of one
     shape, X (K, n, d) and y_pm (K, n), which gives a tuple of K models. One
     table is solved as the stack of one; one lam and ``linear_term`` serve
-    every problem.
+    every problem. Its one caller is ``train``, which checks the tables and
+    maps their labels to +-1.
 
     The feature-major signed design matrices ZT (K, d+1, n), the Hessian's
     block buffer ((d+1) x min(n, ``_BLOCK``) per problem), the ridge and the
@@ -376,44 +378,49 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
 
 
 def _validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Raise on malformed inputs; return the labels' ``labels == 1`` mask."""
-    if features.ndim != 2:
-        raise ValueError(f"features must be a 2-D matrix, got shape {features.shape}")
-    if features.shape[0] != labels.shape[0]:
+    """Raise on malformed inputs, one table (n, d) with labels (n,) or a
+    stack of K >= 1 tables (K, n, d) with labels (K, n), each table checked
+    on its own; return the labels' ``labels == 1`` mask."""
+    if features.ndim not in (2, 3):
+        raise ValueError(f"features must be a stack or a 2-D matrix, got shape {features.shape}")
+    if features.shape[:-1] != labels.shape:
         raise ValueError("features and labels disagree on the number of rows")
-    if features.shape[0] < 2:
+    if features.shape[-2] < 2 or not len(features):  # each table, and at least one
         raise ValueError("need at least 2 training rows")
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     ones = labels == 1
     if not np.all(ones | (labels == 0)):
         raise ValueError(f"labels must be in {{0, 1}}, got {np.unique(labels)}")
-    if ones.all() or not ones.any():
+    if ones.all(axis=-1).any() or not ones.any(axis=-1).all():
         raise ValueError("training data contains a single class")
     return ones
 
 
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
-          linear_term: np.ndarray | None = None) -> LogisticModel:
-    """Fit the regularized logistic objective by damped Newton (see ``_fit``).
+          linear_term: np.ndarray | None = None) -> LogisticModel | tuple[LogisticModel, ...]:
+    """Fit the regularized logistic objective by damped Newton (see ``_fit``)
+    on one table, features (n, d) with 0/1 labels (n,), or on each of a
+    stack of K tables of one shape, features (K, n, d) with labels (K, n),
+    which gives a tuple of K models, each bit-identical to the model of its
+    table alone.
 
     Deterministic: zero initialization, at most ``config.epochs`` Newton
-    iterations, stopping once the gradient norm is below 1e-10. The returned
-    model carries the iterations taken, the final gradient norm and the stop
-    reason. A ``linear_term`` v, a finite vector of one entry per feature,
-    adds (1/n) v.w to the objective (objective perturbation); it needs
-    lam > 0, since without the ridge J can fall without bound. This and
-    ``pipelines.pate_train``, which fits its teachers as stacks through
-    ``_fit``, are the package's entry points to the trainer; a single fit
-    is that loop's stack of one.
+    iterations, stopping once the gradient norm is below 1e-10. Each
+    returned model carries the iterations taken, the final gradient norm and
+    the stop reason. A ``linear_term`` v, a finite vector of one entry per
+    feature, adds (1/n) v.w to the objective (objective perturbation); it
+    needs lam > 0, since without the ridge J can fall without bound. This is
+    the package's one entry to the trainer: every table is checked here and
+    its labels mapped to +-1 once, and ``_fit`` has no other caller.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     y_pm = np.where(_validate_training_inputs(features, labels), 1.0, -1.0)
     if linear_term is not None:
         linear_term = np.asarray(linear_term, dtype=float)
-        if linear_term.shape != features.shape[1:]:
-            raise ValueError(f"linear_term must have shape {features.shape[1:]}, "
+        if linear_term.shape != features.shape[-1:]:
+            raise ValueError(f"linear_term must have shape {features.shape[-1:]}, "
                              f"got {linear_term.shape}")
         if not np.all(np.isfinite(linear_term)):
             raise ValueError("linear_term contains non-finite values")

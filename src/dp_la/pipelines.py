@@ -46,8 +46,6 @@ from .mechanisms import (
 from .model import (
     LogisticModel,
     TrainConfig,
-    _fit,
-    _validate_training_inputs,
     predict,
     predict_proba,
     train,
@@ -297,18 +295,16 @@ def pate_train(
     """Train one logistic teacher on each of the :func:`_pate_shards` of the
     training rows; the teachers' noisy votes are the only release.
 
-    Each shard is checked as :func:`~dp_la.model.train` checks its input,
-    and each run of equal-size shards (``np.array_split`` makes at most
-    two) is fitted as one stack by ``model._fit``: each teacher is the
-    model ``train`` fits on its shard, bit for bit."""
+    Each run of equal-size shards (``np.array_split`` makes at most two) is
+    one stack of tables for :func:`~dp_la.model.train`, which checks each
+    shard and fits the stack in one loop: each teacher is the model
+    ``train`` fits on its shard alone, bit for bit."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     teachers: list[LogisticModel] = []
     for _, group in groupby(_pate_shards(labels, num_teachers, rng), key=len):
         rows = np.stack(list(group))
-        X, y = features[rows], labels[rows]
-        y_pm = np.where([_validate_training_inputs(*shard) for shard in zip(X, y)], 1.0, -1.0)
-        teachers.extend(_fit(X, y_pm, config.lam, config.epochs))
+        teachers.extend(train(features[rows], labels[rows], config))
     return tuple(teachers)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from dp_la import cli, experiment, mechanisms, model, pipelines
 from dp_la.audit import AuditReport
-from dp_la.data import CsvSpec, SynthSpec, synth_generate, write_raw_csv
+from dp_la.data import CsvSpec, SynthSpec, TabularSchema, synth_generate, write_raw_csv
 from dp_la.experiment import (
     CellResult,
     ExperimentConfig,
@@ -406,8 +406,7 @@ class TestRunSweep:
             fitted.append(len(result) if isinstance(result, tuple) else 1)
             return result
 
-        for module in (model, pipelines):
-            monkeypatch.setattr(module, "_fit", counting_fit)
+        monkeypatch.setattr(model, "_fit", counting_fit)
         cfg = ExperimentConfig(**SMALL)
         results = run_sweep(cfg)
         assert all(r.status == "ok" for r in results.rows)
@@ -1009,6 +1008,33 @@ class TestCli:
         out = synth_files(tmp_path, n=100, d_numeric=3, d_categorical=1, separation=1.5, seed=3)
         assert (out / "data.csv").exists() and (out / "schema.json").exists()
 
+    def test_second_synth_into_one_directory_exit_one(self, tmp_path, capsys):
+        out = synth_files(tmp_path, n=100)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        path = write_config(tmp_path, data={"synth": {"n": 200}})
+        capsys.readouterr()
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: refusing to overwrite data.csv, schema.json in {out}\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("failing", ["data", "schema"])
+    def test_synth_write_that_raises_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                                    failing):
+        # a half-written file and the other, whole one are both left out
+        def half_written(*args):
+            args[-1].write_text("x0,x1\n0.5,")
+            raise OSError("No space left on device")
+
+        if failing == "data":
+            monkeypatch.setattr(cli, "write_raw_csv", half_written)
+        else:
+            monkeypatch.setattr(TabularSchema, "to_json", half_written)
+        path = write_config(tmp_path, data={"synth": {"n": 100}})
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == "config error: No space left on device\n"
+        assert list((tmp_path / "s").iterdir()) == []
+
     def test_check_dp_subcommand(self, capsys):
         assert cli.main(["check-dp", "--epsilon", "0.5", "--trials", "20000"]) == 0
         assert capsys.readouterr().out == ("epsilon=0.5 trials=20000 eligible_bins=6\n"
@@ -1032,8 +1058,12 @@ class TestCli:
         (["run", "--config", "c.json"], 1),
         (["run", "--config", "c.json", "--out", "o", "--seed", "1"], 1),
         (["synth", "--n", "400", "--out", "o"], 1),
+        (["run", "--conf", "c.json", "--o", "out", "--thr", "1"], 1),
+        (["synth", "--con", "c.json", "--o", "s"], 1),
+        (["check-dp", "--eps", "1", "--tri", "20000"], 1),
     ], ids=["run-without-config", "unknown-subcommand", "seed-not-an-int", "audit", "bins",
-            "help", "run-without-out", "run-seed", "synth-table-flag"])
+            "help", "run-without-out", "run-seed", "synth-table-flag", "run-prefixes",
+            "synth-prefixes", "check-dp-prefixes"])
     def test_usage_error_exit_one(self, tmp_path, monkeypatch, capsys, argv, code):
         # argparse's own exit code 2 would read as a failed sweep cell
         monkeypatch.chdir(tmp_path)

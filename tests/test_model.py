@@ -208,6 +208,36 @@ class TestTrain:
         as_array = train(X, y, TrainConfig(), linear_term=np.array([0.5, -1.0]))
         assert model_bits(as_list) == model_bits(as_array)
 
+    def test_stack_gives_each_tables_model(self):
+        rng = np.random.default_rng(40)
+        X = rng.random((4, 50, 3))
+        y = (X[..., 0] + 0.3 * rng.normal(size=(4, 50)) > 0.5).astype(int)
+        for linear_term in (None, [0.5, -1.0, 2.0]):
+            stacked = train(X, y, TrainConfig(), linear_term=linear_term)
+            alone = [train(x, t, TrainConfig(), linear_term=linear_term) for x, t in zip(X, y)]
+            assert isinstance(stacked, tuple)
+            assert [model_bits(m) for m in stacked] == [model_bits(m) for m in alone]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda X, y: (X, y[:, 1:]), "disagree on the number of rows"),
+        (lambda X, y: (X, y[0]), "disagree on the number of rows"),
+        (lambda X, y: (X[:0], y[:0]), "at least 2 training rows"),
+        (lambda X, y: (X, np.concatenate([y[:2], np.ones((1, 20), dtype=int)])), "single class"),
+        (lambda X, y: (X + np.array([0.0, 0.0, np.inf])[:, None, None], y), "non-finite"),
+        (lambda X, y: (X[:, :1], y[:, :1]), "at least 2 training rows"),
+    ], ids=["rows", "one-label-row", "empty", "single-class", "non-finite", "one-row"])
+    def test_stack_checks_each_table(self, change, message):
+        X = np.random.default_rng(41).random((3, 20, 2))
+        y = np.tile(np.arange(20) % 2, (3, 1))
+        with pytest.raises(ValueError, match=message):
+            train(*change(X, y), TrainConfig())
+
+    def test_stack_linear_term_has_one_entry_per_feature(self):
+        X = np.random.default_rng(42).random((2, 20, 3))
+        y = np.tile(np.arange(20) % 2, (2, 1))
+        with pytest.raises(ValueError, match=r"linear_term must have shape \(3,\), got \(2, 3\)"):
+            train(X, y, TrainConfig(), linear_term=np.ones((2, 3)))
+
     def test_deterministic_bits(self):
         raw, schema = synth_generate(SynthSpec(200, 3, 1, 1.0, seed=2))
         ds = preprocess(raw, schema)
