@@ -18,7 +18,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .data import SynthSpec, _atomic_write, synth_generate, write_raw_csv
+from ._config import atomic_write
+from .data import SynthSpec, synth_generate, write_raw_csv
 from .experiment import emit_report, load_config, refuse_existing_outputs, run_sweep
 from .mechanisms import PrivacyBudget, RngState, empirical_dp_check
 
@@ -51,7 +52,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     raw, schema = synth_generate(data)
     out.mkdir(parents=True, exist_ok=True)
     # both files are renamed into place only once both are written
-    with _atomic_write(paths[0]) as data_tmp, _atomic_write(paths[1]) as schema_tmp:
+    with atomic_write(paths[0]) as data_tmp, atomic_write(paths[1]) as schema_tmp:
         write_raw_csv(raw, schema, data_tmp)
         schema.to_json(schema_tmp)
     for path in paths:

@@ -12,7 +12,6 @@ import gc
 import io
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -21,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._config import check_field_types, enum_member, read_json, require_exact_keys
 from .mechanisms import RngState
-from .model import _check_field_types
 
 __all__ = [
     "ColumnKind",
@@ -46,56 +45,6 @@ class ColumnKind(Enum):
     CATEGORICAL = "categorical"
     TARGET = "target"
     DROP = "drop"
-
-
-def _reject_unknown_keys(doc: dict, known: frozenset[str] | set[str], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-@contextmanager
-def _read_json(path: str | Path):
-    """Yield the JSON document in the UTF-8 file ``path``. Every ValueError
-    raised while reading it or inside the ``with`` block (a file that is not
-    UTF-8 or not JSON, or a bad value in the document) is re-raised with the
-    path as its prefix."""
-    try:
-        yield json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
-        raise ValueError(f"{path}: {exc}") from None
-
-
-@contextmanager
-def _atomic_write(path: Path):
-    """Yield a temporary path beside ``path`` to write; when the ``with``
-    block ends without raising it is renamed onto ``path``, so ``path`` is
-    never left half-written. The temporary file never outlives the block."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _enum_member(enum: type[Enum], value, key: str):
-    """The member of ``enum`` whose value is ``value``; otherwise a ValueError
-    naming ``key`` and every allowed value."""
-    try:
-        return enum(value)
-    except ValueError:
-        allowed = ", ".join(repr(member.value) for member in enum)
-        raise ValueError(f"{key} must be one of {allowed}, got {value!r}") from None
-
-
-def _require_exact_keys(doc: dict, keys: set[str], where: str) -> None:
-    _reject_unknown_keys(doc, keys, where)
-    missing = sorted(keys - set(doc))
-    if missing:
-        raise ValueError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +78,8 @@ class TabularSchema:
         "positive_labels": [...]}``. A key missing or unknown at either level
         is an error, ``positive_labels`` must be a list of strings, and each
         column ``name`` a string. Every ValueError starts with ``path``."""
-        with _read_json(path) as doc:
-            _require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
+        with read_json(path) as doc:
+            require_exact_keys(doc, {"columns", "positive_labels"}, "schema")
             labels = doc["positive_labels"]
             if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
                 raise ValueError("schema positive_labels must be a list of strings")
@@ -139,11 +88,11 @@ class TabularSchema:
             columns = []
             for i, column in enumerate(doc["columns"]):
                 where = f"schema column {i}"
-                _require_exact_keys(column, {"name", "kind"}, where)
+                require_exact_keys(column, {"name", "kind"}, where)
                 if not isinstance(column["name"], str):
                     raise ValueError(f"{where} name must be a string")
                 columns.append((column["name"],
-                                _enum_member(ColumnKind, column["kind"], f"{where} kind")))
+                                enum_member(ColumnKind, column["kind"], f"{where} kind")))
             return cls(columns=tuple(columns), positive_labels=frozenset(labels))
 
     def to_json(self, path: str | Path) -> None:
@@ -678,7 +627,7 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        _check_field_types(self, sizes=("n", "d_numeric", "d_categorical"))
+        check_field_types(self, sizes=("n", "d_numeric", "d_categorical"))
         if self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
         if self.d_numeric < 1:
@@ -714,7 +663,7 @@ class CsvSpec:
     schema: str
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
 
 
 _CATEGORY_POOL = ("a", "b", "c")

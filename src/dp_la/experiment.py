@@ -47,23 +47,19 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
+from ._config import atomic_write, check_field_types, enum_member, read_json, reject_unknown_keys
 from .data import (
     CsvSpec,
     Dataset,
     SynthSpec,
     TabularSchema,
-    _atomic_write,
-    _enum_member,
-    _read_json,
-    _reject_unknown_keys,
     four_way_split,
     load_csv,
     preprocess,
     synth_generate,
 )
 from .mechanisms import RngState
-from .model import (_JSON_TYPES, TrainConfig, _check_field_types, accuracy, predict, predict_proba,
-                    train)
+from .model import TrainConfig, accuracy, predict, predict_proba, train
 from .pipelines import (DpMethod, ObjectiveNoise, TeacherVotes, Victim, run_pipeline,
                         shared_part, victim_view)
 
@@ -95,17 +91,15 @@ _REPORT_METRICS = ("acc_nonprivate", "acc_private", "utility_loss", "tpr", "fpr"
 _SUMMARY_METRICS = ("utility_loss", "privacy_leakage", "true_revealed_records", "trr_rate")
 RESULT_COLUMNS = ("method", "epsilon", "seed", *_REPORT_METRICS, "wall_time_seconds", "status")
 
-# What each ExperimentConfig annotation's values must be instances of: the
-# JSON scalars, and the classes load_config builds from the JSON.
-_CONFIG_TYPES = {**_JSON_TYPES, "SynthSpec | CsvSpec": (SynthSpec, CsvSpec),
-                 "DpMethod": DpMethod, "TrainConfig": TrainConfig}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep, as a config file states it. Every field determines the
-    results, and :meth:`fingerprint` hashes them all, so the config alone fixes
-    every number a run writes; the outputs go where ``dp-la run --out`` says."""
+    results, and :meth:`fingerprint` hashes them all, so for a synth source
+    the config alone fixes every number a run writes; the outputs go where
+    ``dp-la run --out`` says. For a CSV source it does not: the fingerprint
+    hashes the ``path`` and ``schema`` strings, not the files they name, and
+    a relative path resolves against the working directory."""
 
     data: SynthSpec | CsvSpec = field(default_factory=SynthSpec)
     methods: tuple[DpMethod, ...] = tuple(DpMethod)
@@ -118,7 +112,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_field_types(self, sizes=("num_teachers",), types=_CONFIG_TYPES)
+        check_field_types(self, sizes=("num_teachers",))
         if not self.methods:
             raise ValueError("methods must be non-empty")
         if len(set(self.methods)) != len(self.methods):
@@ -153,14 +147,14 @@ class ExperimentConfig:
 
 def _from_doc(cls: type, doc: dict, where: str):
     """``cls(**doc)`` after rejecting keys that are not fields of ``cls``."""
-    _reject_unknown_keys(doc, {f.name for f in fields(cls)}, where)
+    reject_unknown_keys(doc, {f.name for f in fields(cls)}, where)
     return cls(**doc)
 
 
 def _data_source(doc) -> SynthSpec | CsvSpec:
     """The config's ``data`` block: ``{"synth": {...}}`` or
     ``{"path": ..., "schema": ...}``."""
-    _reject_unknown_keys(doc, {"synth", "path", "schema"}, "data")
+    reject_unknown_keys(doc, {"synth", "path", "schema"}, "data")
     if doc.keys() == {"synth"}:
         return _from_doc(SynthSpec, doc["synth"], "data.synth")
     if doc.keys() == {"path", "schema"}:
@@ -174,8 +168,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     is an error, so a typo never silently falls back to a default. A key left
     out takes the dataclass's default, except ``data``: the document must name
     its data source. Every ValueError starts with ``path``."""
-    with _read_json(path) as kwargs:
-        _reject_unknown_keys(kwargs, {f.name for f in fields(ExperimentConfig)}, "config")
+    with read_json(path) as kwargs:
+        reject_unknown_keys(kwargs, {f.name for f in fields(ExperimentConfig)}, "config")
         kwargs["data"] = _data_source(kwargs.get("data", {}))
         if "train" in kwargs:
             kwargs["train"] = _from_doc(TrainConfig, kwargs["train"], "train")
@@ -185,7 +179,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                     raise ValueError(f"{key} must be a JSON list, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         if "methods" in kwargs:
-            kwargs["methods"] = tuple(_enum_member(DpMethod, m, "methods")
+            kwargs["methods"] = tuple(enum_member(DpMethod, m, "methods")
                                       for m in kwargs["methods"])
         return ExperimentConfig(**kwargs)
 
@@ -508,6 +502,6 @@ def emit_report(results: SweepResults, output_dir: str | Path, force: bool = Fal
     contents = [*map(_csv_text, tables), json.dumps(summary_doc, indent=2) + "\n"]
     written = [out / name for name in _REPORT_FILES]
     for path, content in zip(written, contents):
-        with _atomic_write(path) as tmp:
+        with atomic_write(path) as tmp:
             tmp.write_text(content, encoding="utf-8")
     return written

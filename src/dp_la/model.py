@@ -17,18 +17,21 @@ more than its rounding error, and is bit-reproducible.
 ``TrainConfig.epochs`` caps the iterations, which matters only when no
 finite minimiser exists (lam = 0 on separable data). There is one loop: it
 solves a stack of K tables of one shape, and a single table is the stack of
-one, so each model is bit-identical to the fit of its table alone. ``train``
-is the one way into it, for a table or a stack.
+one, so each model is bit-identical to the fit of its table alone. A
+problem that stops, by any exit, leaves the stack in one place: the
+gradient check at the top of each iteration. ``train`` is the one way into
+the loop, for a table or a stack. The module is the trainer alone; config
+fields are checked in ``dp_la._config``.
 """
 
 from __future__ import annotations
 
 import math
-import reprlib
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from ._config import check_field_types
 
 __all__ = [
     "TrainConfig",
@@ -52,47 +55,6 @@ _ROUNDING = 1e-13
 _BLOCK = 4096
 
 
-# The JSON values a config field of each annotation takes: an int fills a
-# float field (JSON writes 10.0 as 10), and a bool is no number.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
-def _check_field_types(config, sizes: tuple[str, ...] = (), types: dict = _JSON_TYPES) -> None:
-    """Raise ValueError naming the first field of the config dataclass
-    ``config`` whose value, or for a ``tuple[T, ...]`` field each element,
-    is not of the type(s) that ``types`` gives its annotation (a field whose
-    annotation ``types`` lacks is not checked), or is a ``tuple[T, ...]``
-    field's value that is not a tuple, or is a float field's value that is
-    not a finite float (JSON parses ``NaN`` and ``Infinity``, and an integer
-    may be too large for a float), or is a field in ``sizes`` (an int that
-    sizes an array or a loop) above ``sys.maxsize``, numpy's largest
-    dimension. The error names the field, which is its config key, and
-    quotes its value abbreviated by ``reprlib``. A float field's value is
-    stored as a float, so ``1`` and ``1.0`` make one config; fields of other
-    types are built by the config loader."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind = f.type.removeprefix("tuple[").removesuffix(", ...]")
-        is_tuple = kind != f.type
-        values = value if is_tuple else (value,)
-        allowed = types.get(kind)
-        if allowed is None:
-            continue
-        if (is_tuple and not isinstance(value, tuple)
-                or any(isinstance(v, bool) or not isinstance(v, allowed) for v in values)):
-            raise ValueError(f"{f.name} must be {f.type}, got {reprlib.repr(value)}")
-        if f.name in sizes and value > sys.maxsize:
-            raise ValueError(f"{f.name} must be at most {sys.maxsize}, got {reprlib.repr(value)}")
-        if kind == "float":
-            try:
-                values = tuple(map(float, values))
-            except OverflowError:  # an integer too large for a float
-                values = (math.inf,)
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{f.name} must be finite, got {reprlib.repr(value)}")
-            object.__setattr__(config, f.name, values if is_tuple else values[0])
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by every logistic model in the package.
@@ -107,7 +69,7 @@ class TrainConfig:
     learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_field_types(self, sizes=("epochs",))
+        check_field_types(self, sizes=("epochs",))
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.epochs < 1:
@@ -303,9 +265,13 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
 
     Each problem keeps its own step rule, halving and stop; its scalars (J,
     the acceptance bound, ||g||) are Python floats. The problems still
-    running step together, so one iteration counter serves them all, and a
-    problem that stops leaves the stack. Every vector of the loop is a stack
-    of rows, theta (K, 1, d+1) and the margins (K, 1, n), so each product is
+    running step together, so one iteration counter serves them all. A
+    problem's model is recorded where its exit is found, and the problem
+    leaves the stack in one place, the gradient check at the top of the
+    loop: at once for a small gradient or the cap, and at the next check
+    for ``no_descent``, whose row meanwhile only gets a gradient that no
+    model reads. Every vector of the loop is a stack of rows, theta
+    (K, 1, d+1) and the margins (K, 1, n), so each product is
     numpy's matmul on the stack, which calls, per problem, the BLAS routine
     that problem's vectors alone would take (gemv for margins and gradient,
     syrk for the Hessian, ddot for norms and penalties), and the LU steps
@@ -324,24 +290,23 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
     perturbed = None if linear_term is None else linear
     theta = np.zeros((k, 1, d + 1))
     j_cur, m, e = _evaluate(ZT, theta, ridge, perturbed)
-    live = np.arange(k)  # the problem whose state each row of the stack holds
+    live = list(range(k))  # the problem whose state each row of the stack holds
     models: list[LogisticModel | None] = [None] * k
     iterations = 0
     while True:
         g = _gradient(ZT, theta, m, e, ridge, linear)
         norms = list(map(math.sqrt, _dots(g, g)))
-        stops = ["gradient" if norm < _GRADIENT_TOL else "cap" if iterations == max_iter else None
-                 for norm in norms]
-        if any(stops):
-            for row, stop in enumerate(stops):
-                if stop:
-                    models[live[row]] = _model(theta[row, 0], j_cur[row], iterations, norms[row],
-                                               stop)
-            going = [row for row, stop in enumerate(stops) if not stop]
+        for row, norm in enumerate(norms):
+            if models[live[row]] is None and (norm < _GRADIENT_TOL or iterations == max_iter):
+                models[live[row]] = _model(theta[row, 0], j_cur[row], iterations, norm,
+                                           "gradient" if norm < _GRADIENT_TOL else "cap")
+        # the one place a stopped problem, by any exit, leaves the stack
+        going = [row for row, problem in enumerate(live) if models[problem] is None]
+        if len(going) < len(live):
             if not going:
                 break
-            live, ZT, theta, e, g = (a[going] for a in (live, ZT, theta, e, g))
-            j_cur, norms = [j_cur[row] for row in going], [norms[row] for row in going]
+            ZT, theta, e, g = (a[going] for a in (ZT, theta, e, g))
+            live, j_cur, norms = ([a[row] for row in going] for a in (live, j_cur, norms))
         step = _newton_steps(_hessian(ZT, e, ridge, buf[: len(live)]), g, lam)
         # J's terms sum to at most |J| + 2 |l.theta| <= |J| + 2 ||l|| ||w|| in magnitude
         w_norms = ([0.0] * len(live) if perturbed is None
@@ -362,16 +327,9 @@ def _fit(X: np.ndarray, y_pm: np.ndarray, lam: float, max_iter: int,
             for row, j in zip(rows, j_part):
                 j_new[row] = j
             rows = [row for row in rows if not j_new[row] <= bound[row]]
-        if rows:
-            for row in rows:
-                models[live[row]] = _model(theta[row, 0], j_cur[row], iterations, norms[row],
-                                           "no_descent")
-            rejected = set(rows)
-            going = [row for row in range(len(live)) if row not in rejected]
-            if not going:
-                break
-            live, ZT, theta_new, m, e = (a[going] for a in (live, ZT, theta_new, m, e))
-            j_new = [j_new[row] for row in going]
+        for row in rows:  # its row leaves the stack at the next gradient check
+            models[live[row]] = _model(theta[row, 0], j_cur[row], iterations, norms[row],
+                                       "no_descent")
         theta, j_cur = theta_new, j_new
         iterations += 1
     return tuple(models) if stacked else models[0]

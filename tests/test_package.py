@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import dp_la
 from dp_la import audit, data, experiment, mechanisms, model, pipelines
 
@@ -16,3 +19,15 @@ def test_draws_import_from_the_package():
 
     assert draw_input_noise is pipelines.draw_input_noise
     assert draw_objective_noise is pipelines.draw_objective_noise
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # what one module keeps private no other module reads; names the modules
+    # share live public in a module of their own
+    crossing = []
+    for path in sorted(Path(dp_la.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing += [f"{path.stem} <- {node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []

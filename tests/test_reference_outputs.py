@@ -2,13 +2,15 @@
 
 ``tests/reference/small_grid/`` holds a config (all three methods, three
 epsilons, two seeds, a synth table of 400 rows) and what it wrote:
-results.csv, the three figure CSVs, and summary.json's ``config_fingerprint``
-and ``groups``. ``stamp.json`` names the numpy, BLAS and CPU features that
-wrote them. Where the running environment has that stamp, the rerun must
-reproduce every byte. Elsewhere BLAS may sum in another order, so the cell
-coordinates, statuses and fingerprint must be equal, and each metric within
-one row of each pool it is computed from (members: victim_train; non-members
-and accuracies: victim_test).
+results.csv, the three figure CSVs, and summary.json's ``config_fingerprint``,
+``groups`` and ``timings.per_cell`` without the wall times (each cell's
+coordinates, status and fit diagnostics). ``stamp.json`` names the numpy,
+BLAS and CPU features that wrote them. Where the running environment has that
+stamp, the rerun must reproduce every byte and every fit diagnostic.
+Elsewhere BLAS may sum in another order, so the cell coordinates, statuses
+and fingerprint must be equal, and each metric within one row of each pool it
+is computed from (members: victim_train; non-members and accuracies:
+victim_test).
 
 A deliberate refresh, and nothing else, regenerates the references, from the
 root of a checkout:
@@ -30,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dp_la import model
 from dp_la.experiment import emit_report, load_config, run_sweep
 
 REFERENCE = Path(__file__).resolve().parent / "reference" / "small_grid"
@@ -62,8 +65,14 @@ def rerun(out: Path) -> tuple[int, int]:
 
 
 def summary_part(summary_path: Path) -> dict:
+    """The fingerprint, the groups and each cell's record of
+    ``timings.per_cell`` without its wall time."""
     doc = json.loads(summary_path.read_text(encoding="utf-8"))
-    return {key: doc[key] for key in SUMMARY_KEYS}
+    part = {key: doc[key] for key in SUMMARY_KEYS}
+    part["timings"] = {"per_cell": [
+        {key: value for key, value in cell.items() if key != "wall_time_seconds"}
+        for cell in doc["timings"]["per_cell"]]}
+    return part
 
 
 def tolerances(members: int, nonmembers: int) -> dict[str, float]:
@@ -127,14 +136,30 @@ def compare_outputs(out: Path, reference: Path, members: int, nonmembers: int) -
     return found
 
 
+def stamp_matches() -> bool:
+    return json.loads((REFERENCE / "stamp.json").read_text(encoding="utf-8")) == environment_stamp()
+
+
 def test_small_grid_matches_its_reference(tmp_path):
-    stamp = json.loads((REFERENCE / "stamp.json").read_text(encoding="utf-8"))
     members, nonmembers = rerun(tmp_path)
-    if stamp == environment_stamp():
+    if stamp_matches():
         for name in CSVS:
             assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes(), name
         assert summary_part(tmp_path / "summary.json") == summary_part(REFERENCE / "summary.json")
     assert compare_outputs(tmp_path, REFERENCE, members, nonmembers) == []
+
+
+def test_reference_fit_diagnostics_see_a_changed_tolerance(tmp_path, monkeypatch):
+    # a trainer that stops earlier writes the same cells with other diagnostics
+    if not stamp_matches():
+        pytest.skip("the references were written by another numpy, BLAS or CPU")
+    monkeypatch.setattr(model, "_GRADIENT_TOL", 1e-6)
+    rerun(tmp_path)
+    got = summary_part(tmp_path / "summary.json")["timings"]["per_cell"]
+    want = summary_part(REFERENCE / "summary.json")["timings"]["per_cell"]
+    coordinates = ("method", "epsilon", "seed", "status")
+    assert [[c[k] for k in coordinates] for c in got] == [[c[k] for k in coordinates] for c in want]
+    assert got != want
 
 
 def _write_csv(path: Path, rows: list[dict[str, str]]) -> None:
