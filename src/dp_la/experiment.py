@@ -41,6 +41,7 @@ import io
 import json
 import platform
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -459,8 +460,10 @@ def emit_report(results: SweepResults, output_dir: str | Path, force: bool = Fal
     medians of :func:`summarize`, which this computes from ``results``.
 
     Refuses to overwrite existing outputs unless ``force`` is set. Each file
-    is written to a temporary name in ``output_dir`` and then renamed onto its
-    own, so no output is ever left half-written.
+    is written to a temporary name in ``output_dir``, and the five are
+    renamed onto their own names only once the last is written, so a write
+    that fails (a full disk, a denied permission) leaves every existing output
+    as it was and no temporary file behind.
     """
     summary = summarize(results)
     out = Path(output_dir)
@@ -501,7 +504,7 @@ def emit_report(results: SweepResults, output_dir: str | Path, force: bool = Fal
     tables = [_results_table(results), *(_fig_table(summary, m) for m in _FIGURES.values())]
     contents = [*map(_csv_text, tables), json.dumps(summary_doc, indent=2) + "\n"]
     written = [out / name for name in _REPORT_FILES]
-    for path, content in zip(written, contents):
-        with atomic_write(path) as tmp:
-            tmp.write_text(content, encoding="utf-8")
+    with ExitStack() as renames:
+        for path, content in zip(written, contents):
+            renames.enter_context(atomic_write(path)).write_text(content, encoding="utf-8")
     return written

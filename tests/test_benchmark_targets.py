@@ -1,35 +1,44 @@
-"""The benchmark's tracer (perfbench/tracing.py) wraps dp_la functions by name.
-A name that no longer resolves is not an error there: its metrics are left
-out, and a lost cell-start mark silently moves where ``setup_s`` ends. So
-every name it wraps must resolve to a callable here."""
+"""The benchmark (perfbench/) drives the program from outside, by name.
+Its tracer wraps dp_la functions by name. A name that no longer resolves is
+not an error there: its metrics are left out, and a lost cell-start mark
+silently moves where ``setup_s`` ends. So every name it wraps must resolve to
+a callable here. Its workloads write configs, and its runner passes
+``dp-la run`` arguments, that the program must accept: otherwise every
+benchmark run exits 1 and only a benchmark run would show it."""
 
+import dataclasses
 import importlib
 import json
 import sys
+import time
 import types
 from pathlib import Path
 
 import pytest
 
 from dp_la import cli
+from dp_la.experiment import load_config
 
 REPO = Path(__file__).resolve().parents[1]
-TRACING = REPO / "perfbench" / "tracing.py"
+PERFBENCH = REPO / "perfbench"
 
 
-def _load_tracing() -> types.ModuleType:
-    """tracing.py executed from its source, so nothing is written beside it."""
-    module = types.ModuleType("perfbench_tracing")
+def _load(name: str) -> types.ModuleType:
+    """perfbench/<name>.py executed from its source, so nothing is written
+    beside it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
     sys.modules[module.__name__] = module  # its dataclasses look their module up
     try:
-        exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
-             module.__dict__)
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     finally:
         del sys.modules[module.__name__]
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 WRAPPED = sorted({(module, attr) for module, attr, _ in (
     *tracing.TARGETS, *tracing.CELL_START_TARGETS, tracing.DATASET_READY_TARGET)})
 
@@ -98,3 +107,38 @@ def test_traced_sweep_writes_the_same_results_and_every_per_layer_metric(tmp_pat
         "data.split_calls": seeds,
     }
     assert {name: metrics[name] for name in expected} == expected
+
+
+def _small(name: str):
+    """The workload ``name``, with csv_ingest's table cut to 2000 rows."""
+    workload = workloads.WORKLOADS[name]
+    return dataclasses.replace(workload, n=2000) if name == "csv_ingest" else workload
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_config_loads(tmp_path, name):
+    load_config(_small(name).write_inputs(1, tmp_path))
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_runner_arguments_parse(tmp_path, monkeypatch, name):
+    # run.py imports its siblings by their bare names and puts perfbench/ on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    monkeypatch.setitem(sys.modules, "check", _load("check"))
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    runner = _load("run")
+    calls = []
+
+    def child(args, root, log, timeout):
+        calls.append(args)
+        log.write_text("not started\n", encoding="utf-8")
+        return 0.0, 0.0, 1
+
+    monkeypatch.setattr(runner, "run_child", child)
+    workload = _small(name)
+    config = workload.write_inputs(1, tmp_path / "inputs")
+    runner.run_once(0, "mark", workload, config, tmp_path, REPO, time.monotonic() + 60.0)
+    [child_args] = calls
+    args = cli.build_parser().parse_args(child_args[child_args.index("--") + 1:])
+    assert (args.command, args.config) == ("run", str(config))

@@ -711,6 +711,28 @@ class TestEmitReport:
             emit_report(results, tmp_path)
         emit_report(results, tmp_path, force=True)
 
+    def test_failed_write_under_force_changes_no_output(self, tmp_path, monkeypatch):
+        # the five files are renamed into place only once the last is written
+        old, new = fabricated_results({1: 0.1}), fabricated_results({1: 0.2, 2: 0.3})
+        emit_report(new, tmp_path / "new")
+        emit_report(old, tmp_path / "out")
+        before = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert (tmp_path / "new" / "results.csv").read_bytes() != before["results.csv"]
+        write_text, written = Path.write_text, []
+
+        def fourth_write_fails(path, *args, **kwargs):
+            written.append(path)
+            if len(written) == 4:
+                write_text(path, "epsilon,input_perturbation\n0.1,")
+                raise OSError("No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fourth_write_fails)
+        with pytest.raises(OSError, match="No space left"):
+            emit_report(new, tmp_path / "out", force=True)
+        assert len(written) == 4
+        assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == before
+
     def test_summary_json_round_trips(self, tmp_path):
         results = fabricated_results({1: 0.1, 2: 0.2})
         emit_report(results, tmp_path)

@@ -1,21 +1,25 @@
-"""Stored outputs of a small grid, compared with a rerun on every test run.
+"""Stored outputs of small grids, each compared with a rerun on every test run.
 
-``tests/reference/small_grid/`` holds a config (all three methods, three
-epsilons, two seeds, a synth table of 400 rows) and what it wrote:
+Each directory under ``tests/reference/`` holds a config and what it wrote:
 results.csv, the three figure CSVs, and summary.json's ``config_fingerprint``,
 ``groups`` and ``timings.per_cell`` without the wall times (each cell's
 coordinates, status and fit diagnostics). ``stamp.json`` names the numpy,
-BLAS and CPU features that wrote them. Where the running environment has that
-stamp, the rerun must reproduce every byte and every fit diagnostic.
+BLAS and CPU features that wrote them. ``small_grid`` runs all three methods,
+three epsilons and two seeds on a synth table of 400 rows; ``leaky_grid``
+runs the default methods and epsilons over ten seeds on a 400-row table of 40
+weakly separated numeric columns, where the non-private model leaks
+membership, so its audit counts are not all zero. Where the running
+environment has a directory's stamp, the rerun must reproduce every byte and
+every fit diagnostic.
 Elsewhere BLAS may sum in another order, so the cell coordinates, statuses
 and fingerprint must be equal, and each metric within one row of each pool it
 is computed from (members: victim_train; non-members and accuracies:
 victim_test).
 
 A deliberate refresh, and nothing else, regenerates the references, from the
-root of a checkout:
+root of a checkout; with directory names it rewrites only those:
 
-    PYTHONPATH=src python tests/test_reference_outputs.py
+    PYTHONPATH=src python tests/test_reference_outputs.py [NAME ...]
 
 Each refresh is noted in CHANGES.md.
 """
@@ -26,6 +30,7 @@ import csv
 import json
 import platform
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,7 +40,9 @@ import pytest
 from dp_la import model
 from dp_la.experiment import emit_report, load_config, run_sweep
 
-REFERENCE = Path(__file__).resolve().parent / "reference" / "small_grid"
+REFERENCES = Path(__file__).resolve().parent / "reference"
+GRIDS = sorted(path.name for path in REFERENCES.iterdir() if path.is_dir())
+REFERENCE = REFERENCES / "small_grid"
 FIGURES = {"fig_utility_loss.csv": "utility_loss", "fig_privacy_leakage.csv": "privacy_leakage",
            "fig_trr.csv": "trr_rate"}
 CSVS = ("results.csv", *FIGURES)
@@ -55,10 +62,10 @@ def environment_stamp() -> dict:
     return {"numpy": np.__version__, "blas": blas, "machine": platform.machine(), "simd": simd}
 
 
-def rerun(out: Path) -> tuple[int, int]:
-    """The reference config's outputs, written to ``out``, and the smallest
-    member and non-member pools of its cells."""
-    results = run_sweep(load_config(REFERENCE / "config.json"))
+def rerun(reference: Path, out: Path) -> tuple[int, int]:
+    """The outputs of ``reference``'s config, written to ``out``, and the
+    smallest member and non-member pools of its cells."""
+    results = run_sweep(load_config(reference / "config.json"))
     emit_report(results, out)
     reports = [row.report for row in results.rows if row.report is not None]
     return min(r.members for r in reports), min(r.nonmembers for r in reports)
@@ -136,25 +143,27 @@ def compare_outputs(out: Path, reference: Path, members: int, nonmembers: int) -
     return found
 
 
-def stamp_matches() -> bool:
-    return json.loads((REFERENCE / "stamp.json").read_text(encoding="utf-8")) == environment_stamp()
+def stamp_matches(reference: Path) -> bool:
+    return json.loads((reference / "stamp.json").read_text(encoding="utf-8")) == environment_stamp()
 
 
-def test_small_grid_matches_its_reference(tmp_path):
-    members, nonmembers = rerun(tmp_path)
-    if stamp_matches():
+@pytest.mark.parametrize("grid", GRIDS)
+def test_reference_matches_its_rerun(tmp_path, grid):
+    reference = REFERENCES / grid
+    members, nonmembers = rerun(reference, tmp_path)
+    if stamp_matches(reference):
         for name in CSVS:
-            assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes(), name
-        assert summary_part(tmp_path / "summary.json") == summary_part(REFERENCE / "summary.json")
-    assert compare_outputs(tmp_path, REFERENCE, members, nonmembers) == []
+            assert (tmp_path / name).read_bytes() == (reference / name).read_bytes(), name
+        assert summary_part(tmp_path / "summary.json") == summary_part(reference / "summary.json")
+    assert compare_outputs(tmp_path, reference, members, nonmembers) == []
 
 
 def test_reference_fit_diagnostics_see_a_changed_tolerance(tmp_path, monkeypatch):
     # a trainer that stops earlier writes the same cells with other diagnostics
-    if not stamp_matches():
+    if not stamp_matches(REFERENCE):
         pytest.skip("the references were written by another numpy, BLAS or CPU")
     monkeypatch.setattr(model, "_GRADIENT_TOL", 1e-6)
-    rerun(tmp_path)
+    rerun(REFERENCE, tmp_path)
     got = summary_part(tmp_path / "summary.json")["timings"]["per_cell"]
     want = summary_part(REFERENCE / "summary.json")["timings"]["per_cell"]
     coordinates = ("method", "epsilon", "seed", "status")
@@ -169,7 +178,7 @@ def _write_csv(path: Path, rows: list[dict[str, str]]) -> None:
         writer.writerows(rows)
 
 
-# The reference grid's pools: a quarter of its 400 rows each.
+# The small grid's pools: a quarter of its 400 rows each.
 POOL = 100
 
 
@@ -210,19 +219,20 @@ def test_comparator_reports_what_no_tolerance_covers(tmp_path, change):
     assert compare_outputs(copy, REFERENCE, POOL, POOL) != []
 
 
-def regenerate() -> None:
-    """Rewrite the reference outputs and the stamp from a rerun of the config."""
+def regenerate(reference: Path) -> None:
+    """Rewrite ``reference``'s outputs and stamp from a rerun of its config."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        rerun(out)
+        rerun(reference, out)
         for name in CSVS:
-            shutil.copyfile(out / name, REFERENCE / name)
-        (REFERENCE / "summary.json").write_text(
+            shutil.copyfile(out / name, reference / name)
+        (reference / "summary.json").write_text(
             json.dumps(summary_part(out / "summary.json"), indent=2) + "\n", encoding="utf-8")
-    (REFERENCE / "stamp.json").write_text(json.dumps(environment_stamp(), indent=2) + "\n",
+    (reference / "stamp.json").write_text(json.dumps(environment_stamp(), indent=2) + "\n",
                                           encoding="utf-8")
-    print(f"wrote the references in {REFERENCE}")
+    print(f"wrote the references in {reference}")
 
 
 if __name__ == "__main__":
-    regenerate()
+    for grid in sys.argv[1:] or GRIDS:
+        regenerate(REFERENCES / grid)
